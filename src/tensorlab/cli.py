@@ -3,7 +3,8 @@
 Every run appends JSON-lines records to the declared output path (or prints
 to stdout).  A record embeds the config echo, the seed, and the tool
 version; payloads are deterministic functions of (config, seed, version).
-Exit codes: 0 success, 2 validation error, 3 cap exceeded.
+Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 any other
+tensorlab error (a sampling failure or a failed internal invariant).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, decomp, kronecker, matchgate, minrank, ranks, rings, secants, tensors
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, TensorlabError, ValidationError
 
 COMMANDS = ("terracini", "rank", "decompose", "kron", "matchgate", "minrank")
 FORMATS = ("json", "csv", "text")
@@ -202,8 +203,10 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if not ns.command:
         parser.error("a command or --config is required")
     drop = {"command", "config", "seed", "output", "format"}
+    # `is not`, not `in (None, False)`: 0 == False, and an explicit 0 must
+    # reach validation rather than vanish
     params = {
-        k: v for k, v in vars(ns).items() if k not in drop and v not in (None, False)
+        k: v for k, v in vars(ns).items() if k not in drop and v is not None and v is not False
     }
     return ExperimentConfig(ns.command, params, ns.seed, ns.output, ns.format)
 
@@ -225,7 +228,7 @@ def _require(params: dict, key: str, kind=str):
 def _run_terracini(config: ExperimentConfig) -> list[dict]:
     params = config.parameters
     spec = secants.parse_variety(_require(params, "variety"))
-    trials = int(params.get("trials", 3))
+    trials = _require(params, "trials", int) if "trials" in params else 3
     if params.get("generic_rank"):
         result = secants.generic_rank(spec, trials=trials, seed=config.seed)
         return [
@@ -236,12 +239,14 @@ def _run_terracini(config: ExperimentConfig) -> list[dict]:
             }
         ]
     if params.get("scan") or params.get("r_max") is not None:
-        r_max = params.get("r_max")
+        r_max = None if params.get("r_max") is None else _require(params, "r_max", int)
+        if r_max is not None and r_max < 1:
+            raise ValidationError("r_max must be >= 1")
         done = _completed_scan_cells(config)
         reports = []
         ambient = secants.ambient_affine_dim(spec)
         r = 1
-        while r_max is None or r <= int(r_max):
+        while r_max is None or r <= r_max:
             key = (str(spec), r)
             if key in done:
                 computed = done[key]
@@ -654,6 +659,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except TensorlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -285,6 +285,8 @@ def weyl_zero_weight_invariant_exists(lam: Partition, a: int) -> bool:
     module appears in some d-th symmetric power of an n-th symmetric power
     with d*n = |lambda|.
     """
+    if a < 1:
+        raise ValidationError("the dimension must be >= 1")
     size = lam.size
     if size % a != 0:
         raise ValidationError("|lambda| must be divisible by the dimension")

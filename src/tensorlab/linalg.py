@@ -2,10 +2,14 @@
 
 Rank decisions over the rationals and over F_p are exact (no tolerances);
 the float lane is served by numpy and a relative singular-value threshold.
+`rank_mod_p` ranks integer rows modulo a word-size prime in numpy int64: a
+lower bound on the rational rank, for callers that only need one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +22,9 @@ from .errors import ValidationError
 from .rings import RATIONAL, Ring
 
 DEFAULT_REL_TOL = 1e-8
+# the largest prime below 2^31: a product of two residues stays below 2^62,
+# so an int64 row update a - f * b cannot overflow
+WORD_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -129,21 +136,6 @@ def _check_same_ring(a: Matrix, b: Matrix):
         raise ValidationError(f"ring mismatch: {a.ring} vs {b.ring}")
 
 
-def stack_rows(blocks: Sequence[Matrix]) -> Matrix:
-    """Vertically concatenate matrices with equal column counts."""
-    cols = blocks[0].cols
-    ring = blocks[0].ring
-    ent = []
-    rows = 0
-    for b in blocks:
-        if b.cols != cols:
-            raise ValidationError("column mismatch in stack_rows")
-        _check_same_ring(blocks[0], b)
-        ent.extend(b.entries)
-        rows += b.rows
-    return Matrix(rows, cols, tuple(ent), ring)
-
-
 def matrix_from_vectors(vectors: Sequence[Sequence], ring: Ring) -> Matrix:
     """Stack vectors as the rows of a matrix."""
     return Matrix.from_rows([list(v) for v in vectors], ring)
@@ -250,6 +242,47 @@ def rank_exact(m: Matrix) -> int:
     if m.ring.kind == "fp":
         return _fp_eliminate(m.to_lists(), m.ring.p)
     rank, _, _ = _bareiss(_clear_denominators(m))
+    return rank
+
+
+_is_prime = functools.lru_cache(maxsize=8)(rings.is_prime)
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of the matrix with these integer rows, for a prime p < 2^31.
+
+    Reducing mod p can only lose rank, so this is a lower bound on the rank
+    over the rationals; the two agree unless p divides every maximal nonzero
+    minor.  The residues live in one numpy int64 array, which is
+    row-reduced with one vectorised update per pivot.
+    """
+    if not (1 < p < 2**31 and _is_prime(p)):
+        raise ValidationError(f"rank_mod_p needs a prime below 2^31, got {p}")
+    if len(rows) == 0:
+        return 0
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError("ragged rows")
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if not all(issubclass(k, (int, np.integer)) for k in kinds):
+        # numpy would truncate Fractions and floats to int64 without a word
+        names = sorted(k.__name__ for k in kinds)
+        raise ValidationError(f"rank_mod_p needs integer entries, got {names}")
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    a %= p
+    if a.shape[0] > a.shape[1]:
+        a = a.T  # eliminate along the shorter side: at most min(m, n) pivots
+    rank = 0
+    while a.shape[0]:
+        head, a = a[0], a[1:]
+        nonzero = np.flatnonzero(head)
+        if nonzero.size:
+            j = nonzero[0]
+            head = head * pow(int(head[j]), -1, p) % p
+            a = (a - np.outer(a[:, j], head)) % p
+            rank += 1
     return rank
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from tensorlab import cli
 from tensorlab.cli import ExperimentConfig, emit, parse_config, run
-from tensorlab.errors import ValidationError
+from tensorlab import secants
+from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
 from tensorlab.ranks import w_state
@@ -101,6 +102,47 @@ def test_main_cap_exit_code(capsys):
 def test_main_validation_exit_code(capsys):
     assert cli.main(["terracini", "--variety", "nope:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["terracini", "--variety", "segre:2,2", "--r", "2", "--trials", "0"], "trials must be >= 1"),
+        (["terracini", "--variety", "segre:2,2", "--scan", "--trials", "0"], "trials must be >= 1"),
+        (["terracini", "--variety", "segre:2,2", "--r", "0"], "r must be >= 1"),
+        (["terracini", "--variety", "segre:2,2", "--r-max", "0"], "r_max must be >= 1"),
+        (["kron", "--weyl", "2,2", "--dim", "0"], "dimension must be >= 1"),
+    ],
+    ids=["trials", "scan-trials", "r", "r_max", "dim"],
+)
+def test_explicit_zero_is_validated_not_dropped(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["trials", "r_max"])
+def test_malformed_config_integer_exits_2(key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    params = {"variety": "segre:2,2", "scan": True, key: "three"}
+    path.write_text(json.dumps({"command": "terracini", "parameters": params}))
+    assert cli.main(["--config", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_explicit_zero_is_echoed():
+    cfg = parse_config(["terracini", "--variety", "segre:2,2", "--r", "0", "--trials", "0"])
+    assert cfg.parameters == {"variety": "segre:2,2", "r": 0, "trials": 0}
+
+
+def test_other_tensorlab_errors_exit_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TensorlabError("Terracini rank 9 exceeds the expected dimension 8; this is a bug")
+
+    monkeypatch.setattr(secants, "secant_dimension", broken)
+    assert cli.main(["terracini", "--variety", "segre:2,2,2", "--r", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Terracini rank 9 exceeds the expected dimension 8; this is a bug\n"
 
 
 # --- determinism ------------------------------------------------------------------
