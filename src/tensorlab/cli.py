@@ -225,6 +225,15 @@ def _require(params: dict, key: str, kind=str):
         raise ValidationError(f"malformed value for parameter {key!r}: {value!r}") from exc
 
 
+def _read_input(params: dict, key: str, what: str) -> str:
+    """Text of the input file named by a parameter; unreadable is a validation error."""
+    path = _require(params, key)
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
+
+
 def _run_terracini(config: ExperimentConfig) -> list[dict]:
     params = config.parameters
     spec = secants.parse_variety(_require(params, "variety"))
@@ -247,7 +256,7 @@ def _run_terracini(config: ExperimentConfig) -> list[dict]:
         ambient = secants.ambient_affine_dim(spec)
         r = 1
         while r_max is None or r <= r_max:
-            key = (str(spec), r)
+            key = (str(spec), r, config.seed, trials, __version__)
             if key in done:
                 computed = done[key]
             else:
@@ -263,7 +272,8 @@ def _run_terracini(config: ExperimentConfig) -> list[dict]:
 
 
 def _completed_scan_cells(config: ExperimentConfig) -> dict:
-    """(variety, r) -> computed dim for cells already in the output file."""
+    """(variety, r, seed, trials, version) -> computed dim for cells already
+    in the output file; a cell computed under another config is not reused."""
     done: dict = {}
     if not config.output:
         return done
@@ -277,7 +287,7 @@ def _completed_scan_cells(config: ExperimentConfig) -> dict:
         try:
             rec = json.loads(line)
             payload = rec.get("payload", {})
-            key = (payload["variety"], payload["r"])
+            key = (payload["variety"], payload["r"], rec["seed"], payload["trials"], rec["version"])
             done[key] = payload["computed_affine_dim"]
         except (json.JSONDecodeError, KeyError, TypeError):
             continue
@@ -286,10 +296,7 @@ def _completed_scan_cells(config: ExperimentConfig) -> dict:
 
 def _load_tensor_param(params: dict) -> tensors.DenseTensor:
     if "tensor" in params:
-        path = Path(_require(params, "tensor"))
-        if not path.exists():
-            raise ValidationError(f"tensor file not found: {path}")
-        return tensors.loads_tensor(path.read_text())
+        return tensors.loads_tensor(_read_input(params, "tensor", "tensor"))
     if "w_state" in params:
         return ranks.w_state(_require(params, "w_state", int))
     raise ValidationError("missing required parameter 'tensor' (or 'w_state')")
@@ -343,10 +350,7 @@ def _run_decompose(config: ExperimentConfig) -> list[dict]:
         ]
     if "decomposition" not in params:
         raise ValidationError("missing required parameter 'form' or 'decomposition'")
-    dec_path = Path(_require(params, "decomposition"))
-    if not dec_path.exists():
-        raise ValidationError(f"decomposition file not found: {dec_path}")
-    dec = decomp.Decomposition.from_json(dec_path.read_text())
+    dec = decomp.Decomposition.from_json(_read_input(params, "decomposition", "decomposition"))
     if params.get("kruskal"):
         ks = [decomp.kruskal_rank(dec.factor_matrix(j)) for j in range(len(dec.shape))]
         return [
@@ -445,10 +449,7 @@ def _run_kron(config: ExperimentConfig) -> list[dict]:
 def _run_matchgate(config: ExperimentConfig) -> list[dict]:
     params = config.parameters
     if "graph" in params:
-        path = Path(_require(params, "graph"))
-        if not path.exists():
-            raise ValidationError(f"graph file not found: {path}")
-        g = matchgate.loads_graph(path.read_text())
+        g = matchgate.loads_graph(_read_input(params, "graph", "graph"))
         if params.get("subpfaffian"):
             sv = matchgate.sub_pfaffian_vector(g.skew_matrix())
             return [
@@ -475,10 +476,7 @@ def _run_matchgate(config: ExperimentConfig) -> list[dict]:
         ]
     if "signature" not in params:
         raise ValidationError("missing required parameter 'graph' or 'signature'")
-    path = Path(_require(params, "signature"))
-    if not path.exists():
-        raise ValidationError(f"signature file not found: {path}")
-    sv = matchgate.SignatureVector.from_json(path.read_text())
+    sv = matchgate.SignatureVector.from_json(_read_input(params, "signature", "signature"))
     if "basis" in params:
         raw = _require(params, "basis")
         try:
@@ -539,10 +537,7 @@ def _run_minrank(config: ExperimentConfig) -> list[dict]:
         ]
     if "subspace" not in params:
         raise ValidationError("missing required parameter: one of 'gurvits', 'friedland', 'subspace'")
-    path = Path(_require(params, "subspace"))
-    if not path.exists():
-        raise ValidationError(f"subspace file not found: {path}")
-    spc = minrank.MatrixSubspace.from_json(path.read_text())
+    spc = minrank.MatrixSubspace.from_json(_read_input(params, "subspace", "subspace"))
     if spc.ring.kind == "fp":
         return [
             {
@@ -553,7 +548,7 @@ def _run_minrank(config: ExperimentConfig) -> list[dict]:
                 "certainty": "exact",
             }
         ]
-    trials = int(params.get("trials", 200))
+    trials = _require(params, "trials", int) if "trials" in params else 200
     return [
         {
             "mode": "min_rank",
@@ -641,9 +636,20 @@ def _tabulate(records: list[ResultRecord]):
     return [r.payload for r in records], None
 
 
+def _check_output_path(path: str) -> None:
+    """Reject an output path that cannot be appended to, before any work."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValidationError(f"output path is a directory: {path}")
+    if not out.parent.is_dir():
+        raise ValidationError(f"output directory does not exist: {out.parent}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
+        if config.output:
+            _check_output_path(config.output)
         records = run(config)
         if config.output:
             with open(config.output, "a") as fh:

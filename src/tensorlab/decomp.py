@@ -20,7 +20,7 @@ from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import Matrix, matrix_from_vectors, rank_exact, solve_exact
 from .ranks import apolar_kernel_form, exact_rank_bruteforce, f_rank
 from .rings import RATIONAL, Ring
-from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, rank_one, zeros
+from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, multi_indices, rank_one, zeros
 
 KRUSKAL_COLUMN_CAP = 12
 
@@ -88,8 +88,7 @@ class Decomposition:
     def from_json(text: str) -> "Decomposition":
         try:
             obj = json.loads(text)
-            tag = obj["ring"].split()
-            ring = rings.fp(int(tag[1])) if tag[0] == "fp" else Ring(tag[0])
+            ring = rings.parse_ring(obj["ring"])
             summands = [
                 [[rings.parse_scalar(x, ring) for x in v] for v in summand]
                 for summand in obj["summands"]
@@ -461,14 +460,10 @@ def direct_sum(t1: DenseTensor, t2: DenseTensor) -> DenseTensor:
     out = list(zeros(shape, t1.ring).data)
     strides = DenseTensor(shape, tuple(out), t1.ring).strides()
     for t, offset in ((t1, (0,) * t1.order), (t2, t1.shape)):
-        for idx, v in zip(_indices(t.shape), t.data):
+        for idx, v in zip(multi_indices(t.shape), t.data):
             flat = sum(s * (i + o) for s, i, o in zip(strides, idx, offset))
             out[flat] = v
     return DenseTensor(shape, tuple(out), t1.ring)
-
-
-def _indices(shape):
-    return itertools.product(*(range(d) for d in shape))
 
 
 def strassen_experiment(t1: DenseTensor, t2: DenseTensor, r_max: int) -> StrassenRecord:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, TensorlabError, ValidationError
+from .secants import exponents
 
 PARTITIONS_CAP = 20
 CHARACTER_CAP = 16
@@ -228,23 +229,12 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
 
 def _weight_multiplicities(a: int, d: int, n: int) -> dict[tuple[int, ...], int]:
     """Weights of the degree-d symmetric power of degree-n monomials in a vars."""
-    monomials = [
-        tuple(alpha) for alpha in _compositions(n, a)
-    ]
+    monomials = exponents(a, n)
     counts: dict[tuple[int, ...], int] = {}
     for combo in itertools.combinations_with_replacement(monomials, d):
         w = tuple(sum(x) for x in zip(*combo)) if combo else (0,) * a
         counts[w] = counts.get(w, 0) + 1
     return counts
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        out.extend((first,) + rest for rest in _compositions(total - first, parts - 1))
-    return out
 
 
 def _schur_multiplicity(lam: tuple[int, ...], weights: dict[tuple[int, ...], int], a: int) -> int:

@@ -145,17 +145,23 @@ def matrix_from_vectors(vectors: Sequence[Sequence], ring: Ring) -> Matrix:
 # exact rank / determinant (Bareiss fraction-free elimination)
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(m: Matrix) -> list[list[int]]:
-    """Scale each row to integers; row scaling preserves rank."""
+def _clear_denominators(m: Matrix) -> tuple[list[list[int]], int]:
+    """Scale each row to integers; row scaling preserves rank.
+
+    Returns (rows, scale), where scale is the product of the row scales, so
+    the determinant of m is that of the integer rows divided by scale.
+    """
     out = []
+    scale = 1
     for i in range(m.rows):
         row = m.row(i)
         lcm = 1
         for a in row:
             if isinstance(a, Fraction):
                 lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
+        scale *= lcm
         out.append([int(a * lcm) if isinstance(a, Fraction) else a * lcm for a in row])
-    return out
+    return out, scale
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
@@ -208,26 +214,37 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
     return k, prev, sign
 
 
-def _fp_eliminate(rows: list[list[int]], p: int) -> int:
-    """Row echelon over F_p; returns the rank. Mutates rows."""
+def _fp_eliminate(rows: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Reduced row echelon form over F_p, in place.
+
+    Returns (pivot columns, det_factor): det_factor is the sign of the row
+    swaps times the product of the pivots taken before normalisation, so for
+    a square matrix of full rank it is the determinant mod p.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    rank = 0
+    pivots = []
+    det_factor = 1
     for col in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][col] % p), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][col] % p), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det_factor = -det_factor
+        lead = rows[r][col]
+        det_factor = det_factor * lead % p
+        inv = pow(lead, -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
         for i in range(m):
-            if i != rank and rows[i][col] % p:
+            if i != r and rows[i][col] % p:
                 f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == m:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == m:
             break
-    return rank
+    return pivots, det_factor
 
 
 def rank_exact(m: Matrix) -> int:
@@ -240,8 +257,8 @@ def rank_exact(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.ring.kind == "fp":
-        return _fp_eliminate(m.to_lists(), m.ring.p)
-    rank, _, _ = _bareiss(_clear_denominators(m))
+        return len(_fp_eliminate(m.to_lists(), m.ring.p)[0])
+    rank, _, _ = _bareiss(_clear_denominators(m)[0])
     return rank
 
 
@@ -296,37 +313,13 @@ def det_exact(m: Matrix):
     if n == 0:
         return rings.one(m.ring)
     if m.ring.kind == "fp":
-        p = m.ring.p
-        rows = m.to_lists()
-        det = 1
-        for col in range(n):
-            piv = next((i for i in range(col, n) if rows[i][col] % p), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det % p
-            det = (det * rows[col][col]) % p
-            inv = pow(rows[col][col], -1, p)
-            for i in range(col + 1, n):
-                if rows[i][col] % p:
-                    f = (rows[i][col] * inv) % p
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[col])]
-        return det % p
-    scale = Fraction(1)
-    int_rows = []
-    for i in range(n):
-        row = m.row(i)
-        lcm = 1
-        for a in row:
-            if isinstance(a, Fraction):
-                lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
-        scale /= lcm
-        int_rows.append([int(a * lcm) if isinstance(a, Fraction) else a * lcm for a in row])
+        pivots, det_factor = _fp_eliminate(m.to_lists(), m.ring.p)
+        return det_factor if len(pivots) == n else 0
+    int_rows, scale = _clear_denominators(m)
     rank, last_pivot, sign = _bareiss(int_rows)
     if rank < n:
         return 0
-    det = scale * sign * last_pivot
+    det = Fraction(sign * last_pivot, scale)
     return det.numerator if det.denominator == 1 else det
 
 
@@ -334,33 +327,25 @@ def rref(m: Matrix) -> tuple[list[list], list[int]]:
     """Reduced row echelon form (exact rings); returns (rows, pivot columns)."""
     if m.ring.kind == "float":
         raise ValidationError("rref requires an exact ring")
-    rows = [[Fraction(x) if m.ring.kind == "rational" else x for x in m.row(i)] for i in range(m.rows)]
-    p = m.ring.p
-    nrows, ncols = m.rows, m.cols
+    if m.ring.kind == "fp":
+        rows = m.to_lists()
+        return rows, _fp_eliminate(rows, m.ring.p)[0]
+    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
     pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if (rows[i][col] % p if p else rows[i][col]) != 0:
-                piv = i
-                break
+    for col in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.rows) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p) if p else 1 / rows[r][col]
-        rows[r] = [(x * inv) % p if p else x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][col] % p if p else rows[i][col]
-                if f != 0:
-                    rows[i] = [
-                        (a - f * b) % p if p else a - f * b
-                        for a, b in zip(rows[i], rows[r])
-                    ]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][col]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == nrows:
+        if len(pivots) == m.rows:
             break
     return rows, pivots
 

@@ -9,13 +9,11 @@ brute-force count, which keeps the module small and honest.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import rings
 from .errors import CapExceeded, ValidationError
-from .parallel import worker_count
 from .rings import RATIONAL, Ring
 
 MATCHING_NODE_CAP = 16
@@ -256,33 +254,12 @@ def pfaffian_orientation_search(g: WeightedGraph) -> OrientationResult:
         raise CapExceeded(f"orientation search capped at {ORIENTATION_EDGE_CAP} edges")
     target = count_matchings(g)
     neg_target = rings.neg(target, g.ring)
-
-    def try_range(start: int, stop: int) -> Optional[int]:
-        for code in range(start, stop):
-            signs = [1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges)]
-            pf = pfaffian(g.skew_matrix(signs))
-            if pf == target or pf == neg_target:
-                return code
-        return None
-
-    total = 2**n_edges
-    workers = min(worker_count(), 8)
-    best: Optional[int] = None
-    if workers <= 1 or total < 64:
-        best = try_range(0, total)
-        tried = total if best is None else best + 1
-    else:
-        chunk = (total + workers - 1) // workers
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(lambda span: try_range(*span), spans))
-        found = [h for h in hits if h is not None]
-        best = min(found) if found else None
-        tried = total if best is None else best + 1
-    if best is None:
-        return OrientationResult(None, total)
-    signs = tuple(1 if not (best >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
-    return OrientationResult(signs, tried)
+    for code in range(2**n_edges):
+        signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
+        pf = pfaffian(g.skew_matrix(signs))
+        if pf == target or pf == neg_target:
+            return OrientationResult(signs, code + 1)
+    return OrientationResult(None, 2**n_edges)
 
 
 # ---------------------------------------------------------------------------

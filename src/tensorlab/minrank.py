@@ -81,8 +81,7 @@ class MatrixSubspace:
     def from_json(text: str) -> "MatrixSubspace":
         try:
             obj = json.loads(text)
-            tag = obj["ring"].split()
-            ring = rings.fp(int(tag[1])) if tag[0] == "fp" else Ring(tag[0])
+            ring = rings.parse_ring(obj["ring"])
             rows, cols = int(obj["rows"]), int(obj["cols"])
             basis = tuple(
                 Matrix(rows, cols, tuple(rings.parse_scalar(x, ring) for x in ent), ring)

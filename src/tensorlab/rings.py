@@ -41,12 +41,13 @@ class Ring:
         if self.kind not in ("rational", "fp", "float"):
             raise ValidationError(f"unknown ring kind {self.kind!r}")
         if self.kind == "fp":
-            if self.p is None or not is_prime(self.p):
-                raise ValidationError(f"F_p modulus must be prime, got {self.p}")
-            if self.p >= FP_MODULUS_CAP:
+            # the cap first: trial division of a huge modulus would not finish
+            if self.p is not None and self.p >= FP_MODULUS_CAP:
                 raise ValidationError(
                     f"F_p modulus {self.p} exceeds the cap {FP_MODULUS_CAP}"
                 )
+            if self.p is None or not is_prime(self.p):
+                raise ValidationError(f"F_p modulus must be prime, got {self.p}")
         elif self.p is not None:
             raise ValidationError(f"ring {self.kind!r} takes no modulus")
 
@@ -64,6 +65,18 @@ FLOAT = Ring("float")
 
 def fp(p: int) -> Ring:
     return Ring("fp", p)
+
+
+def parse_ring(text: str) -> Ring:
+    """Inverse of str(Ring): exactly "rational", "float" or "fp <p>"."""
+    tag = str(text).split()
+    if tag == ["rational"]:
+        return RATIONAL
+    if tag == ["float"]:
+        return FLOAT
+    if len(tag) == 2 and tag[0] == "fp" and tag[1].isdecimal():
+        return fp(int(tag[1]))
+    raise ValidationError(f"bad ring tag {text!r}")
 
 
 def coerce(value, ring: Ring):

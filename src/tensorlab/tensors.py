@@ -303,15 +303,7 @@ def loads_tensor(text: str) -> DenseTensor:
         shape = tuple(int(x) for x in lines[1].split())
     except ValueError as exc:
         raise ValidationError("bad dims line in tensor file") from exc
-    tag = lines[2].split()
-    if tag == ["rational"]:
-        ring = RATIONAL
-    elif tag == ["float"]:
-        ring = rings.FLOAT
-    elif len(tag) == 2 and tag[0] == "fp":
-        ring = rings.fp(int(tag[1]))
-    else:
-        raise ValidationError(f"bad ring tag {lines[2]!r} in tensor file")
+    ring = rings.parse_ring(lines[2])
     tokens = " ".join(lines[3:]).split()
     data = tuple(rings.parse_scalar(tok, ring) for tok in tokens)
     return DenseTensor(shape, data, ring)

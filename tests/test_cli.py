@@ -351,3 +351,49 @@ def test_decompose_modes(tmp_path):
     # repeated factor columns give k-ranks (1,1,1), far below 2r + 2 = 8
     assert payload["unique"] is False
     assert payload["k_ranks"] == [1, 1, 1]
+
+
+# --- unreadable files, bad output paths, config-keyed resume ---------------------------
+
+def test_unreadable_input_file_exits_2(tmp_path, capsys):
+    assert cli.main(["rank", "--tensor", str(tmp_path)]) == 2  # a directory
+    assert "tensor file" in capsys.readouterr().err
+    assert cli.main(["matchgate", "--graph", str(tmp_path / "missing.graph")]) == 2
+    assert "graph file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_bad_output_path_exits_2_before_computing(where, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(secants, "secant_dimension", never)
+    out = tmp_path / "absent" / "r.jsonl" if where == "missing-parent" else tmp_path
+    argv = ["terracini", "--variety", "segre:2,2", "--r", "1", "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert "output" in capsys.readouterr().err
+
+
+def test_malformed_minrank_trials_exits_2(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(gurvits_space(1).to_json())
+    path = tmp_path / "cfg.json"
+    params = {"subspace": str(space), "trials": "abc"}
+    path.write_text(json.dumps({"command": "minrank", "parameters": params}))
+    assert cli.main(["--config", str(path)]) == 2
+    assert "'trials'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", ["seed", "trials", "version"])
+def test_scan_resume_reuses_only_cells_of_the_same_config(change, tmp_path, monkeypatch):
+    out = tmp_path / "scan.jsonl"
+    argv = ["terracini", "--variety", "segre:2,2,2", "--scan", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text().splitlines()) == 2
+    if change == "version":
+        monkeypatch.setattr(cli, "__version__", cli.__version__ + "+other")
+    rerun = argv + {"seed": ["--seed", "1"], "trials": ["--trials", "1"], "version": []}[change]
+    assert cli.main(rerun) == 0
+    assert len(out.read_text().splitlines()) == 4  # both cells recomputed
+    assert cli.main(rerun) == 0
+    assert len(out.read_text().splitlines()) == 4  # then resumed

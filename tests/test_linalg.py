@@ -14,6 +14,7 @@ from tensorlab.linalg import (
     nullspace_exact,
     rank_exact,
     rank_numeric,
+    rref,
     singular_values,
     solve_exact,
 )
@@ -191,6 +192,42 @@ def test_det_against_laplace_oracle():
         for _ in range(10):
             m = random_matrix(rng, n, n, -5, 5)
             assert Fraction(det_exact(m)) == det_oracle(m.to_lists())
+
+
+# --- the shared F_p elimination ----------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_det_fp_matches_rational_det_mod_p(p):
+    rng = random.Random(31 + p)
+    cases = [[[1, 1], [1, 1 + p]]]  # singular mod p only
+    for n in range(7):
+        for trial in range(12):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and trial % 4 == 0:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # singular over Q too
+            cases.append(rows)
+    singular = 0
+    for rows in cases:
+        expected = det_exact(Matrix.from_rows(rows)) % p
+        assert det_exact(Matrix.from_rows(rows, fp(p))) == expected
+        singular += expected == 0
+    assert singular >= 12
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_rref_fp_unit_pivots_and_rank(p):
+    rng = random.Random(37 + p)
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = Matrix.from_rows([[rng.randint(0, p - 1) for _ in range(c)] for _ in range(r)], fp(p))
+        rows, pivots = rref(m)
+        assert len(pivots) == rank_exact(m)
+        assert pivots == sorted(set(pivots))
+        for k, col in enumerate(pivots):
+            assert [rows[i][col] % p for i in range(r)] == [int(i == k) for i in range(r)]
+        assert all(x % p == 0 for row in rows[len(pivots) :] for x in row)
+        # same row space: the echelon rows add nothing to the original rows
+        assert rank_exact(Matrix.from_rows(m.to_lists() + rows, fp(p))) == len(pivots)
 
 
 def test_solve_and_invert():
