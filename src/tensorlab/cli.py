@@ -286,6 +286,8 @@ def _completed_scan_cells(config: ExperimentConfig) -> dict:
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                continue
             payload = rec.get("payload", {})
             key = (payload["variety"], payload["r"], rec["seed"], payload["trials"], rec["version"])
             done[key] = payload["computed_affine_dim"]
@@ -652,9 +654,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             _check_output_path(config.output)
         records = run(config)
         if config.output:
-            with open(config.output, "a") as fh:
+            with open(config.output, "ab+") as fh:
+                # a run killed mid-write can leave a torn last line; end it first
+                if fh.seek(0, io.SEEK_END):
+                    fh.seek(-1, io.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        fh.write(b"\n")
                 for r in records:
-                    fh.write(json.dumps(r.as_dict(), sort_keys=True) + "\n")
+                    fh.write(json.dumps(r.as_dict(), sort_keys=True).encode() + b"\n")
             if config.format != "json":
                 sys.stdout.write(emit(records, config.format))
         else:

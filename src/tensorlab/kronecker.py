@@ -1,9 +1,11 @@
 """Symmetric-group characters and Kronecker coefficients.
 
 Characters come from the Murnaghan-Nakayama border-strip recursion on beta
-sets, memoized so the table for each group size is effectively built once.
-Kronecker coefficients are the plain class-weighted character sums, which is
-the simplest exact route at the sizes this package cares about (n <= 14).
+sets; each character value is memoized, but no table is built: every
+Kronecker coefficient recomputes its class sizes and calls the checked
+character wrapper three times per class.  Kronecker coefficients are the
+plain class-weighted character sums, which is the simplest exact route at the
+sizes this package cares about (n <= 14).
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ sample can only under-report the generic dimension, so the maximum over a few
 independently seeded trials is a certified lower bound that is generically
 exact; when it reaches the expected dimension it is exact.  Supported
 varieties: Segre, Veronese, Segre-Veronese, subspace (Tucker) and symmetric
-subspace varieties.
+subspace varieties.  Segre and Veronese varieties are treated as
+Segre-Veronese varieties: a Segre variety has every degree 1 and a Veronese
+variety has a single factor.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import WORD_PRIME, Matrix, rank_mod_p
 from .rings import RATIONAL
-from .tensors import DenseTensor, mode_apply, multi_indices, rank_one
+from .tensors import DenseTensor, mode_apply, multi_indices
 
 AMBIENT_CAP = 20000
 RESAMPLE_LIMIT = 10
+SEGRE_VERONESE_KINDS = ("segre", "veronese", "segre_veronese")
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +216,9 @@ def _poly_coeff_vector(poly: dict, exps: list[tuple[int, ...]]) -> list:
 # ---------------------------------------------------------------------------
 
 def ambient_affine_dim(spec: VarietySpec) -> int:
-    if spec.kind == "segre":
-        return math.prod(spec.dims)
-    if spec.kind == "veronese":
-        return sym_dim(spec.dims[0], spec.degrees[0])
-    if spec.kind == "segre_veronese":
-        return math.prod(sym_dim(n, d) for n, d in zip(spec.dims, spec.degrees))
+    if spec.kind in SEGRE_VERONESE_KINDS:
+        degrees = spec.degrees or (1,) * len(spec.dims)
+        return math.prod(sym_dim(n, d) for n, d in zip(spec.dims, degrees))
     if spec.kind == "subspace":
         return math.prod(spec.dims)
     return sym_dim(spec.dims[0], spec.degrees[0])
@@ -226,11 +226,7 @@ def ambient_affine_dim(spec: VarietySpec) -> int:
 
 def cone_dim(spec: VarietySpec) -> int:
     """Dimension of the affine cone over X at a generic point."""
-    if spec.kind == "segre":
-        return 1 + sum(d - 1 for d in spec.dims)
-    if spec.kind == "veronese":
-        return spec.dims[0]
-    if spec.kind == "segre_veronese":
+    if spec.kind in SEGRE_VERONESE_KINDS:
         return 1 + sum(d - 1 for d in spec.dims)
     if spec.kind == "subspace":
         return math.prod(spec.ranks) + sum(
@@ -259,11 +255,7 @@ def _random_matrix_with_nonzero_columns(rng: random.Random, rows: int, cols: int
 
 def sample_params(spec: VarietySpec, rng: random.Random):
     """Random integer point parameters for the variety, nonzero per factor."""
-    if spec.kind == "segre":
-        return [_random_vector(rng, d) for d in spec.dims]
-    if spec.kind == "veronese":
-        return [_random_vector(rng, spec.dims[0])]
-    if spec.kind == "segre_veronese":
+    if spec.kind in SEGRE_VERONESE_KINDS:
         return [_random_vector(rng, d) for d in spec.dims]
     if spec.kind == "subspace":
         core_shape = spec.ranks
@@ -298,12 +290,8 @@ def sample_params(spec: VarietySpec, rng: random.Random):
 
 def affine_tangent_basis(spec: VarietySpec, params) -> list[tuple]:
     """Spanning set of the affine tangent space at the parametrized point."""
-    if spec.kind == "segre":
-        return _segre_tangent(spec.dims, params)
-    if spec.kind == "veronese":
-        return _veronese_tangent(spec.dims[0], spec.degrees[0], params[0])
-    if spec.kind == "segre_veronese":
-        return _segre_veronese_tangent(spec.dims, spec.degrees, params)
+    if spec.kind in SEGRE_VERONESE_KINDS:
+        return _segre_veronese_tangent(spec.dims, spec.degrees or (1,) * len(spec.dims), params)
     if spec.kind == "subspace":
         core, factors = params
         return _subspace_tangent(spec, core, factors)
@@ -317,21 +305,12 @@ def _check_nonzero_vectors(vectors):
             raise ValidationError("degenerate parameters: zero factor vector")
 
 
-def _segre_tangent(dims, vectors) -> list[tuple]:
-    _check_nonzero_vectors(vectors)
-    out = []
-    for pos, dim in enumerate(dims):
-        for j in range(dim):
-            basis_vec = tuple(1 if i == j else 0 for i in range(dim))
-            factors = [basis_vec if q == pos else tuple(vectors[q]) for q in range(len(dims))]
-            out.append(rank_one(factors, RATIONAL).data)
-    return out
-
-
-def _veronese_tangent(n, d, v) -> list[tuple]:
-    _check_nonzero_vectors([v])
-    exps = exponents(n, d)
-    return [tuple(_power_coeff_vector(v, d, exps, drop=j)) for j in range(n)]
+def _outer(parts) -> tuple:
+    """Flat outer product of integer vectors, last factor fastest."""
+    vec = parts[0]
+    for part in parts[1:]:
+        vec = [a * b for a in vec for b in part]
+    return tuple(vec)
 
 
 def _segre_veronese_tangent(dims, degrees, vectors) -> list[tuple]:
@@ -350,10 +329,7 @@ def _segre_veronese_tangent(dims, degrees, vectors) -> list[tuple]:
                 else points[q]
                 for q in range(len(dims))
             ]
-            vec = parts[0]
-            for part in parts[1:]:
-                vec = [a * b for a in vec for b in part]
-            out.append(tuple(vec))
+            out.append(_outer(parts))
     return out
 
 
@@ -369,7 +345,7 @@ def _subspace_tangent(spec: VarietySpec, core: DenseTensor, factors: list[Matrix
         vecs = [cols[q][jidx[q]] for q in range(n_factors)]
         if any(not any(v) for v in vecs):
             raise ValidationError("degenerate parameters: zero factor column")
-        out.append(rank_one(vecs, RATIONAL).data)
+        out.append(_outer(vecs))
     # factor directions: Leibniz terms with one factor map replaced by E_kl
     for pos in range(n_factors):
         partial = core
@@ -506,17 +482,8 @@ def generic_rank(spec: VarietySpec, trials: int = 3, seed: int = 0) -> GenericRa
     The returned profile carries the full defect data for all r up to and
     including the generic rank.
     """
-    ambient = _check_ambient(spec)
-    profile = []
-    r = 1
-    while True:
-        report = secant_dimension(spec, r, trials=trials, seed=seed)
-        profile.append(report)
-        if report.computed_affine_dim == ambient:
-            return GenericRankResult(r, tuple(profile))
-        if r > ambient:
-            raise TensorlabError("secant dimensions failed to saturate; this is a bug")
-        r += 1
+    profile = defect_scan([spec], trials=trials, seed=seed)
+    return GenericRankResult(profile[-1].r, tuple(profile))
 
 
 def defect_scan(

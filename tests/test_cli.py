@@ -397,3 +397,28 @@ def test_scan_resume_reuses_only_cells_of_the_same_config(change, tmp_path, monk
     assert len(out.read_text().splitlines()) == 4  # both cells recomputed
     assert cli.main(rerun) == 0
     assert len(out.read_text().splitlines()) == 4  # then resumed
+
+
+# --- damaged output files ------------------------------------------------------------
+
+def test_scan_resume_skips_lines_that_are_not_objects(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    out.write_text('5\n[1, 2]\n"text"\nnull\n{"payload": 7}\n')
+    argv = ["terracini", "--variety", "segre:2,2", "--scan", "--output", str(out)]
+    assert cli.main(argv) == 0
+    records = [json.loads(l) for l in out.read_text().splitlines()[5:]]
+    assert [rec["payload"]["r"] for rec in records] == [1, 2]
+
+
+def test_append_after_torn_last_line_starts_a_new_line(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    argv = ["terracini", "--variety", "segre:2,2", "--output", str(out)]
+    assert cli.main(argv + ["--r-max", "1"]) == 0
+    whole = out.read_text()
+    torn = whole.splitlines()[0][:40]
+    out.write_text(whole + torn)  # a run killed mid-write
+    assert cli.main(argv + ["--scan"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:2] == [whole.strip(), torn]
+    records = [json.loads(l) for l in lines[:1] + lines[2:]]
+    assert [rec["payload"]["r"] for rec in records] == [1, 2]

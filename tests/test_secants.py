@@ -8,6 +8,7 @@ from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact, rank_exact
 from tensorlab.ranks import sylvester_symmetric_rank_binary
 from tensorlab.secants import (
+    _power_coeff_vector,
     affine_tangent_basis,
     ambient_affine_dim,
     cone_dim,
@@ -24,6 +25,7 @@ from tensorlab.secants import (
     sym_subspace,
     veronese,
 )
+from tensorlab.tensors import rank_one
 
 
 def perm_sign(perm):
@@ -103,6 +105,61 @@ def test_segre_tangent_cone_dim_random():
     spec = segre((2, 2, 2))
     basis = affine_tangent_basis(spec, sample_params(spec, rng))
     assert rank_exact(Matrix.from_rows([list(v) for v in basis])) == 4
+
+
+def old_segre_veronese_rows(spec, vectors):
+    """Tangent rows as rank_one built them: one row per (factor, direction)."""
+    degrees = spec.degrees or (1,) * len(spec.dims)
+    rows = []
+    for pos, (n, d) in enumerate(zip(spec.dims, degrees)):
+        for j in range(n):
+            if spec.kind == "segre":
+                unit = tuple(1 if i == j else 0 for i in range(n))
+                parts = [unit if q == pos else v for q, v in enumerate(vectors)]
+            elif spec.kind == "veronese":
+                parts = [_power_coeff_vector(vectors[0], d, exponents(n, d), drop=j)]
+            else:
+                parts = [
+                    _power_coeff_vector(v, e, exponents(m, e), drop=j if q == pos else None)
+                    for q, (v, m, e) in enumerate(zip(vectors, spec.dims, degrees))
+                ]
+            rows.append(rank_one(parts).data)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "segre:2,2", "segre:3,1,4", "segre:1,2", "segre:2,2,2,2", "segre:4",
+        "veronese:2,5", "veronese:3,4", "veronese:3,1", "veronese:1,3",
+        "segver:2,3@2,1", "segver:3,2@1,3", "segver:1,3@2,2",
+    ],
+)
+def test_segre_veronese_tangent_matches_rank_one_oracle(text):
+    spec = parse_variety(text)
+    for seed in range(5):
+        vectors = sample_params(spec, random.Random(seed))
+        basis = affine_tangent_basis(spec, vectors)
+        oracle = old_segre_veronese_rows(spec, vectors)
+        assert basis == oracle
+        assert all(type(x) is int for row in basis for x in row)
+        assert len(basis) == sum(spec.dims)
+
+
+def test_subspace_core_rows_match_rank_one_of_factor_columns():
+    spec = subspace((4, 3, 3), (2, 2, 1))
+    for seed in range(5):
+        core, factors = sample_params(spec, random.Random(seed))
+        basis = affine_tangent_basis(spec, (core, factors))
+        cols = [
+            [[f.entries[i * f.cols + j] for i in range(f.rows)] for j in range(f.cols)]
+            for f in factors
+        ]
+        oracle = [
+            rank_one([cols[q][jq] for q, jq in enumerate(jidx)]).data
+            for jidx in itertools.product(*(range(r) for r in spec.ranks))
+        ]
+        assert basis[: len(oracle)] == oracle
 
 
 def test_tangent_rejects_zero_factor():
@@ -226,6 +283,17 @@ def test_generic_rank_binary_forms_matches_sylvester():
         coeffs = [rng.randint(-9, 9) for _ in range(d + 1)]
         coeffs[0] = coeffs[0] or 1
         assert sylvester_symmetric_rank_binary(coeffs) == res.rank
+
+
+@pytest.mark.parametrize(
+    "spec, defective", [(veronese(3, 4), True), (segre((2, 2, 3)), False)], ids=str
+)
+def test_generic_rank_profile_is_the_defect_scan(spec, defective):
+    res = generic_rank(spec, trials=2, seed=4)
+    scan = defect_scan([spec], trials=2, seed=4)
+    assert res.profile == tuple(scan)
+    assert res.rank == scan[-1].r
+    assert any(rep.defect for rep in scan) == defective
 
 
 def test_segre_matrix_case_matches_determinantal_dimension():
