@@ -1,8 +1,9 @@
 """Command-line surface: experiment configs, dispatch, and persistence.
 
-Every run appends JSON-lines records to the declared output path (or prints
-to stdout).  A record embeds the config echo, the seed, and the tool
-version; payloads are deterministic functions of (config, seed, version).
+Every run appends JSON-lines records to the declared output path, each as
+soon as it is ready, or prints them to stdout.  A record embeds the config
+echo, the seed, and the tool version; payloads are deterministic functions
+of (config, seed, version).
 Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 any other
 tensorlab error (a sampling failure or a failed internal invariant).
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__, decomp, kronecker, matchgate, minrank, ranks, rings, secants, tensors
 from .errors import CapExceeded, TensorlabError, ValidationError
@@ -234,7 +235,7 @@ def _read_input(params: dict, key: str, what: str) -> str:
         raise ValidationError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
 
 
-def _run_terracini(config: ExperimentConfig) -> list[dict]:
+def _run_terracini(config: ExperimentConfig) -> Iterable[dict]:
     params = config.parameters
     spec = secants.parse_variety(_require(params, "variety"))
     trials = _require(params, "trials", int) if "trials" in params else 3
@@ -251,24 +252,30 @@ def _run_terracini(config: ExperimentConfig) -> list[dict]:
         r_max = None if params.get("r_max") is None else _require(params, "r_max", int)
         if r_max is not None and r_max < 1:
             raise ValidationError("r_max must be >= 1")
-        done = _completed_scan_cells(config)
-        reports = []
-        ambient = secants.ambient_affine_dim(spec)
-        r = 1
-        while r_max is None or r <= r_max:
-            key = (str(spec), r, config.seed, trials, __version__)
-            if key in done:
-                computed = done[key]
-            else:
-                rep = secants.secant_dimension(spec, r, trials=trials, seed=config.seed)
-                reports.append(rep.as_dict())
-                computed = rep.computed_affine_dim
-            if computed == ambient:
-                break
-            r += 1
-        return reports
+        return _terracini_scan(config, spec, trials, r_max)
     r = _require(params, "r", int)
     return [secants.secant_dimension(spec, r, trials=trials, seed=config.seed).as_dict()]
+
+
+def _terracini_scan(
+    config: ExperimentConfig, spec, trials: int, r_max: Optional[int]
+) -> Iterator[dict]:
+    """Yield the report of each cell r = 1, 2, ... as soon as it is computed,
+    skipping cells already in the output file, until saturation or r_max."""
+    done = _completed_scan_cells(config)
+    ambient = secants.ambient_affine_dim(spec)
+    r = 1
+    while r_max is None or r <= r_max:
+        key = (str(spec), r, config.seed, trials, __version__)
+        if key in done:
+            computed = done[key]
+        else:
+            rep = secants.secant_dimension(spec, r, trials=trials, seed=config.seed)
+            computed = rep.computed_affine_dim
+            yield rep.as_dict()
+        if computed == ambient:
+            break
+        r += 1
 
 
 def _completed_scan_cells(config: ExperimentConfig) -> dict:
@@ -573,14 +580,22 @@ _DISPATCH = {
 
 
 def run(config: ExperimentConfig) -> list[ResultRecord]:
-    """Dispatch a validated config; one record per emitted payload."""
+    """Dispatch a validated config; one record per emitted payload.
+
+    With an output path, each record is appended to it as soon as its
+    payload is ready (a scan has one per cell), so an interrupted run keeps
+    what it finished.  wall_time_s counts from the start of the run.
+    """
     if config.command not in _DISPATCH:
         raise ValidationError(f"unknown command {config.command!r}")
     start = time.perf_counter()
-    payloads = _DISPATCH[config.command](config)
-    wall = time.perf_counter() - start
-    stamp = datetime.now(timezone.utc).isoformat()
-    return [ResultRecord(config, payload, stamp, wall) for payload in payloads]
+    records = []
+    for payload in _DISPATCH[config.command](config):
+        stamp = datetime.now(timezone.utc).isoformat()
+        records.append(ResultRecord(config, payload, stamp, time.perf_counter() - start))
+        if config.output:
+            _append_record(config.output, records[-1])
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -647,24 +662,24 @@ def _check_output_path(path: str) -> None:
         raise ValidationError(f"output directory does not exist: {out.parent}")
 
 
+def _append_record(path: str, record: ResultRecord) -> None:
+    """Append one record as a JSON line; closing the file flushes it."""
+    with open(path, "ab+") as fh:
+        # a run killed mid-write can leave a torn last line; end it first
+        if fh.seek(0, io.SEEK_END):
+            fh.seek(-1, io.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write(json.dumps(record.as_dict(), sort_keys=True).encode() + b"\n")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
         if config.output:
             _check_output_path(config.output)
         records = run(config)
-        if config.output:
-            with open(config.output, "ab+") as fh:
-                # a run killed mid-write can leave a torn last line; end it first
-                if fh.seek(0, io.SEEK_END):
-                    fh.seek(-1, io.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        fh.write(b"\n")
-                for r in records:
-                    fh.write(json.dumps(r.as_dict(), sort_keys=True).encode() + b"\n")
-            if config.format != "json":
-                sys.stdout.write(emit(records, config.format))
-        else:
+        if not config.output or config.format != "json":
             sys.stdout.write(emit(records, config.format))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,7 +137,7 @@ def _proportionality_scalar(ref: Sequence, other: Sequence, ring: Ring):
         lam = Fraction(other[pivot]) / Fraction(ref[pivot])
         lam = lam.numerator if lam.denominator == 1 else lam
     for x, y in zip(ref, other):
-        if not rings.is_zero(rings.sub(y, rings.mul(lam, x, ring), ring), ring):
+        if not rings.is_zero(y - lam * x, ring):
             return None
     return lam
 
@@ -307,9 +307,7 @@ def _rational_roots(poly: list[Fraction]) -> tuple[list[Fraction], list[Fraction
 
     Returns (roots, remaining coefficients ascending).
     """
-    den_lcm = 1
-    for c in poly:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    den_lcm = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * den_lcm) for c in poly]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -361,9 +359,7 @@ def _deflate(ints: list[int], root: Fraction) -> list[int]:
     if out.pop() != 0:
         raise TensorlabError("deflation by a non-root; this is a bug")
     out.reverse()  # ascending quotient coefficients
-    lcm = 1
-    for c in out:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in out))
     return [int(c * lcm) for c in out]
 
 

@@ -89,19 +89,19 @@ class Matrix:
         _check_same_ring(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in matrix addition")
-        ent = tuple(rings.add(a, b, self.ring) for a, b in zip(self.entries, other.entries))
+        ent = tuple(rings.reduce(a + b, self.ring) for a, b in zip(self.entries, other.entries))
         return Matrix(self.rows, self.cols, ent, self.ring)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         _check_same_ring(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in matrix subtraction")
-        ent = tuple(rings.sub(a, b, self.ring) for a, b in zip(self.entries, other.entries))
+        ent = tuple(rings.reduce(a - b, self.ring) for a, b in zip(self.entries, other.entries))
         return Matrix(self.rows, self.cols, ent, self.ring)
 
     def scale(self, c) -> "Matrix":
         c = rings.coerce(c, self.ring)
-        ent = tuple(rings.mul(c, a, self.ring) for a in self.entries)
+        ent = tuple(rings.reduce(c * a, self.ring) for a in self.entries)
         return Matrix(self.rows, self.cols, ent, self.ring)
 
     def matmul(self, other: "Matrix") -> "Matrix":
@@ -115,7 +115,7 @@ class Matrix:
             arow = a[i * k : (i + 1) * k]
             for j in range(m):
                 s = sum(arow[t] * b[t * m + j] for t in range(k))
-                out.append(s % self.ring.p if self.ring.kind == "fp" else s)
+                out.append(rings.reduce(s, self.ring))
         return Matrix(n, m, tuple(out), self.ring)
 
     def mul_vector(self, v: Sequence) -> list:
@@ -124,7 +124,7 @@ class Matrix:
         out = []
         for i in range(self.rows):
             s = sum(self.entries[i * self.cols + t] * v[t] for t in range(self.cols))
-            out.append(s % self.ring.p if self.ring.kind == "fp" else s)
+            out.append(rings.reduce(s, self.ring))
         return out
 
     def is_zero(self) -> bool:
@@ -155,10 +155,7 @@ def _clear_denominators(m: Matrix) -> tuple[list[list[int]], int]:
     scale = 1
     for i in range(m.rows):
         row = m.row(i)
-        lcm = 1
-        for a in row:
-            if isinstance(a, Fraction):
-                lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
+        lcm = math.lcm(*(a.denominator for a in row if isinstance(a, Fraction)))
         scale *= lcm
         out.append([int(a * lcm) if isinstance(a, Fraction) else a * lcm for a in row])
     return out, scale
@@ -355,7 +352,6 @@ def nullspace_exact(m: Matrix) -> list[list]:
     if m.ring.kind == "float":
         raise ValidationError("nullspace_exact requires an exact ring")
     rows, pivots = rref(m)
-    p = m.ring.p
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
@@ -363,7 +359,7 @@ def nullspace_exact(m: Matrix) -> list[list]:
         v[f] = rings.one(m.ring)
         for r, pc in enumerate(pivots):
             coeff = rows[r][f]
-            v[pc] = (-coeff) % p if p else -coeff
+            v[pc] = rings.reduce(-coeff, m.ring)
         if m.ring.kind == "rational":
             v = [x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x for x in v]
         basis.append(v)
@@ -425,10 +421,7 @@ def kron(m1: Matrix, m2: Matrix) -> Matrix:
             for j1 in range(c1):
                 a = m1.entries[i1 * c1 + j1]
                 row2 = m2.entries[i2 * c2 : (i2 + 1) * c2]
-                if m1.ring.kind == "fp":
-                    ent.extend((a * b) % m1.ring.p for b in row2)
-                else:
-                    ent.extend(a * b for b in row2)
+                ent.extend(rings.reduce(a * b, m1.ring) for b in row2)
     return Matrix(r1 * r2, c1 * c2, tuple(ent), m1.ring)
 
 

@@ -53,7 +53,7 @@ class SkewMatrix:
             return rings.zero(self.ring)
         if i < j:
             return self.upper[self._upper_index(i, j)]
-        return rings.neg(self.upper[self._upper_index(j, i)], self.ring)
+        return rings.reduce(-self.upper[self._upper_index(j, i)], self.ring)
 
     def to_rows(self) -> list[list]:
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
@@ -132,10 +132,10 @@ def _pfaffian_on(indices: tuple[int, ...], a: SkewMatrix, memo: dict):
         if rings.is_zero(w, a.ring):
             continue
         sub = rest[:t] + rest[t + 1 :]
-        term = rings.mul(w, _pfaffian_on(sub, a, memo), a.ring)
-        total = rings.add(total, term, a.ring) if t % 2 == 0 else rings.sub(total, term, a.ring)
-    memo[key] = total
-    return total
+        term = w * _pfaffian_on(sub, a, memo)
+        total = total + term if t % 2 == 0 else total - term
+    memo[key] = rings.reduce(total, a.ring)
+    return memo[key]
 
 
 def pfaffian(a: SkewMatrix):
@@ -195,7 +195,7 @@ class WeightedGraph:
             raise ValidationError("one sign per edge is required")
         entries = {}
         for (i, j, w), s in zip(self.edges, signs):
-            entries[(i, j)] = rings.mul(rings.coerce(s, self.ring), w, self.ring) if s != 1 else w
+            entries[(i, j)] = w if s == 1 else s * w  # from_upper canonicalises
         return SkewMatrix.from_upper(self.nodes, entries, self.ring)
 
 
@@ -229,9 +229,8 @@ def count_matchings(g: WeightedGraph):
         total = rings.zero(g.ring)
         for other, w in adjacency[lowest]:
             if other in unmatched and other != lowest:
-                rest = recurse(unmatched - {lowest, other})
-                total = rings.add(total, rings.mul(w, rest, g.ring), g.ring)
-        return total
+                total = total + w * recurse(unmatched - {lowest, other})
+        return rings.reduce(total, g.ring)
 
     return recurse(frozenset(range(g.nodes)))
 
@@ -253,7 +252,7 @@ def pfaffian_orientation_search(g: WeightedGraph) -> OrientationResult:
     if n_edges > ORIENTATION_EDGE_CAP:
         raise CapExceeded(f"orientation search capped at {ORIENTATION_EDGE_CAP} edges")
     target = count_matchings(g)
-    neg_target = rings.neg(target, g.ring)
+    neg_target = rings.reduce(-target, g.ring)
     for code in range(2**n_edges):
         signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
         pf = pfaffian(g.skew_matrix(signs))
@@ -292,16 +291,12 @@ def mgi_residuals(s: SignatureVector) -> list:
             while d:
                 if d & 1:
                     bit = 1 << pos
-                    term = rings.mul(s[alpha ^ bit], s[beta ^ bit], s.ring)
-                    total = (
-                        rings.add(total, term, s.ring)
-                        if sign > 0
-                        else rings.sub(total, term, s.ring)
-                    )
+                    term = s[alpha ^ bit] * s[beta ^ bit]
+                    total = total + term if sign > 0 else total - term
                     sign = -sign
                 d >>= 1
                 pos += 1
-            out.append(total)
+            out.append(rings.reduce(total, s.ring))
     return out
 
 
@@ -335,11 +330,11 @@ def transform_signature(s: SignatureVector, b: Sequence[Sequence], side: str) ->
             if rings.is_zero(coeff, s.ring):
                 continue
             for i in range(k):
-                coeff = rings.mul(coeff, bmat[(mask >> i) & 1][js[i]], s.ring)
+                coeff = coeff * bmat[(mask >> i) & 1][js[i]]
                 if rings.is_zero(coeff, s.ring):
                     break
-            total = rings.add(total, coeff, s.ring)
-        entries.append(total)
+            total = total + coeff
+        entries.append(rings.reduce(total, s.ring))
     return SignatureVector(k, tuple(entries), s.ring, c)
 
 

@@ -57,11 +57,17 @@ class MatrixSubspace:
         return MatrixSubspace(first.rows, first.cols, tuple(matrices), first.ring)
 
     def element(self, coeffs: Sequence) -> Matrix:
-        out = Matrix.zeros(self.rows, self.cols, self.ring)
-        for c, b in zip(coeffs, self.basis):
-            if not rings.is_zero(rings.coerce(c, self.ring), self.ring):
-                out = out + b.scale(c)
-        return out
+        ring = self.ring
+        terms = [
+            (c, b.entries)
+            for b, c in zip(self.basis, (rings.coerce(c, ring) for c in coeffs))
+            if not rings.is_zero(c, ring)
+        ]
+        entries = tuple(
+            rings.reduce(sum((c * e[k] for c, e in terms), rings.zero(ring)), ring)
+            for k in range(self.rows * self.cols)
+        )
+        return Matrix(self.rows, self.cols, entries, ring)
 
     def to_json(self) -> str:
         return json.dumps(

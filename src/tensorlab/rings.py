@@ -4,6 +4,12 @@ A ring is a small tag object attached to every matrix/tensor; scalar values
 themselves are plain Python objects (int/Fraction for rationals, int in
 [0, p) for F_p, float for the float ring).  Keeping scalars unboxed makes
 the exact algorithms fast enough at desk scale.
+
+Arithmetic convention: loops compute with Python's own operators, in every
+ring, and call `reduce` once per value they store or return; only over F_p
+does that do anything (delayed modular reduction, as in Dumas-Giorgi-Pernet's
+FFLAS/FFPACK).  `reduce` leaves rationals as they are: `Fraction(1)` stays a
+Fraction, unlike under `coerce`.
 """
 
 from __future__ import annotations
@@ -108,31 +114,9 @@ def one(ring: Ring):
     return 1.0 if ring.kind == "float" else 1
 
 
-def add(a, b, ring: Ring):
-    return (a + b) % ring.p if ring.kind == "fp" else a + b
-
-
-def sub(a, b, ring: Ring):
-    return (a - b) % ring.p if ring.kind == "fp" else a - b
-
-
-def mul(a, b, ring: Ring):
-    return (a * b) % ring.p if ring.kind == "fp" else a * b
-
-
-def neg(a, ring: Ring):
-    return (-a) % ring.p if ring.kind == "fp" else -a
-
-
-def invert(a, ring: Ring):
-    if ring.kind == "fp":
-        if a % ring.p == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, -1, ring.p)
-    if ring.kind == "rational":
-        q = Fraction(1, 1) / Fraction(a)
-        return q.numerator if q.denominator == 1 else q
-    return 1.0 / a
+def reduce(x, ring: Ring):
+    """x reduced mod p over F_p; unchanged over the other rings."""
+    return x % ring.p if ring.kind == "fp" else x
 
 
 def is_zero(a, ring: Ring) -> bool:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import WORD_PRIME, Matrix, rank_mod_p
 from .rings import RATIONAL
-from .tensors import DenseTensor, mode_apply, multi_indices
+from .tensors import DenseTensor, mode_apply, multi_indices, outer
 
 AMBIENT_CAP = 20000
 RESAMPLE_LIMIT = 10
@@ -305,14 +305,6 @@ def _check_nonzero_vectors(vectors):
             raise ValidationError("degenerate parameters: zero factor vector")
 
 
-def _outer(parts) -> tuple:
-    """Flat outer product of integer vectors, last factor fastest."""
-    vec = parts[0]
-    for part in parts[1:]:
-        vec = [a * b for a in vec for b in part]
-    return tuple(vec)
-
-
 def _segre_veronese_tangent(dims, degrees, vectors) -> list[tuple]:
     _check_nonzero_vectors(vectors)
     exps_per_factor = [exponents(n, d) for n, d in zip(dims, degrees)]
@@ -329,7 +321,7 @@ def _segre_veronese_tangent(dims, degrees, vectors) -> list[tuple]:
                 else points[q]
                 for q in range(len(dims))
             ]
-            out.append(_outer(parts))
+            out.append(outer(parts))
     return out
 
 
@@ -345,7 +337,7 @@ def _subspace_tangent(spec: VarietySpec, core: DenseTensor, factors: list[Matrix
         vecs = [cols[q][jidx[q]] for q in range(n_factors)]
         if any(not any(v) for v in vecs):
             raise ValidationError("degenerate parameters: zero factor column")
-        out.append(_outer(vecs))
+        out.append(outer(vecs))
     # factor directions: Leibniz terms with one factor map replaced by E_kl
     for pos in range(n_factors):
         partial = core

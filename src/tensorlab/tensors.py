@@ -63,15 +63,18 @@ class DenseTensor:
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         if self.shape != other.shape or self.ring != other.ring:
             raise ValidationError("shape/ring mismatch in tensor addition")
-        data = tuple(rings.add(a, b, self.ring) for a, b in zip(self.data, other.data))
+        data = tuple(rings.reduce(a + b, self.ring) for a, b in zip(self.data, other.data))
         return DenseTensor(self.shape, data, self.ring)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        return self + other.scale(-rings.one(self.ring) if self.ring.kind != "fp" else self.ring.p - 1)
+        if self.shape != other.shape or self.ring != other.ring:
+            raise ValidationError("shape/ring mismatch in tensor subtraction")
+        data = tuple(rings.reduce(a - b, self.ring) for a, b in zip(self.data, other.data))
+        return DenseTensor(self.shape, data, self.ring)
 
     def scale(self, c) -> "DenseTensor":
         c = rings.coerce(c, self.ring)
-        return DenseTensor(self.shape, tuple(rings.mul(c, a, self.ring) for a in self.data), self.ring)
+        return DenseTensor(self.shape, tuple(rings.reduce(c * a, self.ring) for a in self.data), self.ring)
 
 
 def flat_index(shape: Sequence[int], idx: Sequence[int]) -> int:
@@ -113,6 +116,15 @@ class Bipartition:
         return Bipartition(left_sorted, right)
 
 
+def outer(vectors: Sequence[Sequence]) -> tuple:
+    """Flat outer product of the vectors in row-major order (last fastest);
+    plain products, no reduction."""
+    flat = vectors[0]
+    for v in vectors[1:]:
+        flat = [a * b for a in flat for b in v]
+    return tuple(flat)
+
+
 def rank_one(vectors: Sequence[Sequence], ring: Ring = RATIONAL) -> DenseTensor:
     """Outer product v1 x ... x vn; every factor must be a nonzero vector."""
     vecs = [[rings.coerce(x, ring) for x in v] for v in vectors]
@@ -121,13 +133,7 @@ def rank_one(vectors: Sequence[Sequence], ring: Ring = RATIONAL) -> DenseTensor:
     for v in vecs:
         if all(rings.is_zero(x, ring) for x in v):
             raise ValidationError("zero factor vector is not a projective point")
-    data = []
-    for idx in multi_indices(shape):
-        prod = rings.one(ring)
-        for v, i in zip(vecs, idx):
-            prod = rings.mul(prod, v[i], ring)
-        data.append(prod)
-    return DenseTensor(shape, tuple(data), ring)
+    return DenseTensor(shape, tuple(rings.reduce(x, ring) for x in outer(vecs)), ring)
 
 
 def veronese_point(v: Sequence, d: int, ring: Ring = RATIONAL) -> DenseTensor:
@@ -196,21 +202,15 @@ def symmetrize(t: DenseTensor) -> DenseTensor:
     if t.ring.kind == "fp" and math.factorial(d) % t.ring.p == 0:
         raise ValidationError(f"{d}! is not invertible in F_{t.ring.p}")
     perms = list(itertools.permutations(range(d)))
-    acc = [rings.zero(t.ring)] * len(t.data)
-    for flat, idx in enumerate(multi_indices(t.shape)):
-        s = rings.zero(t.ring)
-        for perm in perms:
-            s = rings.add(s, t[tuple(idx[p] for p in perm)], t.ring)
-        acc[flat] = s
-    if t.ring.kind == "rational":
-        inv = Fraction(1, len(perms))
-        data = tuple(rings.coerce(x * inv, t.ring) for x in acc)
-    elif t.ring.kind == "fp":
-        inv = pow(len(perms), -1, t.ring.p)
-        data = tuple((x * inv) % t.ring.p for x in acc)
-    else:
-        data = tuple(x / len(perms) for x in acc)
-    return DenseTensor(t.shape, data, t.ring)
+    sums = [
+        sum((t[tuple(idx[p] for p in perm)] for perm in perms), rings.zero(t.ring))
+        for idx in multi_indices(t.shape)
+    ]
+    if t.ring.kind == "float":
+        return DenseTensor(t.shape, tuple(x / len(perms) for x in sums), t.ring)
+    inv = pow(len(perms), -1, t.ring.p) if t.ring.kind == "fp" else Fraction(1, len(perms))
+    # coerce, not reduce: the average of integers is an int again when it can be
+    return DenseTensor(t.shape, tuple(rings.coerce(x * inv, t.ring) for x in sums), t.ring)
 
 
 def braid(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
@@ -235,9 +235,8 @@ def mode_apply(t: DenseTensor, pos: int, m: Matrix) -> DenseTensor:
         raise ValidationError("matrix columns must match the factor dimension")
     new_shape = tuple(m.rows if p == pos else d for p, d in enumerate(t.shape))
     out = zeros(new_shape, t.ring)
-    data = [rings.zero(t.ring)] * len(out.data)
+    data = list(out.data)
     strides_new = out.strides()
-    strides_old = t.strides()
     for idx in multi_indices(t.shape):
         v = t[idx]
         if rings.is_zero(v, t.ring):
@@ -248,8 +247,8 @@ def mode_apply(t: DenseTensor, pos: int, m: Matrix) -> DenseTensor:
             coef = m.entries[r * m.cols + k]
             if not rings.is_zero(coef, t.ring):
                 j = base + strides_new[pos] * r
-                data[j] = rings.add(data[j], rings.mul(coef, v, t.ring), t.ring)
-    return DenseTensor(new_shape, tuple(data), t.ring)
+                data[j] += coef * v
+    return DenseTensor(new_shape, tuple(rings.reduce(x, t.ring) for x in data), t.ring)
 
 
 def random_tensor(shape: Sequence[int], ring: Ring = RATIONAL, seed: int = 0) -> DenseTensor:

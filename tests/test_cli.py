@@ -422,3 +422,56 @@ def test_append_after_torn_last_line_starts_a_new_line(tmp_path):
     assert lines[:2] == [whole.strip(), torn]
     records = [json.loads(l) for l in lines[:1] + lines[2:]]
     assert [rec["payload"]["r"] for rec in records] == [1, 2]
+
+
+# --- streamed scans --------------------------------------------------------------------
+
+def test_interrupted_scan_keeps_finished_cells_and_resumes(tmp_path, monkeypatch):
+    out = tmp_path / "scan.jsonl"
+    argv = ["terracini", "--variety", "segre:2,2,2,2", "--scan", "--output", str(out)]
+    whole = [r.payload for r in run(parse_config(argv[:-2]))]
+    assert [p["r"] for p in whole] == [1, 2, 3, 4]
+    secant_dimension = secants.secant_dimension
+
+    def fails_at_3(spec, r, **kwargs):
+        if r == 3:
+            raise TensorlabError("interrupted")
+        return secant_dimension(spec, r, **kwargs)
+
+    monkeypatch.setattr(secants, "secant_dimension", fails_at_3)
+    assert cli.main(argv) == 4
+    assert [json.loads(l)["payload"]["r"] for l in out.read_text().splitlines()] == [1, 2]
+    monkeypatch.setattr(secants, "secant_dimension", secant_dimension)
+    assert cli.main(argv) == 0
+    lines = [json.loads(l)["payload"] for l in out.read_text().splitlines()]
+    assert [p["r"] for p in lines] == [1, 2, 3, 4]  # the rerun appended r >= 3 only
+    assert [json.dumps(p, sort_keys=True) for p in lines] == [
+        json.dumps(p, sort_keys=True) for p in whole
+    ]
+
+
+# --- rational payloads that sum to integers ------------------------------------------------
+
+HALF_WEIGHT_CASES = {
+    # matchings 1/2 * 2 + 1/2 * 2 is the Fraction 2, rendered as the string "2"
+    "graph": (
+        ["matchgate", "--graph", "{graph}"],
+        b'{"edges": 4, "matchings": "2", "mode": "matchings", "nodes": 4, "orientation": '
+        b'{"candidates_tried": 1, "found": true, "signs": [1, 1, 1, 1]}}',
+    ),
+    "transform": (
+        ["matchgate", "--signature", "{signature}", "--basis", "1/2,2;2,1/2", "--side", "generator"],
+        b'{"arity": 2, "mode": "transform", "side": "generator", "signature": '
+        b'["33/8", "3/2", "9", "33/8"], "wires": 2}',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HALF_WEIGHT_CASES))
+def test_fractional_weights_summing_to_integers_keep_their_payload(case, tmp_path):
+    graph, signature = tmp_path / "half.graph", tmp_path / "half.json"
+    graph.write_text("graph v1\n4\n0 1 1/2\n1 2 1/2\n2 3 2\n0 3 2\n")
+    signature.write_text('["1/2", "2", "0", "1/2"]')
+    template, expected = HALF_WEIGHT_CASES[case]
+    argv = [a.format(graph=graph, signature=signature) for a in template]
+    assert payload_bytes(run(parse_config(argv))) == [expected]
