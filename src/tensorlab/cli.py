@@ -468,14 +468,13 @@ def _run_matchgate(config: ExperimentConfig) -> list[dict]:
                     "signature": json.loads(sv.to_json()),
                 }
             ]
-        matchings = matchgate.count_matchings(g)
-        orient = matchgate.pfaffian_orientation_search(g)
+        orient = matchgate.pfaffian_orientation_search(g)  # checks the edge cap, then counts
         return [
             {
                 "mode": "matchings",
                 "nodes": g.nodes,
                 "edges": len(g.edges),
-                "matchings": jsonable(matchings),
+                "matchings": jsonable(orient.matchings),
                 "orientation": {
                     "found": orient.found,
                     "signs": list(orient.signs) if orient.signs else None,

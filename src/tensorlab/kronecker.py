@@ -1,17 +1,19 @@
 """Symmetric-group characters and Kronecker coefficients.
 
 Characters come from the Murnaghan-Nakayama border-strip recursion on beta
-sets; each character value is memoized, but no table is built: every
-Kronecker coefficient recomputes its class sizes and calls the checked
-character wrapper three times per class.  Kronecker coefficients are the
-plain class-weighted character sums, which is the simplest exact route at the
-sizes this package cares about (n <= 14).
+sets.  Each character row chi_lambda (its values on the classes of S_n, in
+partitions_of(n) order) and each tuple of class sizes is computed once and
+cached, so a row is only built for a partition that is asked about.
+Kronecker coefficients are the plain class-weighted character sums over three
+rows, divided exactly by n!, which is the simplest exact route at the sizes
+this package cares about (n <= 14).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -151,6 +153,18 @@ def class_size(mu: Partition) -> int:
     return math.factorial(mu.size) // z
 
 
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """Class sizes of S_n in partitions_of(n) order."""
+    return tuple(class_size(rho) for rho in partitions_of(n))
+
+
+@lru_cache(maxsize=None)
+def _character_row(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """chi_lambda on every class of S_|lambda|, in partitions_of order."""
+    return tuple(_character(parts, rho) for rho in _partition_tuples(sum(parts)))
+
+
 # ---------------------------------------------------------------------------
 # Kronecker coefficients
 # ---------------------------------------------------------------------------
@@ -164,12 +178,12 @@ def kronecker_coefficient(
         raise ValidationError("partition sizes differ")
     if n > min(max_n, CHARACTER_CAP):
         raise CapExceeded(f"Kronecker coefficients capped at n <= {min(max_n, CHARACTER_CAP)}")
-    total = 0
-    for rho in partitions_of(n):
-        total += (
-            class_size(rho) * character(lam, rho) * character(mu, rho) * character(nu, rho)
-        )
-    fact = math.factorial(n)
+    classes = zip(_class_sizes(n), *(_character_row(x.parts) for x in (lam, mu, nu)))
+    return _coefficient(sum(w * a * b * c for w, a, b, c in classes), math.factorial(n))
+
+
+def _coefficient(total: int, fact: int) -> int:
+    """The character sum divided by n!, checked to be exact and non-negative."""
     if total % fact != 0:
         raise TensorlabError("character sum not divisible by n!; this is a bug")
     value = total // fact
@@ -206,6 +220,8 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
     Enumerates triples (lambda, mu, nu) of equal size <= n_max with
     len(lambda) <= p, len(mu) <= q, len(nu) <= r and keeps those with a
     positive coefficient.  Experimental substrate only: no facet claims.
+    The class-weighted products w*chi_lambda and w*chi_lambda*chi_mu are
+    formed outside the inner loops, so each nu costs one dot product.
     """
     if max(p, q, r) > 4:
         raise CapExceeded("cone sampling capped at dimension bounds <= 4")
@@ -213,13 +229,15 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
         raise CapExceeded("cone sampling capped at n_max <= 10")
     rows = []
     for n in range(1, n_max + 1):
-        lams = [x for x in partitions_of(n) if len(x) <= p]
-        mus = [x for x in partitions_of(n) if len(x) <= q]
-        nus = [x for x in partitions_of(n) if len(x) <= r]
-        for lam in lams:
-            for mu in mus:
-                for nu in nus:
-                    k = kronecker_coefficient(lam, mu, nu)
+        parts = partitions_of(n)
+        fact = math.factorial(n)
+        nus = [(nu, _character_row(nu.parts)) for nu in parts if len(nu) <= r]
+        for lam in (x for x in parts if len(x) <= p):
+            w_lam = [w * a for w, a in zip(_class_sizes(n), _character_row(lam.parts))]
+            for mu in (x for x in parts if len(x) <= q):
+                w_lam_mu = [v * b for v, b in zip(w_lam, _character_row(mu.parts))]
+                for nu, row in nus:
+                    k = _coefficient(sum(map(operator.mul, w_lam_mu, row)), fact)
                     if k > 0:
                         rows.append((lam, mu, nu, k))
     return rows

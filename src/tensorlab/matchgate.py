@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import rings
@@ -222,6 +223,7 @@ def count_matchings(g: WeightedGraph):
         adjacency[i].append((j, w))
         adjacency[j].append((i, w))
 
+    @lru_cache(maxsize=None)  # at most 2^n unmatched sets, not (n-1)!! matchings
     def recurse(unmatched: frozenset):
         if not unmatched:
             return rings.one(g.ring)
@@ -239,6 +241,7 @@ def count_matchings(g: WeightedGraph):
 class OrientationResult:
     signs: Optional[tuple[int, ...]]
     candidates_tried: int
+    matchings: object  # the matching count the search compared against
 
     @property
     def found(self) -> bool:
@@ -257,8 +260,8 @@ def pfaffian_orientation_search(g: WeightedGraph) -> OrientationResult:
         signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
         pf = pfaffian(g.skew_matrix(signs))
         if pf == target or pf == neg_target:
-            return OrientationResult(signs, code + 1)
-    return OrientationResult(None, 2**n_edges)
+            return OrientationResult(signs, code + 1, target)
+    return OrientationResult(None, 2**n_edges, target)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from tensorlab import cli
 from tensorlab.cli import ExperimentConfig, emit, parse_config, run
-from tensorlab import secants
+from tensorlab import matchgate, secants
 from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
@@ -236,6 +236,27 @@ def test_matchgate_payload(tmp_path):
     assert payload["matchings"] == 6
     assert payload["orientation"]["found"] is False
     assert payload["orientation"]["candidates_tried"] == 512
+
+
+def test_matchgate_counts_once_and_checks_the_edge_cap_first(tmp_path, monkeypatch, capsys):
+    calls = []
+    counted = matchgate.count_matchings
+
+    def count(g):
+        calls.append(g.nodes)
+        return counted(g)
+
+    monkeypatch.setattr(matchgate, "count_matchings", count)
+    k4 = tmp_path / "k4.graph"
+    k4.write_text(dumps_graph(complete_graph(4)))
+    assert cli.main(["matchgate", "--graph", str(k4)]) == 0
+    assert calls == [4]
+    k8 = tmp_path / "k8.graph"
+    k8.write_text(dumps_graph(complete_graph(8)))  # 28 edges, over the 20-edge cap
+    capsys.readouterr()
+    assert cli.main(["matchgate", "--graph", str(k8)]) == 3
+    assert "capped at 20 edges" in capsys.readouterr().err
+    assert calls == [4]
 
 
 def test_matchgate_signature_modes(tmp_path):

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from tensorlab.errors import CapExceeded, ValidationError
+from tensorlab import kronecker
+from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
 from tensorlab.kronecker import (
     Partition,
     character,
@@ -47,6 +48,58 @@ def standard_tableaux_oracle(parts):
         return total
 
     return grow(0, [0] * rows)
+
+
+def kronecker_oracle(lam, mu, nu):
+    """Class-weighted triple character sum through the public, checked
+    `class_size` and `character`, one class at a time."""
+    n = lam.size
+    total = sum(
+        class_size(rho) * character(lam, rho) * character(mu, rho) * character(nu, rho)
+        for rho in partitions_of(n)
+    )
+    value, rest = divmod(total, math.factorial(n))
+    assert rest == 0
+    return value
+
+
+def cone_oracle(p, q, r, n_max):
+    """The plain triple loop over the oracle, in lambda, mu, nu order."""
+    rows = []
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for nu in partitions_of(n):
+                    if len(lam) <= p and len(mu) <= q and len(nu) <= r:
+                        k = kronecker_oracle(lam, mu, nu)
+                        if k > 0:
+                            rows.append((lam, mu, nu, k))
+    return rows
+
+
+# (lambda, mu, nu, g) at n = 11..14, the benchmark's triple table
+LARGE_TRIPLES = [
+    ((3, 3, 3, 1, 1), (4, 2, 2, 1, 1, 1), (4, 4, 3), 11),
+    ((5, 5, 1), (2, 2, 2, 2, 2, 1), (3, 2, 2, 2, 1, 1), 2),
+    ((3, 3, 2, 1, 1, 1), (4, 4, 1, 1, 1), (6, 3, 2), 21),
+    ((5, 2, 2, 1, 1), (3, 3, 3, 2), (6, 3, 2), 17),
+    ((6, 2, 1, 1, 1), (3, 3, 2, 1, 1, 1), (6, 2, 2, 1), 24),
+    ((5, 5, 2), (4, 4, 3, 1), (3, 3, 2, 2, 2), 10),
+    ((6, 2, 2, 1, 1), (5, 2, 2, 1, 1, 1), (5, 4, 1, 1, 1), 92),
+    ((4, 4, 2, 2), (6, 2, 1, 1, 1, 1), (4, 3, 2, 2, 1), 74),
+    ((6, 3, 3), (6, 5, 1), (4, 3, 2, 2, 1), 17),
+    ((4, 2, 2, 2, 2), (6, 4, 2), (4, 3, 2, 1, 1, 1), 60),
+    ((6, 6, 1), (5, 4, 2, 1, 1), (5, 4, 4), 11),
+    ((5, 4, 1, 1, 1, 1), (5, 3, 2, 2, 1), (5, 3, 3, 2), 364),
+    ((6, 2, 2, 2, 1), (4, 2, 2, 2, 2, 1), (5, 3, 3, 2), 94),
+    ((3, 3, 3, 2, 2), (5, 5, 3), (6, 4, 1, 1, 1), 17),
+    ((3, 3, 3, 2, 1, 1), (6, 2, 2, 1, 1, 1), (6, 2, 2, 1, 1, 1), 99),
+    ((6, 4, 2, 2), (6, 2, 2, 2, 2), (5, 4, 2, 1, 1, 1), 437),
+    ((4, 4, 3, 3), (6, 3, 2, 1, 1, 1), (5, 3, 3, 2, 1), 556),
+    ((5, 5, 1, 1, 1, 1), (6, 3, 2, 1, 1, 1), (6, 2, 2, 2, 1, 1), 266),
+    ((6, 4, 2, 1, 1), (5, 5, 3, 1), (4, 3, 3, 2, 2), 552),
+    ((5, 5, 4), (6, 3, 2, 2, 1), (6, 3, 2, 2, 1), 279),
+]
 
 
 # --- partitions ------------------------------------------------------------------
@@ -179,6 +232,38 @@ def test_kronecker_dimension_identity():
                 assert total == lam.dimension() * mu.dimension()
 
 
+def test_kronecker_matches_oracle_on_every_small_triple():
+    for n in range(1, 8):
+        parts = partitions_of(n)
+        for lam, mu, nu in itertools.product(parts, repeat=3):
+            assert kronecker_coefficient(lam, mu, nu) == kronecker_oracle(lam, mu, nu)
+
+
+@pytest.mark.parametrize("lam,mu,nu,expected", LARGE_TRIPLES)
+def test_kronecker_matches_oracle_on_large_triples(lam, mu, nu, expected):
+    lam, mu, nu = P(lam), P(mu), P(nu)
+    assert kronecker_coefficient(lam, mu, nu) == kronecker_oracle(lam, mu, nu) == expected
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        # one more on the identity class breaks n!-divisibility
+        (lambda row: row[:-1] + (row[-1] + 1,), "not divisible"),
+        # a negated row gives -g, which is divisible but negative
+        (lambda row: tuple(-x for x in row), "negative"),
+    ],
+    ids=["divisibility", "sign"],
+)
+def test_coefficient_checks_fire_on_a_corrupted_row(corrupt, message, monkeypatch):
+    good = kronecker._character_row
+    monkeypatch.setattr(kronecker, "_character_row", lambda parts: corrupt(good(parts)))
+    with pytest.raises(TensorlabError, match=message):
+        kronecker_coefficient(P([3]), P([3]), P([3]))
+    with pytest.raises(TensorlabError, match=message):
+        cone_sample(1, 1, 1, 3)
+
+
 def test_kronecker_cap_and_mismatch():
     with pytest.raises(ValidationError):
         kronecker_coefficient(P([2]), P([1, 1]), P([3]))
@@ -223,6 +308,11 @@ def test_cone_sample_matches_direct():
         assert any(
             l.parts == (n,) and m.parts == (n,) and v.parts == (n,) for l, m, v, _ in rows
         )
+
+
+@pytest.mark.parametrize("bounds", [(4, 4, 4, 8), (2, 3, 4, 9)])
+def test_cone_sample_matches_naive_loop_row_for_row(bounds):
+    assert cone_sample(*bounds) == cone_oracle(*bounds)
 
 
 def test_cone_semigroup_property_on_samples():

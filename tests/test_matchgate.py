@@ -21,7 +21,7 @@ from tensorlab.matchgate import (
     sub_pfaffian_vector,
     transform_signature,
 )
-from tensorlab.rings import RATIONAL
+from tensorlab.rings import FLOAT, RATIONAL, fp
 
 
 def random_skew(n, rng, lo=-9, hi=9):
@@ -174,9 +174,55 @@ def test_count_matchings_weighted():
     assert count_matchings(g) == 13
 
 
+def matchings_unmemoized(g):
+    """The plain recursion over every perfect matching, with no memo."""
+    zero, one = (0.0, 1.0) if g.ring == FLOAT else (0, 1)
+
+    def recurse(unmatched):
+        if not unmatched:
+            return one
+        lowest = min(unmatched)
+        total = zero
+        for i, j, w in g.edges:
+            other = j if i == lowest else i if j == lowest else None
+            if other in unmatched:
+                total = total + w * recurse(unmatched - {lowest, other})
+        return total % g.ring.p if g.ring.kind == "fp" else total
+
+    return recurse(frozenset(range(g.nodes)))
+
+
+CUBE = WeightedGraph.build(
+    8, [(v, v | 1 << b, 1) for v in range(8) for b in range(3) if not v >> b & 1]
+)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, fp(3), FLOAT], ids=str)
+@pytest.mark.parametrize(
+    "shape",
+    [complete_graph(4), complete_bipartite(3, 3), CUBE, complete_graph(8)],
+    ids=["K4", "K3,3", "cube", "K8"],
+)
+def test_memoized_count_matches_unmemoized_recursion(shape, ring):
+    rng = random.Random(f"{len(shape.edges)} {ring}")
+
+    def weight():
+        if ring == FLOAT:
+            return rng.uniform(-2, 2)
+        if ring == RATIONAL:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return rng.randrange(3)
+
+    g = WeightedGraph.build(shape.nodes, [(i, j, weight()) for i, j, _ in shape.edges], ring)
+    assert count_matchings(g) == matchings_unmemoized(g)
+    unit = WeightedGraph.build(shape.nodes, shape.edges, ring)
+    assert count_matchings(unit) == matchings_unmemoized(unit)
+
+
 def test_orientation_search_k4():
     res = pfaffian_orientation_search(complete_graph(4))
     assert res.found
+    assert res.matchings == 3  # the count the search compared against
     oriented = complete_graph(4).skew_matrix(res.signs)
     assert abs(pfaffian(oriented)) == 3
 
@@ -185,6 +231,7 @@ def test_orientation_search_k33_fails_after_512():
     res = pfaffian_orientation_search(complete_bipartite(3, 3))
     assert not res.found
     assert res.candidates_tried == 512
+    assert res.matchings == 6
 
 
 def test_orientation_search_single_edge():
