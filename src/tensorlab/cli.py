@@ -14,6 +14,7 @@ import argparse
 import csv as csv_module
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -659,6 +660,11 @@ def _check_output_path(path: str) -> None:
         raise ValidationError(f"output path is a directory: {path}")
     if not out.parent.is_dir():
         raise ValidationError(f"output directory does not exist: {out.parent}")
+    # records are appended with "ab+" and a scan rereads the file to resume
+    if out.exists() and not os.access(out, os.R_OK | os.W_OK):
+        raise ValidationError(f"output file is not readable and writable: {path}")
+    if not out.exists() and not os.access(out.parent, os.W_OK | os.X_OK):
+        raise ValidationError(f"output directory is not writable: {out.parent}")
 
 
 def _append_record(path: str, record: ResultRecord) -> None:

@@ -1,9 +1,13 @@
 """Exact Pfaffians, sub-Pfaffian signature vectors, perfect-matching counts,
 matchgate identities, and wire basis changes.
 
-Planarity is never checked: at desk scale the polynomial-time matching
-count is replaced by an exhaustive orientation search validated against the
-brute-force count, which keeps the module small and honest.
+Planarity is never checked.  A graph's matchings are counted by one
+Pfaffian exactly when some edge-sign vector makes |Pf| equal the brute-force
+matching count, and the orientation search finds the first such vector.
+Since Pf(DAD) = det(D) Pf(A) for a diagonal sign matrix D, it evaluates one
+sign vector per coset of the cut space over F_2, the smallest, read off an
+echelon cut basis with pivots at the most significant bits; the answer is
+the one a scan of all 2^E sign vectors would give.
 """
 
 from __future__ import annotations
@@ -248,20 +252,63 @@ class OrientationResult:
         return self.signs is not None
 
 
+def _cut_pivots(g: WeightedGraph) -> int:
+    """Pivot bits of the graph's cut space over F_2, as one mask.
+
+    Each vertex contributes its cut: the code (edge b is bit E-1-b) with a
+    1 at every edge that touches it.  Elimination gives an echelon basis
+    whose vectors have distinct most significant bits, the pivots; an
+    isolated vertex reduces to zero and adds none.  The pivots are exactly
+    the most significant bits of the nonzero cut-space codes.
+    """
+    n_edges = len(g.edges)
+    cuts = [0] * g.nodes
+    for b, (i, j, _) in enumerate(g.edges):
+        cuts[i] |= 1 << (n_edges - 1 - b)
+        cuts[j] |= 1 << (n_edges - 1 - b)
+    basis: dict[int, int] = {}  # a vector's bit_length, its pivot + 1 -> the vector
+    for v in cuts:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return sum(1 << (length - 1) for length in basis)
+
+
 def pfaffian_orientation_search(g: WeightedGraph) -> OrientationResult:
     """First edge-sign vector (lexicographic, +1 before -1) whose signed
-    skew matrix has |Pf| equal to the matching count; None if all fail."""
+    skew matrix has |Pf| equal to the matching count; None if all fail.
+
+    A sign vector is the E-bit code with bit E-1-b set when edge b gets -1,
+    so lexicographic order is increasing code order.  Flipping every sign
+    at one vertex v conjugates the skew matrix A by D = diag(+-1) with -1 at
+    v, and Pf(DAD) = det(D) Pf(A) = -Pf(A); the test accepts +-target, so it
+    is constant on each coset of the F_2 cut space.  The cut space's
+    echelon basis has its pivots at the most significant bits of its
+    vectors (`_cut_pivots`), and every nonzero cut has a pivot as its top
+    bit.  So each coset holds exactly one code that is zero at every pivot,
+    and adding any nonzero cut sets a pivot bit above all changed bits: that
+    code is the smallest in its coset.  Those codes, taken in increasing
+    order, are therefore the coset minima in increasing order.  The first
+    one that hits is the first code the full 2^E scan would hit, so `signs`
+    and `candidates_tried` (that code + 1, or 2^E on no hit) are unchanged,
+    while only 2^(E-V+c) Pfaffians are evaluated for c components.
+    """
     n_edges = len(g.edges)
     if n_edges > ORIENTATION_EDGE_CAP:
         raise CapExceeded(f"orientation search capped at {ORIENTATION_EDGE_CAP} edges")
     target = count_matchings(g)
     neg_target = rings.reduce(-target, g.ring)
-    for code in range(2**n_edges):
+    free = (1 << n_edges) - 1 - _cut_pivots(g)
+    code = 0
+    while True:
         signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
         pf = pfaffian(g.skew_matrix(signs))
         if pf == target or pf == neg_target:
             return OrientationResult(signs, code + 1, target)
-    return OrientationResult(None, 2**n_edges, target)
+        code = (code - free) & free  # the next larger code that is zero at every pivot
+        if not code:
+            return OrientationResult(None, 2**n_edges, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -383,13 +385,27 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys):
     assert "graph file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+@pytest.mark.parametrize(
+    "where", ["missing-parent", "directory", "unwritable-file", "unwritable-directory"]
+)
 def test_bad_output_path_exits_2_before_computing(where, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("computed before the output path was checked")
 
     monkeypatch.setattr(secants, "secant_dimension", never)
-    out = tmp_path / "absent" / "r.jsonl" if where == "missing-parent" else tmp_path
+    out = {
+        "missing-parent": tmp_path / "absent" / "r.jsonl",
+        "directory": tmp_path,
+        "unwritable-file": tmp_path / "r.jsonl",
+        "unwritable-directory": tmp_path / "new.jsonl",
+    }[where]
+    if where == "unwritable-file":
+        out.write_text("")
+    if where.startswith("unwritable"):
+        # permission bits do not bind root, so deny the access check itself
+        denied = out if where == "unwritable-file" else tmp_path
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != denied and real_access(p, mode))
     argv = ["terracini", "--variety", "segre:2,2", "--r", "1", "--output", str(out)]
     assert cli.main(argv) == 2
     assert "output" in capsys.readouterr().err

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from tensorlab import matchgate, rings
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact
 from tensorlab.matchgate import (
+    OrientationResult,
     SignatureVector,
     SkewMatrix,
     WeightedGraph,
@@ -244,12 +246,118 @@ def test_orientation_search_cap():
         pfaffian_orientation_search(complete_graph(7))  # 21 edges
 
 
-def test_orientation_search_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("TENSORLAB_THREADS", "2")
-    res = pfaffian_orientation_search(complete_graph(4))
-    monkeypatch.setenv("TENSORLAB_THREADS", "1")
-    res_seq = pfaffian_orientation_search(complete_graph(4))
-    assert res.signs == res_seq.signs  # deterministic reduction
+def signed_matchings(g):
+    """(edge code, term) per perfect matching of g: the term is the
+    matching's signed weight in the Pfaffian of the all-plus skew matrix, by
+    the combinatorial definition, and the code has bit E-1-b for each
+    matched edge b, as in a sign code."""
+    n_edges = len(g.edges)
+    out = []
+
+    def extend(unmatched, chosen):
+        if not unmatched:
+            flat = [v for b in chosen for v in g.edges[b][:2]]
+            term = (-1) ** sum(flat[a] > flat[c] for a, c in itertools.combinations(range(len(flat)), 2))
+            for b in chosen:
+                term *= g.edges[b][2]
+            out.append((sum(1 << (n_edges - 1 - b) for b in chosen), term))
+            return
+        lowest = min(unmatched)
+        for b, (i, j, _) in enumerate(g.edges):
+            if i == lowest and j in unmatched:
+                extend(unmatched - {i, j}, chosen + [b])
+
+    extend(frozenset(range(g.nodes)), [])
+    return out
+
+
+def matching_pfaffian(terms, code, ring):
+    """Pfaffian under sign code `code` from `signed_matchings` terms: each
+    term is negated once per minus-signed edge in its matching."""
+    return rings.reduce(sum(-t if bin(code & m).count("1") % 2 else t for m, t in terms), ring)
+
+
+def exhaustive_search(g):
+    """The full 2^E scan: every sign code in increasing order, first hit
+    wins.  Pfaffians come from `matching_pfaffian`, so the reference shares
+    no code with `pfaffian` and a 65536-candidate K4,4 scan stays fast."""
+    n_edges = len(g.edges)
+    terms = signed_matchings(g)
+    target = count_matchings(g)
+    neg_target = rings.reduce(-target, g.ring)
+    for code in range(2**n_edges):
+        signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
+        pf = matching_pfaffian(terms, code, g.ring)
+        if pf == target or pf == neg_target:
+            return OrientationResult(signs, code + 1, target)
+    return OrientationResult(None, 2**n_edges, target)
+
+
+def relabel_keeping_orientation(g, rng):
+    """A random topological order of g oriented from low to high label, as
+    new labels: every edge keeps i < j and its place in the edge list."""
+    order = []
+    while len(order) < g.nodes:
+        ready = [v for v in range(g.nodes) if v not in order
+                 and all(i in order for i, j, _ in g.edges if j == v)]
+        order.append(rng.choice(ready))
+    label = {v: k for k, v in enumerate(order)}
+    return WeightedGraph.build(g.nodes, [(label[i], label[j], w) for i, j, w in g.edges])
+
+
+def random_graph(rng):
+    """4, 6 or 8 nodes, a perfect matching plus random edges, at most 14
+    edges in random order, nonzero rational weights of either sign."""
+    nodes = rng.choice([4, 6, 8])
+    perm = rng.sample(range(nodes), nodes)
+    matching = {tuple(sorted(perm[k : k + 2])) for k in range(0, nodes, 2)}
+    others = [(i, j) for i in range(nodes) for j in range(i + 1, nodes) if (i, j) not in matching]
+    extra = rng.sample(others, min(len(others), rng.randint(nodes // 2, 14 - nodes // 2)))
+    pairs = sorted(matching | set(extra))
+    rng.shuffle(pairs)
+    return WeightedGraph.build(
+        nodes, [(i, j, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))) for i, j in pairs]
+    )
+
+
+def test_coset_search_matches_exhaustive_search():
+    rng = random.Random(2008)
+    k4 = complete_graph(4)
+    k33 = complete_bipartite(3, 3)
+    graphs = {
+        "K4": k4, "K3,3": k33, "K6": complete_graph(6), "K4,4": complete_bipartite(4, 4),
+        "cube": CUBE,
+        "K5 (odd)": complete_graph(5),
+        "K4 and an isolated vertex": WeightedGraph.build(5, k4.edges),
+        "K4 beside K3,3": WeightedGraph.build(
+            10, list(k4.edges) + [(4 + i, 4 + j, w) for i, j, w in k33.edges]),
+        "cube over F_3": WeightedGraph.build(
+            8, [(i, j, rng.choice([1, 2])) for i, j, _ in CUBE.edges], fp(3)),
+    }
+    for k in range(3):
+        graphs[f"cube relabeled {k}"] = relabel_keeping_orientation(CUBE, rng)
+    for k in range(30):
+        graphs[f"random {k}"] = random_graph(rng)
+    for name, g in graphs.items():
+        terms = signed_matchings(g)
+        for code in (0, rng.randrange(2 ** len(g.edges))):  # the reference's Pfaffian
+            signs = [-1 if code >> (len(g.edges) - 1 - b) & 1 else 1 for b in range(len(g.edges))]
+            assert pfaffian(g.skew_matrix(signs)) == matching_pfaffian(terms, code, g.ring), name
+        assert pfaffian_orientation_search(g) == exhaustive_search(g), name
+
+
+@pytest.mark.parametrize(
+    "g, pfaffians",
+    [(complete_bipartite(3, 3), 16), (complete_graph(6), 1024), (complete_bipartite(4, 4), 512)],
+    ids=["K3,3", "K6", "K4,4"],
+)
+def test_coset_search_evaluates_one_pfaffian_per_coset(g, pfaffians, monkeypatch):
+    # no hit, so every coset is tried: 2^(E - V + 1) for a connected graph
+    calls = []
+    monkeypatch.setattr(matchgate, "pfaffian", lambda a: calls.append(a) or pfaffian(a))
+    res = pfaffian_orientation_search(g)
+    assert not res.found and res.candidates_tried == 2 ** len(g.edges)
+    assert len(calls) == pfaffians == 2 ** (len(g.edges) - g.nodes + 1)
 
 
 # --- matchgate identities --------------------------------------------------------------
