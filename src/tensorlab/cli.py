@@ -26,17 +26,9 @@ from typing import Iterable, Iterator, Optional
 from . import __version__, decomp, kronecker, matchgate, minrank, ranks, rings, secants, tensors
 from .errors import CapExceeded, TensorlabError, ValidationError
 
-COMMANDS = ("terracini", "rank", "decompose", "kron", "matchgate", "minrank")
 FORMATS = ("json", "csv", "text")
-
-KNOWN_PARAMS = {
-    "terracini": {"variety", "r", "r_max", "scan", "generic_rank", "trials"},
-    "rank": {"tensor", "w_state", "bruteforce", "field", "tol"},
-    "decompose": {"form", "tensor", "decomposition", "kruskal"},
-    "kron": {"triple", "rectangular", "d", "n", "cone", "weyl", "dim"},
-    "matchgate": {"graph", "signature", "subpfaffian", "basis", "side"},
-    "minrank": {"gurvits", "friedland", "subspace", "trials"},
-}
+# argparse dests that are not experiment parameters
+NOT_PARAMS = {"help", "command", "config", "seed", "output", "format"}
 
 
 @dataclass
@@ -162,6 +154,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _known_params(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Parameter names per command, read off the subparsers' options."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions} - NOT_PARAMS for name, p in sub.choices.items()}
+
+
+KNOWN_PARAMS = _known_params(_build_parser())
+COMMANDS = tuple(KNOWN_PARAMS)
+
+
 def _config_from_file(path: str) -> ExperimentConfig:
     try:
         obj = json.loads(Path(path).read_text())
@@ -204,11 +206,12 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         return _config_from_file(ns.config)
     if not ns.command:
         parser.error("a command or --config is required")
-    drop = {"command", "config", "seed", "output", "format"}
     # `is not`, not `in (None, False)`: 0 == False, and an explicit 0 must
     # reach validation rather than vanish
     params = {
-        k: v for k, v in vars(ns).items() if k not in drop and v is not None and v is not False
+        k: v
+        for k, v in vars(ns).items()
+        if k not in NOT_PARAMS and v is not None and v is not False
     }
     return ExperimentConfig(ns.command, params, ns.seed, ns.output, ns.format)
 
@@ -368,7 +371,7 @@ def _run_decompose(config: ExperimentConfig) -> list[dict]:
                 "mode": "kruskal",
                 "k_ranks": ks,
                 "r": len(dec),
-                "unique": decomp.kruskal_uniqueness(dec),
+                "unique": decomp.kruskal_uniqueness(dec, ks),
             }
         ]
     t = _load_tensor_param(params)

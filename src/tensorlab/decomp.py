@@ -17,7 +17,16 @@ import numpy as np
 
 from . import rings
 from .errors import CapExceeded, TensorlabError, ValidationError
-from .linalg import Matrix, matrix_from_vectors, rank_exact, solve_exact
+from .linalg import (
+    WORD_PRIME,
+    Matrix,
+    _clear_denominators,
+    _fp_eliminate,
+    matrix_from_vectors,
+    rank_exact,
+    ranks_mod_p,
+    solve_exact,
+)
 from .ranks import apolar_kernel_form, exact_rank_bruteforce, f_rank
 from .rings import RATIONAL, Ring
 from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, multi_indices, rank_one, zeros
@@ -240,38 +249,62 @@ def gross_minimality_check(t: DenseTensor, d: Decomposition) -> bool:
 # ---------------------------------------------------------------------------
 
 def kruskal_rank(m: Matrix) -> int:
-    """Largest k such that every k columns of m are linearly independent."""
+    """Largest k such that every k columns of m are linearly independent.
+
+    For each k, all C(cols, k) column subsets are ranked in one stacked call
+    to `ranks_mod_p`, on the echelon form mod p of m.  Over F_p that rank is
+    exact.  Over Q each row is first scaled to integers, which keeps the
+    same columns independent, and ranked mod `WORD_PRIME`: a full rank mod p
+    certifies independence over Q, and a subset that falls short mod p is
+    confirmed by Bareiss `rank_exact` before k stops, so the result is exact
+    in both rings.
+    """
     if m.cols > KRUSKAL_COLUMN_CAP:
         raise CapExceeded(f"{m.cols} columns exceed the Kruskal cap {KRUSKAL_COLUMN_CAP}")
     cols = [tuple(m.entries[i * m.cols + j] for i in range(m.rows)) for j in range(m.cols)]
     for j, col in enumerate(cols):
         if all(rings.is_zero(x, m.ring) for x in col):
             return 0
+    if m.ring.kind == "float":
+        raise ValidationError("kruskal_rank needs an exact ring")
+    p = m.ring.p if m.ring.kind == "fp" else WORD_PRIME
+    rows = [[x % p for x in row] for row in _clear_denominators(m)[0]]
+    # row operations keep the rank mod p of every column subset, and leave at
+    # most cols nonzero rows, so the stacks below do not grow with m.rows
+    rank = len(_fp_eliminate(rows, p)[0])
+    residues = np.array(rows[:rank], dtype=np.int64).reshape(rank, m.cols)
     best = 0
     for k in range(1, min(m.rows, m.cols) + 1):
-        ok = all(
-            rank_exact(matrix_from_vectors([cols[j] for j in subset], m.ring)) == k
-            for subset in itertools.combinations(range(m.cols), k)
-        )
-        if not ok:
+        subsets = list(itertools.combinations(range(m.cols), k))
+        ranks = ranks_mod_p(residues[:, subsets].transpose(1, 0, 2), p)
+        short = (subsets[i] for i in np.flatnonzero(ranks < k))
+        if any(
+            m.ring.kind == "fp"
+            or rank_exact(matrix_from_vectors([cols[j] for j in subset], m.ring)) < k
+            for subset in short
+        ):
             break
         best = k
     return best
 
 
-def kruskal_uniqueness(d: Decomposition) -> bool:
+def kruskal_uniqueness(d: Decomposition, k_ranks: Optional[Sequence[int]] = None) -> bool:
     """Classical three-factor uniqueness test: k1 + k2 + k3 >= 2r + 2.
 
-    Rank-one decompositions are unique projectively, so r = 1 returns True
-    by convention even though the inequality is vacuous there.
+    k_ranks, when given, are the factor matrices' Kruskal ranks as
+    `kruskal_rank` computes them, so a caller that reports them does not
+    pay for them twice; otherwise they are computed here.  Rank-one
+    decompositions are unique projectively, so r = 1 returns True by
+    convention even though the inequality is vacuous there.
     """
     if len(d.shape) != 3:
         raise ValidationError("the uniqueness test needs exactly 3 factors")
     r = len(d)
     if r == 1:
         return True
-    ks = [kruskal_rank(d.factor_matrix(j)) for j in range(3)]
-    return sum(ks) >= 2 * r + 2
+    if k_ranks is None:
+        k_ranks = [kruskal_rank(d.factor_matrix(j)) for j in range(3)]
+    return sum(k_ranks) >= 2 * r + 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Rank decisions over the rationals and over F_p are exact (no tolerances);
 the float lane is served by numpy and a relative singular-value threshold.
 `rank_mod_p` ranks integer rows modulo a word-size prime in numpy int64: a
 lower bound on the rational rank, for callers that only need one.
+`ranks_mod_p` does the same for a whole stack of small matrices at once.
 """
 
 from __future__ import annotations
@@ -298,6 +299,40 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
             a = (a - np.outer(a[:, j], head)) % p
             rank += 1
     return rank
+
+
+def ranks_mod_p(stack, p: int) -> np.ndarray:
+    """Ranks over F_p of a (B, m, n) stack of integer matrices, p prime < 2^31.
+
+    The B eliminations run side by side, as in `rank_mod_p`: each head row
+    is scaled by the inverse of its first nonzero entry, found by Fermat
+    powering lead^(p-2), and cleared from the rows below in one broadcast
+    update.  Residues stay below 2^31, so every product stays below 2^62.
+    Returns an int64 array of the B ranks.
+    """
+    if not (1 < p < 2**31 and _is_prime(p)):
+        raise ValidationError(f"ranks_mod_p needs a prime below 2^31, got {p}")
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.ndim != 3:
+        raise ValidationError(f"ranks_mod_p needs a (B, m, n) stack, got shape {a.shape}")
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)  # eliminate along the shorter side
+    batch = np.arange(a.shape[0])
+    ranks = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[1] and a.shape[2]:
+        head, a = a[:, 0], a[:, 1:]
+        j = np.argmax(head != 0, axis=1)  # 0 for a zero head, whose update is zero
+        lead = head[batch, j]
+        inv, base, e = np.ones_like(lead), lead, p - 2
+        while e:
+            if e & 1:
+                inv = inv * base % p
+            base = base * base % p
+            e >>= 1
+        head = head * inv[:, None] % p
+        a = (a - a[batch, :, j][:, :, None] * head[:, None, :]) % p
+        ranks += lead != 0
+    return ranks
 
 
 def det_exact(m: Matrix):

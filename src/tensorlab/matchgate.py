@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import rings
 from .errors import CapExceeded, ValidationError
 from .rings import RATIONAL, Ring
@@ -150,7 +152,13 @@ def pfaffian(a: SkewMatrix):
 
 def sub_pfaffian_vector(a: SkewMatrix, universe: Optional[Sequence[int]] = None) -> SignatureVector:
     """Vector of principal sub-Pfaffians indexed by deleted subsets of the
-    universe: entry at J is the Pfaffian with rows and columns J removed."""
+    universe: entry at J is the Pfaffian with rows and columns J removed.
+
+    The vector has 2^k entries for a k-node universe, and the shared memo
+    holds Pfaffians of up to 2^size index sets, so the size is capped at
+    MATCHING_NODE_CAP, as the matching count is, before any Pfaffian."""
+    if a.size > MATCHING_NODE_CAP:
+        raise CapExceeded(f"sub-Pfaffian vector capped at {MATCHING_NODE_CAP} nodes")
     nodes = tuple(range(a.size)) if universe is None else tuple(sorted(set(universe)))
     if any(not 0 <= u < a.size for u in nodes):
         raise ValidationError("universe nodes out of range")
@@ -324,29 +332,44 @@ def mgi_residuals(s: SignatureVector) -> list:
     every vector of sub-Pfaffians.  The relation family is validated
     empirically by the test suite against random skew matrices, since it is
     the package's operational definition of the identities.
+
+    The sums run per difference pattern d = alpha ^ beta, as array
+    operations over every alpha whose top bit of d is clear (those are the
+    pairs with alpha < beta), flipping bits in increasing order.  Python int
+    entries go in int64 when wires * max|s|^2 < 2^63, so no partial sum can
+    overflow; any other entries go in an object array, so their own
+    operators run in the same order as a scalar loop.  The result lists the
+    residuals in (alpha, beta) order with alpha < beta, with the types that
+    loop would give.
     """
     if s.arity != 2:
         raise ValidationError("matchgate identities apply to binary wires")
     if s.wires > MGI_WIRE_CAP:
         raise CapExceeded(f"matchgate identities capped at {MGI_WIRE_CAP} wires")
     n = 2**s.wires
-    out = []
-    for alpha in range(n):
-        for beta in range(alpha + 1, n):
-            diff = alpha ^ beta
-            total = rings.zero(s.ring)
+    if all(type(x) is int for x in s.entries) and s.wires * max(map(abs, s.entries)) ** 2 < 2**63:
+        sig = np.array(s.entries, dtype=np.int64)
+    else:
+        sig = np.array(s.entries, dtype=object)
+    out = [None] * (n * (n - 1) // 2)
+    alphas = np.arange(n)
+    # floats overflow to inf silently, as they do in scalar arithmetic
+    with np.errstate(all="ignore"):
+        for diff in range(1, n):
+            alpha = alphas[alphas & (1 << (diff.bit_length() - 1)) == 0]
+            beta = alpha ^ diff
+            total = np.full(len(alpha), rings.zero(s.ring), dtype=sig.dtype)
             sign = 1
-            pos = 0
-            d = diff
-            while d:
-                if d & 1:
+            for pos in range(diff.bit_length()):
+                if diff >> pos & 1:
                     bit = 1 << pos
-                    term = s[alpha ^ bit] * s[beta ^ bit]
+                    term = sig[alpha ^ bit] * sig[beta ^ bit]
                     total = total + term if sign > 0 else total - term
                     sign = -sign
-                d >>= 1
-                pos += 1
-            out.append(rings.reduce(total, s.ring))
+            # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
+            index = alpha * (2 * n - alpha - 3) // 2 + beta - 1
+            for i, value in zip(index.tolist(), rings.reduce(total, s.ring).tolist()):
+                out[i] = value
     return out
 
 

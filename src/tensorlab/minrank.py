@@ -19,10 +19,12 @@ import numpy as np
 
 from . import rings
 from .errors import CapExceeded, ValidationError
-from .linalg import Matrix, kron, matrix_from_vectors, rank_exact, to_float_array
+from .linalg import Matrix, kron, matrix_from_vectors, rank_exact, ranks_mod_p, to_float_array
 from .rings import RATIONAL, Ring
 
 FP_ENUMERATION_CAP = 10**6
+# matrix entries ranked per stacked call, which bounds the memory: ~900 6x6 elements
+FP_CHUNK_ENTRIES = 1 << 15
 GURVITS_CAP = 8
 
 
@@ -117,7 +119,12 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
     """Exact minimum rank over all nonzero elements of an F_p subspace.
 
     Coefficient vectors are normalized projectively (first nonzero
-    coefficient equal to 1), which is exhaustive up to scale.
+    coefficient equal to 1), which is exhaustive up to scale.  They are
+    taken in order, in chunks of at most FP_CHUNK_ENTRIES matrix entries;
+    each chunk's elements are formed as one product coeffs @ basis mod p and
+    ranked by `ranks_mod_p`, which is exact over F_p.  A chunk holding a
+    rank-1 element ends the search, since no nonzero element has a smaller
+    rank.
     """
     if s.ring.kind != "fp":
         raise ValidationError("exact enumeration needs an F_p subspace")
@@ -126,15 +133,19 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
         raise CapExceeded(
             f"p**dim = {p**s.dim} exceeds the enumeration cap {FP_ENUMERATION_CAP}"
         )
+    basis = np.array([[x % p for x in b.entries] for b in s.basis], dtype=np.int64)
+    coeffs = (
+        (0,) * lead + (1,) + tail
+        for lead in range(s.dim)
+        for tail in itertools.product(range(p), repeat=s.dim - lead - 1)
+    )
+    size = max(1, FP_CHUNK_ENTRIES // (s.rows * s.cols))
     best = min(s.rows, s.cols)
-    for lead in range(s.dim):
-        for tail in itertools.product(range(p), repeat=s.dim - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            r = rank_exact(s.element(coeffs))
-            if r < best:
-                best = r
-                if best == 1:
-                    return 1
+    while chunk := list(itertools.islice(coeffs, size)):
+        elements = (np.array(chunk, dtype=np.int64) @ basis % p).reshape(-1, s.rows, s.cols)
+        best = min(best, int(ranks_mod_p(elements, p).min()))
+        if best == 1:
+            return 1
     return best
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from tensorlab import cli
 from tensorlab.cli import ExperimentConfig, emit, parse_config, run
-from tensorlab import matchgate, secants
+from tensorlab import decomp, matchgate, secants
 from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
@@ -67,6 +68,28 @@ def test_config_rejects_unknown_top_level_key(tmp_path):
     path.write_text(json.dumps({"command": "rank", "threads": 4}))
     with pytest.raises(ValidationError, match="threads"):
         parse_config(["--config", str(path)])
+
+
+def test_every_subcommand_option_is_accepted_from_a_config_file(tmp_path, capsys):
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli.KNOWN_PARAMS)
+    for command, subparser in sub.choices.items():
+        argv = [command]
+        for action in subparser._actions:
+            if action.dest in ("help", "seed", "output", "format"):
+                continue
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(action.choices[0] if action.choices else "7")
+        flags = parse_config(argv)
+        assert set(flags.parameters) == cli.KNOWN_PARAMS[command]
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({"command": command, "parameters": flags.parameters}))
+        assert parse_config(["--config", str(path)]).parameters == flags.parameters
+        path.write_text(json.dumps({"command": command, "parameters": {**flags.parameters, "bogus": 1}}))
+        assert cli.main(["--config", str(path)]) == 2
+        assert f"unknown parameter 'bogus' for command '{command}'" in capsys.readouterr().err
 
 
 def test_missing_required_parameter_named():
@@ -261,6 +284,23 @@ def test_matchgate_counts_once_and_checks_the_edge_cap_first(tmp_path, monkeypat
     assert calls == [4]
 
 
+def test_subpfaffian_checks_the_node_cap_before_any_pfaffian(tmp_path, monkeypatch, capsys):
+    calls = []
+    pfaffian_on = matchgate._pfaffian_on
+    monkeypatch.setattr(
+        matchgate, "_pfaffian_on", lambda *args: calls.append(len(args[0])) or pfaffian_on(*args)
+    )
+    path = tmp_path / "path17.graph"
+    path.write_text(dumps_graph(matchgate.WeightedGraph.build(17, [(i, i + 1, 1) for i in range(16)])))
+    assert cli.main(["matchgate", "--graph", str(path), "--subpfaffian"]) == 3
+    assert "capped at 16 nodes" in capsys.readouterr().err
+    assert calls == []
+    k4 = tmp_path / "k4.graph"
+    k4.write_text(dumps_graph(complete_graph(4)))
+    assert cli.main(["matchgate", "--graph", str(k4), "--subpfaffian"]) == 0
+    assert calls
+
+
 def test_matchgate_signature_modes(tmp_path):
     gpath = tmp_path / "k4.graph"
     gpath.write_text(dumps_graph(complete_graph(4)))
@@ -374,6 +414,21 @@ def test_decompose_modes(tmp_path):
     # repeated factor columns give k-ranks (1,1,1), far below 2r + 2 = 8
     assert payload["unique"] is False
     assert payload["k_ranks"] == [1, 1, 1]
+
+
+def test_decompose_kruskal_computes_each_k_rank_once(tmp_path, monkeypatch, capsys):
+    from tensorlab.decomp import Decomposition
+
+    calls = []
+    kruskal_rank = decomp.kruskal_rank
+    monkeypatch.setattr(decomp, "kruskal_rank", lambda m: calls.append(m.cols) or kruskal_rank(m))
+    es = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    dpath = tmp_path / "dec.json"
+    dpath.write_text(Decomposition.from_vectors([[e] * 3 for e in es]).to_json())
+    assert cli.main(["decompose", "--decomposition", str(dpath), "--kruskal"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["k_ranks"] == [3, 3, 3] and payload["unique"] is True
+    assert calls == [3, 3, 3]  # one per factor matrix, none again for the uniqueness test
 
 
 # --- unreadable files, bad output paths, config-keyed resume ---------------------------

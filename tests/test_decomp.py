@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorlab import decomp
 from tensorlab.decomp import (
     Decomposition,
     direct_sum,
@@ -16,9 +17,9 @@ from tensorlab.decomp import (
     sylvester_decompose_binary,
 )
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
-from tensorlab.linalg import Matrix, matrix_from_vectors, rank_exact
+from tensorlab.linalg import WORD_PRIME, Matrix, matrix_from_vectors, rank_exact
 from tensorlab.ranks import w_state, w_state_certificate
-from tensorlab.rings import RATIONAL, fp
+from tensorlab.rings import FLOAT, RATIONAL, fp
 from tensorlab.tensors import rank_one, to_ring, veronese_point, zeros
 
 
@@ -236,6 +237,83 @@ def test_kruskal_bounded_by_rank():
 def test_kruskal_cap():
     with pytest.raises(CapExceeded):
         kruskal_rank(Matrix.zeros(2, 13))
+
+
+def random_kruskal_matrix(rng, ring, draw):
+    rows, cols = rng.randint(2, 5), rng.randint(2, 7)
+    columns = []
+    for j in range(cols):
+        if j >= 2 and rng.random() < 0.3:  # a combination of two earlier columns
+            a, b = rng.sample(columns, 2)
+            columns.append([x + 2 * y for x, y in zip(a, b)])
+        else:
+            columns.append([draw() for _ in range(rows)])
+    return Matrix.from_rows([[c[i] for c in columns] for i in range(rows)], ring)
+
+
+def test_kruskal_matches_oracle_on_fraction_columns():
+    rng = random.Random("kruskal:fractions")
+    for _ in range(60):
+        m = random_kruskal_matrix(
+            rng, RATIONAL, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        )
+        assert kruskal_rank(m) == kruskal_rank_oracle(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kruskal_matches_oracle_on_fp_columns(p, monkeypatch):
+    rng = random.Random(f"kruskal:fp{p}")
+    cases = [random_kruskal_matrix(rng, fp(p), lambda: rng.randrange(p)) for _ in range(60)]
+    expected = [kruskal_rank_oracle(m) for m in cases]
+    bareiss = []
+    monkeypatch.setattr(decomp, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
+    assert [kruskal_rank(m) for m in cases] == expected
+    assert bareiss == []  # the stacked rank over F_p is already exact
+    assert len(set(expected)) >= 3
+
+
+def test_kruskal_stacks_do_not_grow_with_the_row_count(monkeypatch):
+    stacks = []
+    ranks_mod_p = decomp.ranks_mod_p
+    monkeypatch.setattr(decomp, "ranks_mod_p", lambda a, p: stacks.append(a.shape) or ranks_mod_p(a, p))
+    rng = random.Random("kruskal:tall")
+    for ring, draw in ((RATIONAL, lambda: rng.randint(-2, 2)), (fp(3), lambda: rng.randrange(3))):
+        columns = [[draw() for _ in range(300)] for _ in range(4)]
+        columns.append([x - y for x, y in zip(columns[0], columns[1])])  # k-rank 2
+        m = Matrix.from_rows([list(row) for row in zip(*columns)], ring)
+        assert kruskal_rank(m) == kruskal_rank_oracle(m) == 2
+    assert max(rows for _, rows, _ in stacks) <= 5
+
+
+def test_kruskal_confirms_subsets_short_mod_p_by_bareiss(monkeypatch):
+    bareiss = []
+    monkeypatch.setattr(decomp, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
+    # columns (1, 0), (0, P), (1/2, 1): column 1 and the minors of pairs {0, 1}
+    # and {1, 2} (P and -P/2) vanish mod P, yet every pair is independent over Q
+    m = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, WORD_PRIME, 1]])
+    assert kruskal_rank(m) == kruskal_rank_oracle(m) == 2
+    assert len(bareiss) == 3
+    # a pair that is dependent over Q as well: Bareiss confirms and k stops at 1
+    bareiss.clear()
+    m = Matrix.from_rows([[1, 2, 0], [WORD_PRIME, 2 * WORD_PRIME, 1]])
+    assert kruskal_rank(m) == kruskal_rank_oracle(m) == 1
+    assert len(bareiss) == 1
+    bareiss.clear()
+    assert kruskal_rank(Matrix.identity(4)) == 4
+    assert bareiss == []  # full rank mod p certifies independence: no Bareiss call
+
+
+def test_kruskal_rejects_float_matrices():
+    with pytest.raises(ValidationError, match="exact ring"):
+        kruskal_rank(Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]], FLOAT))
+
+
+def test_kruskal_uniqueness_reuses_given_k_ranks(monkeypatch):
+    es = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    diag = Decomposition.from_vectors([[e] * 3 for e in es])
+    monkeypatch.setattr(decomp, "kruskal_rank", lambda m: pytest.fail("k-rank recomputed"))
+    assert kruskal_uniqueness(diag, [3, 3, 3]) is True  # 9 >= 8
+    assert kruskal_uniqueness(diag, [3, 3, 1]) is False  # 7 < 8
 
 
 def test_kruskal_uniqueness_cases():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -404,6 +405,62 @@ def test_mgi_binary_equality_signature_passes():
     path = SkewMatrix.from_upper(3, {(0, 2): 1, (1, 2): 1})
     sv = sub_pfaffian_vector(path, universe=[0, 1])
     assert sv.entries == (0, 1, 1, 0)
+
+
+def mgi_residuals_loop(s):
+    """The scalar loop over (alpha, beta) pairs that mgi_residuals replaced."""
+    n = 2**s.wires
+    out = []
+    for alpha in range(n):
+        for beta in range(alpha + 1, n):
+            total = rings.zero(s.ring)
+            sign = 1
+            pos = 0
+            d = alpha ^ beta
+            while d:
+                if d & 1:
+                    bit = 1 << pos
+                    term = s[alpha ^ bit] * s[beta ^ bit]
+                    total = total + term if sign > 0 else total - term
+                    sign = -sign
+                d >>= 1
+                pos += 1
+            out.append(rings.reduce(total, s.ring))
+    return out
+
+
+def typed(values):
+    return [(type(x), repr(x)) for x in values]
+
+
+def mgi_cases():
+    rng = random.Random("mgi:differential")
+    edge = math.isqrt((2**63 - 1) // 4)  # the largest entry of the 4-wire int64 path
+    yield "q-pfaffian", sub_pfaffian_vector(random_skew(6, rng, -5, 5))
+    yield "q-random", SignatureVector(5, tuple(rng.randint(-9, 9) for _ in range(32)))
+    yield "q-int64-edge", SignatureVector(4, tuple(rng.choice((edge, -edge, 1)) for _ in range(16)))
+    # 4 (2^31 + 1)^2 > 2^63: same-sign terms of these entries overflow int64
+    past = 2**31 + 1
+    yield "q-past-int64", SignatureVector(4, tuple(rng.choice((past, -past, 3)) for _ in range(16)))
+    yield "q-huge", SignatureVector(4, tuple(rng.randint(-(2**70), 2**70) for _ in range(16)))
+    frac_skew = SkewMatrix.from_upper(
+        5, {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for i in range(5) for j in range(i + 1, 5)}
+    )
+    yield "q-fraction-pfaffian", sub_pfaffian_vector(frac_skew)
+    yield "q-fraction-mixed", SignatureVector(
+        4, tuple(rng.choice((Fraction(rng.randint(-4, 4), 3), rng.randint(-4, 4))) for _ in range(16))
+    )
+    for p in (2, 7, 65521):
+        yield f"fp{p}", SignatureVector(5, tuple(rng.randrange(p) for _ in range(32)), fp(p))
+    # the float ring's zero is 0.0, so even int entries give float residuals
+    floats = (0.0, -0.0, 0.5, -1.25, 1e300, 2, 3)
+    yield "float", SignatureVector(5, tuple(rng.choice(floats) for _ in range(32)), FLOAT)
+
+
+@pytest.mark.filterwarnings("error")  # float overflow to inf is silent in the loop too
+@pytest.mark.parametrize("sv", [pytest.param(sv, id=name) for name, sv in mgi_cases()])
+def test_mgi_residuals_match_the_scalar_loop_value_and_type(sv):
+    assert typed(mgi_residuals(sv)) == typed(mgi_residuals_loop(sv))
 
 
 def test_mgi_wire_cap():

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from tensorlab import minrank
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, kron, rank_exact
 from tensorlab.minrank import (
@@ -71,6 +72,71 @@ def test_min_rank_matches_enumeration_oracle():
             except ValidationError:
                 continue
         assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp)
+
+
+def random_fp_space(rng, p, dim, rows, cols):
+    while True:
+        basis = [
+            Matrix.from_rows([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], fp(p))
+            for _ in range(dim)
+        ]
+        try:
+            return MatrixSubspace.span(basis)
+        except ValidationError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "p,dim,rows,cols",
+    [(2, 4, 3, 3), (2, 5, 2, 4), (3, 3, 4, 2), (3, 4, 3, 3), (5, 2, 3, 4), (5, 3, 2, 2)],
+)
+def test_min_rank_matches_oracle_on_small_fields_and_shapes(p, dim, rows, cols):
+    rng = random.Random(f"minrank:{p}:{dim}:{rows}x{cols}")
+    for _ in range(6):
+        sp = random_fp_space(rng, p, dim, rows, cols)
+        assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp)
+
+
+def test_min_rank_across_many_small_chunks(monkeypatch):
+    # chunks of 7 to 2 elements: every space below crosses several chunk boundaries
+    monkeypatch.setattr(minrank, "FP_CHUNK_ENTRIES", 7 * 9)
+    stacks = []
+    ranks_mod_p = minrank.ranks_mod_p
+    monkeypatch.setattr(minrank, "ranks_mod_p", lambda a, p: stacks.append(a.shape) or ranks_mod_p(a, p))
+    rng = random.Random("minrank:chunks")
+    for p, dim, rows, cols in [(2, 5, 3, 4), (3, 3, 3, 3), (5, 2, 4, 3), (2, 6, 4, 4)]:
+        for _ in range(4):
+            sp = random_fp_space(rng, p, dim, rows, cols)
+            assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp)
+    assert max(b * m * n for b, m, n in stacks) <= 7 * 9
+
+
+def test_min_rank_found_in_a_later_chunk():
+    # a 5 x 6 space of dimension 11 over F_2 has 2047 projective elements, in
+    # chunks of 1092; the rank-1 element b_2 + b_3 + b_4 sits at position
+    # 1024 + 0b110000000 = 1408 of the enumeration, in the second chunk
+    assert minrank.FP_CHUNK_ENTRIES // 30 == 1092
+    rng = random.Random("minrank:late")
+    target = Matrix.from_rows([[1, 0, 1, 0, 0, 1]] + [[0] * 6] * 3 + [[1, 0, 1, 0, 0, 1]], fp(2))
+    while True:
+        sp = random_fp_space(rng, 2, 11, 5, 6)
+        b = list(sp.basis)
+        b[1] = target + b[2] + b[3]
+        try:
+            sp = MatrixSubspace.span(b)
+        except ValidationError:
+            continue
+        first_chunk = itertools.islice(
+            itertools.chain(
+                ((1,) + tail for tail in itertools.product(range(2), repeat=10)),
+                ((0, 1) + tail for tail in itertools.product(range(2), repeat=9)),
+            ),
+            1092,
+        )
+        if min(rank_exact(sp.element(c)) for c in first_chunk) > 1:
+            break
+    assert rank_exact(sp.element((0, 1, 1, 1) + (0,) * 7)) == 1
+    assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp) == 1
 
 
 def test_min_rank_never_zero_and_bounded_by_basis():

@@ -1,12 +1,14 @@
-"""Differential tests: rank modulo a word-size prime against exact Bareiss rank."""
+"""Differential tests: ranks modulo a prime, one matrix or a stack, against the
+exact kernels (Bareiss over Q, F_p elimination)."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorlab.errors import ValidationError
-from tensorlab.linalg import WORD_PRIME, Matrix, rank_exact, rank_mod_p
+from tensorlab.linalg import WORD_PRIME, Matrix, _fp_eliminate, rank_exact, rank_mod_p, ranks_mod_p
 from tensorlab.rings import fp
 from tensorlab.secants import parse_variety, secant_dimension, terracini_rows
 
@@ -114,3 +116,70 @@ def test_veronese_2_30_beyond_int64():
     for r in (12, 16):
         trials = [terracini_rows(spec, r, seed=0, trial=t) for t in range(3)]
         assert secant_dimension(spec, r).computed_affine_dim == max(map(bareiss, trials))
+
+
+# --- stacked ranks: ranks_mod_p against the exact per-matrix kernels --------------------
+
+STACK_SHAPES = [(4, 4), (6, 6), (8, 3), (3, 8), (1, 5), (5, 1)]
+
+
+def random_stack(rng, count, shape, lo, hi):
+    stack = []
+    for i in range(count):
+        rows = random_rows(rng, *shape, lo, hi)
+        if i % 4 == 1:
+            rows = [[0] * shape[1] for _ in range(shape[0])]
+        elif i % 4 == 2 and shape[0] > 1:
+            rows[-1] = list(rows[0])  # a repeated row
+        elif i % 4 == 3:
+            for row in rows:
+                for j in range(shape[1]):
+                    if rng.random() < 0.5:
+                        row[j] = 0
+        stack.append(rows)
+    return stack
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+def test_ranks_mod_p_matches_fp_rank_exact(p, shape):
+    rng = random.Random(f"ranks_mod_p:{p}:{shape}")
+    stack = random_stack(rng, 40, shape, -p, 2 * p)  # unreduced and negative entries too
+    expected = [rank_exact(Matrix.from_rows(rows, fp(p))) for rows in stack]
+    assert ranks_mod_p(np.array(stack, dtype=np.int64), p).tolist() == expected
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+def test_ranks_mod_p_word_prime_matches_bareiss_and_fp_elimination(shape):
+    rng = random.Random(f"ranks_mod_p:word:{shape}")
+    # |entries| <= 9 and at most 6 x 6: every nonzero minor is below 9^6 6^3 < 2^31
+    # in absolute value, so WORD_PRIME divides none and the two ranks agree
+    small = random_stack(rng, 40, shape, -9, 9)
+    expected = [bareiss(rows) for rows in small]
+    assert ranks_mod_p(np.array(small, dtype=np.int64), WORD_PRIME).tolist() == expected
+    # full-range residues, where products of two entries come near 2^62
+    big = random_stack(rng, 40, shape, WORD_PRIME - 2**20, WORD_PRIME - 1)
+    expected = [len(_fp_eliminate([list(r) for r in rows], WORD_PRIME)[0]) for rows in big]
+    assert ranks_mod_p(np.array(big, dtype=np.int64), WORD_PRIME).tolist() == expected
+
+
+def test_ranks_mod_p_products_and_empty_stacks():
+    rng = random.Random("ranks_mod_p:products")
+    stack = []
+    for k in (1, 2, 3, 5):
+        a, b = random_rows(rng, 5, k), random_rows(rng, k, 6)
+        stack.append([[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(6)] for i in range(5)])
+    assert ranks_mod_p(np.array(stack), 101).tolist() == [
+        rank_exact(Matrix.from_rows(rows, fp(101))) for rows in stack
+    ]
+    assert ranks_mod_p(np.zeros((0, 3, 4), dtype=np.int64), 3).tolist() == []
+    assert ranks_mod_p(np.zeros((2, 0, 4), dtype=np.int64), 3).tolist() == [0, 0]
+    assert ranks_mod_p(np.zeros((2, 4, 0), dtype=np.int64), 3).tolist() == [0, 0]
+
+
+def test_ranks_mod_p_rejects_bad_moduli_and_shapes():
+    for p in (1, 4, 2**31 + 11):
+        with pytest.raises(ValidationError, match="prime"):
+            ranks_mod_p(np.ones((1, 2, 2), dtype=np.int64), p)
+    with pytest.raises(ValidationError, match="stack"):
+        ranks_mod_p(np.ones((2, 2), dtype=np.int64), 3)
