@@ -5,4 +5,4 @@ Kronecker coefficients, Pfaffian matchgate signatures, and matrix-subspace
 minimum-rank constructions, all verifiable with rational arithmetic.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

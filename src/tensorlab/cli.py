@@ -265,16 +265,18 @@ def _terracini_scan(
     config: ExperimentConfig, spec, trials: int, r_max: Optional[int]
 ) -> Iterator[dict]:
     """Yield the report of each cell r = 1, 2, ... as soon as it is computed,
-    skipping cells already in the output file, until saturation or r_max."""
+    skipping cells already in the output file, until saturation or r_max.
+    The cells share one state per trial, so each cell adds one point to it."""
     done = _completed_scan_cells(config)
     ambient = secants.ambient_affine_dim(spec)
+    states: dict = {}
     r = 1
     while r_max is None or r <= r_max:
         key = (str(spec), r, config.seed, trials, __version__)
         if key in done:
             computed = done[key]
         else:
-            rep = secants.secant_dimension(spec, r, trials=trials, seed=config.seed)
+            rep = secants.secant_dimension(spec, r, trials=trials, seed=config.seed, states=states)
             computed = rep.computed_affine_dim
             yield rep.as_dict()
         if computed == ambient:

@@ -4,7 +4,8 @@ Rank decisions over the rationals and over F_p are exact (no tolerances);
 the float lane is served by numpy and a relative singular-value threshold.
 `rank_mod_p` ranks integer rows modulo a word-size prime in numpy int64: a
 lower bound on the rational rank, for callers that only need one.
-`ranks_mod_p` does the same for a whole stack of small matrices at once.
+`ranks_mod_p` does the same for a whole stack of small matrices at once, and
+`EchelonModP` keeps a reduced echelon basis mod p that grows by blocks of rows.
 """
 
 from __future__ import annotations
@@ -263,6 +264,24 @@ def rank_exact(m: Matrix) -> int:
 _is_prime = functools.lru_cache(maxsize=8)(rings.is_prime)
 
 
+def _check_word_prime(p: int, who: str):
+    if not (1 < p < 2**31 and _is_prime(p)):
+        raise ValidationError(f"{who} needs a prime below 2^31, got {p}")
+
+
+def _residues(rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
+    """Integer rows as an int64 array of residues in [0, p)."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        # one row of Python-int residues at a time, not a second copy of all rows
+        a = np.empty((len(rows), len(rows[0])), dtype=np.int64)
+        for i, row in enumerate(rows):
+            a[i] = [x % p for x in row]
+    a %= p
+    return a
+
+
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p of the matrix with these integer rows, for a prime p < 2^31.
 
@@ -271,8 +290,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     minor.  The residues live in one numpy int64 array, which is
     row-reduced with one vectorised update per pivot.
     """
-    if not (1 < p < 2**31 and _is_prime(p)):
-        raise ValidationError(f"rank_mod_p needs a prime below 2^31, got {p}")
+    _check_word_prime(p, "rank_mod_p")
     if len(rows) == 0:
         return 0
     if len({len(row) for row in rows}) > 1:
@@ -282,11 +300,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
         # numpy would truncate Fractions and floats to int64 without a word
         names = sorted(k.__name__ for k in kinds)
         raise ValidationError(f"rank_mod_p needs integer entries, got {names}")
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    a %= p
+    a = _residues(rows, p)
     if a.shape[0] > a.shape[1]:
         a = a.T  # eliminate along the shorter side: at most min(m, n) pivots
     rank = 0
@@ -310,8 +324,7 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     update.  Residues stay below 2^31, so every product stays below 2^62.
     Returns an int64 array of the B ranks.
     """
-    if not (1 < p < 2**31 and _is_prime(p)):
-        raise ValidationError(f"ranks_mod_p needs a prime below 2^31, got {p}")
+    _check_word_prime(p, "ranks_mod_p")
     a = np.asarray(stack, dtype=np.int64) % p
     if a.ndim != 3:
         raise ValidationError(f"ranks_mod_p needs a (B, m, n) stack, got shape {a.shape}")
@@ -333,6 +346,82 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
         a = (a - a[batch, :, j][:, :, None] * head[:, None, :]) % p
         ranks += lead != 0
     return ranks
+
+
+def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays, exact in int64.
+
+    a is split into 16-bit limbs, so every partial sum of a limb product is
+    below k * 2^16 * p for inner dimension k; EchelonModP keeps that below 2^63.
+    """
+    lo = (a & 0xFFFF) @ b
+    lo %= p
+    hi = (a >> 16) @ b
+    hi %= p
+    hi <<= 16
+    lo += hi
+    lo %= p
+    return lo
+
+
+class EchelonModP:
+    """Reduced row echelon basis over F_p (p prime < 2^31) that grows by blocks.
+
+    `basis` is k x ncols with `basis[:, pivots]` the identity.  `extend`
+    reduces a block of rows against it in one product, x - x[:, pivots] @
+    basis, eliminates what is left on its own, clears the basis at the new
+    pivots in a second product and appends the new rows.  Growing a basis by
+    blocks gives the rank `rank_mod_p` gives for all the rows stacked.
+    """
+
+    def __init__(self, ncols: int, p: int):
+        _check_word_prime(p, "EchelonModP")
+        if ncols * 2**16 * p >= 2**63:
+            raise ValidationError(f"{ncols} columns overflow the int64 limb products mod {p}")
+        self.p = p
+        self.basis = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.intp)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def extend(self, rows: Sequence[Sequence[int]]) -> int:
+        """Add integer rows (reduced mod p) to the span; returns the new rank."""
+        if len(rows) == 0:
+            return self.rank
+        p = self.p
+        x = _residues(rows, p)
+        del rows  # free big-int rows (when the caller holds no other reference) before eliminating
+        if x.shape[1] != self.basis.shape[1]:
+            raise ValidationError(f"rows of width {x.shape[1]} for {self.basis.shape[1]} columns")
+        if self.rank:
+            x -= _matmul_mod_p(x[:, self.pivots], self.basis, p)
+            x %= p
+        heads, cols = [], []
+        for i in range(len(x)):
+            nonzero = np.flatnonzero(x[i])
+            if not nonzero.size:
+                continue
+            j = nonzero[0]
+            x[i] = x[i] * pow(int(x[i, j]), -1, p) % p
+            for h in np.flatnonzero(x[:, j]):  # clear column j in every other row, earlier heads too
+                if h != i:
+                    x[h] = (x[h] - x[h, j] * x[i]) % p
+            heads.append(i)
+            cols.append(j)
+        if cols:
+            new = x[heads]
+            if self.rank:
+                self.basis -= _matmul_mod_p(self.basis[:, cols], new, p)
+                self.basis %= p
+            # column-major, so the product's inner loop walks the basis contiguously
+            basis = np.empty((self.rank + len(cols), x.shape[1]), dtype=np.int64, order="F")
+            basis[: self.rank] = self.basis
+            basis[self.rank :] = new
+            self.basis = basis
+            self.pivots = np.concatenate([self.pivots, cols])
+        return self.rank
 
 
 def det_exact(m: Matrix):

@@ -1,16 +1,28 @@
 """Secant-variety dimensions by Terracini's lemma.
 
-The dimension of the r-th secant variety of X is computed as the rank of the
-stacked affine tangent spaces at r random integer points.  The tangent rows
-are exact integer vectors; each trial takes their rank modulo the fixed prime
-linalg.WORD_PRIME.  A rank mod p is at most the rank over Q, and a single
-sample can only under-report the generic dimension, so the maximum over a few
-independently seeded trials is a certified lower bound that is generically
-exact; when it reaches the expected dimension it is exact.  Supported
-varieties: Segre, Veronese, Segre-Veronese, subspace (Tucker) and symmetric
-subspace varieties.  Segre and Veronese varieties are treated as
-Segre-Veronese varieties: a Segre variety has every degree 1 and a Veronese
-variety has a single factor.
+The dimension of the affine cone over the r-th secant variety of X is the
+rank of the stacked affine tangent spaces at r generic points.  A trial
+draws its points with coordinates uniform in [0, p), p = linalg.WORD_PRIME,
+and ranks their exact integer tangent rows modulo p.  This rank is a
+certified lower bound: every entry of the Terracini matrix is an integer
+polynomial in the coordinates, so a k x k minor that is nonzero mod p at an
+F_p point is a nonzero polynomial over Z, and the rank over Q at a generic
+point is at least k.  By Schwartz-Zippel a trial falls short of the generic
+rank with probability at most about deg/p, where deg, the degree of a
+maximal minor, is at most the number of rows times the degree of the
+parametrization (the bound holds outright when p does not divide every
+coefficient of that minor).  The maximum over a few seeded trials is
+therefore a certified lower bound, exact when it reaches the expected
+dimension.
+
+Each trial's points are seeded on the variety, seed and trial but not on r,
+so the points for r + 1 extend those for r.  A trial keeps one echelon form
+of its tangent rows mod p and adds one point to it per cell, and a cell
+stops at the first trial that reaches the expected dimension: more trials
+cannot raise the maximum.  Supported varieties: Segre, Veronese,
+Segre-Veronese, subspace (Tucker) and symmetric subspace varieties.  Segre
+and Veronese varieties are treated as Segre-Veronese varieties: a Segre
+variety has every degree 1 and a Veronese variety has a single factor.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, TensorlabError, ValidationError
-from .linalg import WORD_PRIME, Matrix, rank_mod_p
+from .linalg import WORD_PRIME, EchelonModP, Matrix
 from .rings import RATIONAL
 from .tensors import DenseTensor, mode_apply, multi_indices, outer
 
@@ -242,7 +254,7 @@ def cone_dim(spec: VarietySpec) -> int:
 
 def _random_vector(rng: random.Random, dim: int) -> tuple[int, ...]:
     for _ in range(RESAMPLE_LIMIT):
-        v = tuple(rng.randint(-10, 10) for _ in range(dim))
+        v = tuple(rng.randrange(WORD_PRIME) for _ in range(dim))
         if any(v):
             return v
     raise TensorlabError("failed to sample a nonzero vector after 10 attempts")
@@ -254,7 +266,7 @@ def _random_matrix_with_nonzero_columns(rng: random.Random, rows: int, cols: int
 
 
 def sample_params(spec: VarietySpec, rng: random.Random):
-    """Random integer point parameters for the variety, nonzero per factor."""
+    """Random point parameters with coordinates in [0, WORD_PRIME), nonzero per factor."""
     if spec.kind in SEGRE_VERONESE_KINDS:
         return [_random_vector(rng, d) for d in spec.dims]
     if spec.kind == "subspace":
@@ -262,7 +274,7 @@ def sample_params(spec: VarietySpec, rng: random.Random):
         for _ in range(RESAMPLE_LIMIT):
             core = DenseTensor(
                 core_shape,
-                tuple(rng.randint(-10, 10) for _ in range(math.prod(core_shape))),
+                tuple(rng.randrange(WORD_PRIME) for _ in range(math.prod(core_shape))),
                 RATIONAL,
             )
             if not core.is_zero():
@@ -278,7 +290,7 @@ def sample_params(spec: VarietySpec, rng: random.Random):
     n, r, d = spec.dims[0], spec.ranks[0], spec.degrees[0]
     core_exps = exponents(r, d)
     for _ in range(RESAMPLE_LIMIT):
-        core = {e: rng.randint(-10, 10) for e in core_exps}
+        core = {e: rng.randrange(WORD_PRIME) for e in core_exps}
         core = {e: c for e, c in core.items() if c}
         if core:
             break
@@ -432,23 +444,55 @@ def _check_ambient(spec: VarietySpec) -> int:
     return ambient
 
 
+def _trial_rng(spec: VarietySpec, seed: int, trial: int) -> random.Random:
+    # not seeded on r: the points for r + 1 extend the points for r
+    return random.Random(f"terracini:{spec}:{seed}:{trial}")
+
+
 def terracini_rows(spec: VarietySpec, r: int, seed: int, trial: int) -> list[tuple]:
-    """One trial's Terracini matrix: tangent spanning sets at r seeded points."""
-    rng = random.Random(f"terracini:{spec}:{r}:{seed}:{trial}")
+    """One trial's Terracini matrix: exact tangent rows at its first r points.
+
+    The oracle for the incremental trial state that secant_dimension ranks.
+    """
+    rng = _trial_rng(spec, seed, trial)
     rows = []
     for _ in range(r):
         rows.extend(affine_tangent_basis(spec, sample_params(spec, rng)))
     return rows
 
 
-def secant_dimension(spec: VarietySpec, r: int, trials: int = 3, seed: int = 0) -> SecantReport:
+class _Trial:
+    """One trial's points and the echelon form mod WORD_PRIME of their tangent rows."""
+
+    def __init__(self, spec: VarietySpec, seed: int, trial: int):
+        self.spec = spec
+        self.rng = _trial_rng(spec, seed, trial)
+        self.ambient = ambient_affine_dim(spec)
+        self.echelon = EchelonModP(self.ambient, WORD_PRIME)
+        self.ranks = [0]  # ranks[r]: the rank after the first r points
+
+    def rank(self, r: int) -> int:
+        while len(self.ranks) <= r:
+            if self.ranks[-1] < self.ambient:  # once saturated, more points change nothing
+                self.echelon.extend(affine_tangent_basis(self.spec, sample_params(self.spec, self.rng)))
+            self.ranks.append(self.echelon.rank)
+        return self.ranks[r]
+
+
+def secant_dimension(
+    spec: VarietySpec, r: int, trials: int = 3, seed: int = 0, states: Optional[dict] = None
+) -> SecantReport:
     """Dimension of the affine cone over the r-th secant variety of X.
 
-    Stacks tangent bases at r random integer points, takes the rank of the
-    integer rows modulo WORD_PRIME, and keeps the maximum over the trials.
-    Each trial's rank is a lower bound on the rank over Q, so the maximum is
-    a certified lower bound on the secant dimension; when it equals
-    expected_affine_dim it is exact.
+    Trial t ranks the tangent rows at its first r points modulo WORD_PRIME.
+    Each trial's rank is a certified lower bound on the secant dimension, so
+    the maximum over the trials is too, and it is exact when it equals
+    expected_affine_dim.  The trials run in order and stop at the first one
+    that reaches expected_affine_dim, which then is the maximum over all of
+    them; `trials` in the report is the number requested.  `states` keeps
+    each trial's points and echelon form between calls: a scan that passes
+    the same dict for every r adds one point per trial and cell instead of
+    starting over.
     """
     if r < 1:
         raise ValidationError("r must be >= 1")
@@ -456,15 +500,21 @@ def secant_dimension(spec: VarietySpec, r: int, trials: int = 3, seed: int = 0) 
         raise ValidationError("trials must be >= 1")
     ambient = _check_ambient(spec)
     expected = min(r * cone_dim(spec), ambient)
+    states = {} if states is None else states
     computed = 0
     for trial in range(trials):
-        rank = rank_mod_p(terracini_rows(spec, r, seed, trial), WORD_PRIME)
-        computed = max(computed, rank)
-        if computed > expected:
+        key = (spec, seed, trial)
+        if key not in states:
+            states[key] = _Trial(spec, seed, trial)
+        rank = states[key].rank(r)
+        if rank > expected:
             raise TensorlabError(
-                f"Terracini rank {computed} exceeds the expected dimension {expected};"
+                f"Terracini rank {rank} exceeds the expected dimension {expected};"
                 " this is a bug"
             )
+        computed = max(computed, rank)
+        if computed == expected:
+            break
     return SecantReport(str(spec), r, ambient, computed, expected, expected - computed, trials)
 
 
@@ -491,9 +541,10 @@ def defect_scan(
     reports = []
     for spec in specs:
         ambient = _check_ambient(spec)
+        states: dict = {}
         r = 1
         while r_max is None or r <= r_max:
-            report = secant_dimension(spec, r, trials=trials, seed=seed)
+            report = secant_dimension(spec, r, trials=trials, seed=seed, states=states)
             reports.append(report)
             if report.computed_affine_dim == ambient:
                 break

@@ -542,6 +542,22 @@ def test_interrupted_scan_keeps_finished_cells_and_resumes(tmp_path, monkeypatch
     ]
 
 
+@pytest.mark.parametrize("variety", ["segre:3,3,3", "segver:3,3@2,2", "veronese:3,4"])
+def test_stopped_and_resumed_scan_writes_the_cells_of_one_run(variety, tmp_path):
+    # the defective cells run every trial, the others stop at the first, so the
+    # trial states a resumed run rebuilds have advanced unevenly in the first run
+    whole = tmp_path / "whole.jsonl"
+    argv = ["terracini", "--variety", variety, "--scan", "--output"]
+    assert cli.main(argv + [str(whole)]) == 0
+    expected = [json.loads(l)["payload"] for l in whole.read_text().splitlines()]
+    for k in range(1, len(expected)):
+        out = tmp_path / f"stopped-{k}.jsonl"
+        assert cli.main(["terracini", "--variety", variety, "--r-max", str(k), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == k
+        assert cli.main(argv + [str(out)]) == 0
+        assert [json.loads(l)["payload"] for l in out.read_text().splitlines()] == expected
+
+
 # --- rational payloads that sum to integers ------------------------------------------------
 
 HALF_WEIGHT_CASES = {

@@ -1,5 +1,5 @@
-"""Differential tests: ranks modulo a prime, one matrix or a stack, against the
-exact kernels (Bareiss over Q, F_p elimination)."""
+"""Differential tests: ranks modulo a prime, one matrix, a stack or a growing
+echelon form, against the exact kernels (Bareiss over Q, F_p elimination)."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,24 @@ import numpy as np
 import pytest
 
 from tensorlab.errors import ValidationError
-from tensorlab.linalg import WORD_PRIME, Matrix, _fp_eliminate, rank_exact, rank_mod_p, ranks_mod_p
+from tensorlab.linalg import (
+    WORD_PRIME,
+    EchelonModP,
+    Matrix,
+    _fp_eliminate,
+    rank_exact,
+    rank_mod_p,
+    ranks_mod_p,
+)
 from tensorlab.rings import fp
-from tensorlab.secants import parse_variety, secant_dimension, terracini_rows
+from tensorlab.secants import (
+    _Trial,
+    affine_tangent_basis,
+    parse_variety,
+    secant_dimension,
+    terracini_rows,
+    veronese,
+)
 
 
 def bareiss(rows):
@@ -102,20 +117,94 @@ TERRACINI_CELLS = [
 
 @pytest.mark.parametrize("variety,r", TERRACINI_CELLS, ids=lambda x: str(x))
 def test_terracini_matrices_agree(variety, r):
-    rows = terracini_rows(parse_variety(variety), r, seed=0, trial=0)
-    assert rank_mod_p(rows, WORD_PRIME) == bareiss(rows)
+    spec = parse_variety(variety)
+    rows = terracini_rows(spec, r, seed=0, trial=0)
+    assert _Trial(spec, 0, 0).rank(r) == rank_mod_p(rows, WORD_PRIME) == bareiss(rows)
+
+
+@pytest.mark.parametrize("variety,r", TERRACINI_CELLS, ids=lambda x: str(x))
+def test_incremental_trial_matches_from_scratch_rank_at_every_r(variety, r):
+    # one state advanced point by point, against a fresh elimination per r
+    spec = parse_variety(variety)
+    for trial in range(3):
+        state = _Trial(spec, 0, trial)
+        for k in range(1, r + 1):
+            rows = terracini_rows(spec, k, seed=0, trial=trial)
+            assert state.rank(k) == rank_mod_p(rows, WORD_PRIME)
+        assert state.ranks == [0] + [state.rank(k) for k in range(1, r + 1)]
+
+
+@pytest.mark.parametrize("variety,r", TERRACINI_CELLS, ids=lambda x: str(x))
+def test_stopped_cell_is_the_maximum_over_full_trials(variety, r):
+    spec = parse_variety(variety)
+    states: dict = {}
+    report = secant_dimension(spec, r, trials=3, seed=0, states=states)
+    full = [_Trial(spec, 0, t).rank(r) for t in range(3)]
+    assert report.computed_affine_dim == max(full)
+    assert report.trials == 3
+    # trials after the first one that certifies the cell are never run
+    first = next((t for t in range(3) if full[t] == report.expected_affine_dim), 2)
+    assert sorted(t for _, _, t in states) == list(range(first + 1))
 
 
 def test_veronese_2_30_beyond_int64():
-    spec = parse_variety("veronese:2,30")
-    rows = terracini_rows(spec, 8, seed=0, trial=0)
-    assert max(abs(x) for row in rows for x in row) >= 2**63
-    # binary forms are never defective: sigma_8 of the degree-30 curve has dim 16
-    report = secant_dimension(spec, 8)
-    assert report.computed_affine_dim == report.expected_affine_dim == 16
-    for r in (12, 16):
-        trials = [terracini_rows(spec, r, seed=0, trial=t) for t in range(3)]
-        assert secant_dimension(spec, r).computed_affine_dim == max(map(bareiss, trials))
+    # tangent rows of the degree-30 rational normal curve at the integer points
+    # (1, k): entries such as 30 k^29 exceed 2^63, so rank_mod_p reduces them
+    # as Python ints.  The r points are distinct, so Hermite interpolation
+    # gives the rank min(2r, 31) over Q, and p divides none of the minors.
+    spec = veronese(2, 30)
+    for r in (8, 12, 16):
+        rows = [row for k in range(1, r + 1) for row in affine_tangent_basis(spec, [(1, k)])]
+        assert max(abs(x) for row in rows for x in row) >= 2**63
+        assert rank_mod_p(rows, WORD_PRIME) == bareiss(rows) == min(2 * r, 31)
+    # binary forms are never defective; the old [-10, 10] sampler reported
+    # false defects at r = 12 and 16
+    for r in (8, 12, 16):
+        report = secant_dimension(spec, r)
+        assert report.computed_affine_dim == report.expected_affine_dim == min(2 * r, 31)
+
+
+# --- the growing echelon form: EchelonModP against rank_mod_p -------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 101, WORD_PRIME])
+def test_echelon_blocks_match_rank_mod_p(p):
+    rng = random.Random(f"echelon:{p}")
+    for n, blocks in [(9, [3, 4, 2, 5]), (6, [1, 1, 6, 2]), (12, [5, 0, 5, 5])]:
+        a, b = random_rows(rng, 14, 4), random_rows(rng, 4, n)
+        low_rank = [[sum(a[i][t] * b[t][j] for t in range(4)) for j in range(n)] for i in range(14)]
+        for rows in (random_rows(rng, sum(blocks), n, 0, p - 1), low_rank[: sum(blocks)]):
+            echelon, start = EchelonModP(n, p), 0
+            for size in blocks:
+                start += size
+                assert echelon.extend(rows[start - size : start]) == rank_mod_p(rows[:start], p)
+                basis = echelon.basis.tolist()
+                assert all(0 <= x < p for row in basis for x in row)
+                # basis[:, pivots] is the identity
+                assert echelon.basis[:, echelon.pivots].tolist() == np.eye(echelon.rank, dtype=int).tolist()
+                assert rank_mod_p(basis + rows[:start], p) == echelon.rank
+
+
+def test_echelon_limb_products_are_exact_near_p():
+    # full-range residues make every limb product of the reduction large
+    rng = random.Random("echelon:limbs")
+    n = 40
+    rows = random_rows(rng, 60, n, WORD_PRIME - 2**16, WORD_PRIME - 1)
+    rows[30:] = [[(x + y) % WORD_PRIME for x, y in zip(rows[i], rows[i + 1])] for i in range(30)]
+    echelon = EchelonModP(n, WORD_PRIME)
+    for i in range(0, 60, 7):
+        echelon.extend(rows[i : i + 7])
+        assert echelon.rank == len(_fp_eliminate([list(r) for r in rows[: i + 7]], WORD_PRIME)[0])
+
+
+def test_echelon_rejects_bad_moduli_and_widths():
+    for p in (1, 4, 2**31 + 11):
+        with pytest.raises(ValidationError, match="prime"):
+            EchelonModP(3, p)
+    with pytest.raises(ValidationError, match="overflow"):
+        EchelonModP(2**16 + 1, WORD_PRIME)  # 2^16 columns are still exact
+    assert EchelonModP(5, 7).extend([]) == 0
+    with pytest.raises(ValidationError, match="width"):
+        EchelonModP(5, 7).extend([[1, 2, 3]])
 
 
 # --- stacked ranks: ranks_mod_p against the exact per-matrix kernels --------------------

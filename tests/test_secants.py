@@ -371,3 +371,52 @@ def test_exponent_enumeration_order():
     assert exponents(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert len(exponents(3, 4)) == 15
     assert multinomial(4, (2, 2, 0)) == 6
+
+
+def test_generic_rank_binary_forms_of_degree_30():
+    # the old [-10, 10] sampler drew proportional points here and reported 17
+    for seed in range(10):
+        res = generic_rank(veronese(2, 30), seed=seed)
+        assert res.rank == 16
+        assert all(rep.defect == 0 for rep in res.profile)
+
+
+# every cell of these scans is nondefective except the ones listed, which are
+# the classical defects: Alexander-Hirschowitz, the (P^1)^4 exception,
+# Strassen's 3x3x3 hypersurface, P^2 x P^2 in O(2,2), and three that follow
+# from them or from matrix rank
+SURVEY = [
+    "segre:2,2", "segre:2,3", "segre:3,4", "segre:2,2,2", "segre:2,2,3", "segre:2,3,3",
+    "segre:2,2,2,2", "segre:2,2,2,3", "segre:2,2,2,2,2", "segre:3,3,3", "segre:3,3,4",
+    "segre:4,4,4",
+    "veronese:2,5", "veronese:2,30", "veronese:3,3", "veronese:3,4", "veronese:3,5",
+    "veronese:3,6", "veronese:4,3", "veronese:4,4", "veronese:5,3", "veronese:5,4",
+    "veronese:6,3",
+    "segver:2,2@2,1", "segver:2,3@2,1", "segver:2,2@1,3", "segver:3,2@1,2", "segver:2,2@2,2",
+    "segver:3,3@2,2",
+    "sub:4,4,4@2,2,2", "sub:4,3,3@2,2,1", "sub:3,3,3@1,2,2", "sub:3,3,3@2,2,2",
+    "symsub:3@2,3", "symsub:4@2,3", "symsub:5@2,3", "symsub:4@3,3",
+]
+KNOWN_DEFECTS = {
+    ("veronese:3,4", 5): 1,
+    ("veronese:4,4", 9): 1,
+    ("veronese:5,4", 14): 1,
+    ("veronese:5,3", 7): 1,
+    ("segre:2,2,2,2", 3): 1,
+    ("segre:3,3,3", 4): 1,
+    ("segver:3,3@2,2", 7): 2,
+    ("segver:3,3@2,2", 8): 1,
+    # rank-2 3x4 matrices: 2 (3 + 4 - 2) = 10 < 12
+    ("segre:3,4", 2): 2,
+    # P^1 x P^1 in O(2,2): the 3x3 catalecticant of a sum of 3 points is singular
+    ("segver:2,2@2,2", 3): 1,
+    # two (2,2,2) blocks have Segre rank 4, inside Strassen's hypersurface
+    ("sub:3,3,3@2,2,2", 2): 1,
+}
+
+
+def test_defect_survey_shows_exactly_the_known_defects():
+    reports = defect_scan([parse_variety(text) for text in SURVEY], seed=0)
+    assert {rep.variety for rep in reports} == set(SURVEY)
+    found = {(rep.variety, rep.r): rep.defect for rep in reports if rep.defect}
+    assert found == KNOWN_DEFECTS
