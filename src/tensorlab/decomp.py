@@ -256,8 +256,8 @@ def kruskal_rank(m: Matrix) -> int:
     exact.  Over Q each row is first scaled to integers, which keeps the
     same columns independent, and ranked mod `WORD_PRIME`: a full rank mod p
     certifies independence over Q, and a subset that falls short mod p is
-    confirmed by Bareiss `rank_exact` before k stops, so the result is exact
-    in both rings.
+    confirmed by the exact `rank_exact` (an integer kernel checked over Z,
+    or Bareiss) before k stops, so the result is exact in both rings.
     """
     if m.cols > KRUSKAL_COLUMN_CAP:
         raise CapExceeded(f"{m.cols} columns exceed the Kruskal cap {KRUSKAL_COLUMN_CAP}")

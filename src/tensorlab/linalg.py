@@ -1,7 +1,11 @@
-"""Exact matrix primitives: Bareiss rank, nullspaces, Kronecker products, SVD.
+"""Exact matrix primitives: certified ranks, nullspaces, Kronecker products, SVD.
 
 Rank decisions over the rationals and over F_p are exact (no tolerances);
 the float lane is served by numpy and a relative singular-value threshold.
+`rank_exact` over the rationals certifies its answer from a rank mod a
+word-size prime (a lower bound) and an integer kernel checked over Z (an
+upper bound), and runs Bareiss fraction-free elimination only when the two
+cannot be certified; `det_exact` is Bareiss throughout.
 `rank_mod_p` ranks integer rows modulo a word-size prime in numpy int64: a
 lower bound on the rational rank, for callers that only need one.
 `ranks_mod_p` does the same for a whole stack of small matrices at once, and
@@ -27,6 +31,11 @@ DEFAULT_REL_TOL = 1e-8
 # the largest prime below 2^31: a product of two residues stays below 2^62,
 # so an int64 row update a - f * b cannot overflow
 WORD_PRIME = 2**31 - 1
+# int64 entries of a block of rows that _certified_rank reduces or checks at once
+RANK_BLOCK_ENTRIES = 2**16
+# below this many rows or columns Bareiss in Python ints is faster than the
+# numpy certificate's fixed cost (about equal at 16 x 16 on one x86-64 core)
+CERTIFY_MIN_SIDE = 16
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,9 @@ def matrix_from_vectors(vectors: Sequence[Sequence], ring: Ring) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# exact rank / determinant (Bareiss fraction-free elimination)
+# exact rank / determinant: a mod-p certificate for ranks over Q, Bareiss
+# fraction-free elimination as its fallback and for determinants, and F_p
+# elimination
 # ---------------------------------------------------------------------------
 
 def _clear_denominators(m: Matrix) -> tuple[list[list[int]], int]:
@@ -249,6 +260,15 @@ def _fp_eliminate(rows: list[list[int]], p: int) -> tuple[list[int], int]:
 def rank_exact(m: Matrix) -> int:
     """Exact rank over the rationals or F_p.
 
+    Over F_p the rows are reduced in Python ints.  Over the rationals, a
+    matrix with at least CERTIFY_MIN_SIDE rows and columns has its rank
+    certified by two bounds on the rows scaled to integers
+    (`_certified_rank`): the rank mod `WORD_PRIME` from below, and an
+    integer kernel of the matching size checked over Z from above.  Bareiss
+    elimination decides smaller matrices, and the others when the bounds
+    cannot be certified: an entry or the check overflows int64, p divides
+    every maximal minor, or the rational kernel is not integral with
+    entries below p/2.  No randomness is involved; every answer is exact.
     Float matrices are rejected; use rank_numeric for those.
     """
     if m.ring.kind == "float":
@@ -257,7 +277,9 @@ def rank_exact(m: Matrix) -> int:
         return 0
     if m.ring.kind == "fp":
         return len(_fp_eliminate(m.to_lists(), m.ring.p)[0])
-    rank, _, _ = _bareiss(_clear_denominators(m)[0])
+    rank = _certified_rank(m) if min(m.rows, m.cols) >= CERTIFY_MIN_SIDE else None
+    if rank is None:
+        rank, _, _ = _bareiss(_clear_denominators(m)[0])
     return rank
 
 
@@ -405,23 +427,93 @@ class EchelonModP:
                 continue
             j = nonzero[0]
             x[i] = x[i] * pow(int(x[i, j]), -1, p) % p
-            for h in np.flatnonzero(x[:, j]):  # clear column j in every other row, earlier heads too
-                if h != i:
-                    x[h] = (x[h] - x[h, j] * x[i]) % p
+            # clear column j in every other row, earlier heads too, in one update
+            h = np.flatnonzero(x[:, j])
+            h = h[h != i]
+            x[h] = (x[h] - x[h, j, None] * x[i]) % p
             heads.append(i)
             cols.append(j)
         if cols:
             new = x[heads]
+            del x  # before the merged basis is allocated
             if self.rank:
                 self.basis -= _matmul_mod_p(self.basis[:, cols], new, p)
                 self.basis %= p
             # column-major, so the product's inner loop walks the basis contiguously
-            basis = np.empty((self.rank + len(cols), x.shape[1]), dtype=np.int64, order="F")
+            basis = np.empty((self.rank + len(cols), new.shape[1]), dtype=np.int64, order="F")
             basis[: self.rank] = self.basis
             basis[self.rank :] = new
             self.basis = basis
             self.pivots = np.concatenate([self.pivots, cols])
         return self.rank
+
+
+def _certified_rank(m: Matrix) -> int | None:
+    """Rank over Q of a nonempty rational matrix from two bounds, or None.
+
+    A is m with its rows scaled to integers (row scaling keeps the rank) in
+    int64, transposed so that its c columns are the shorter side.
+
+    - Lower bound: `EchelonModP` reduces A mod p = WORD_PRIME, RANK_BLOCK_ENTRIES
+      entries at a time, to rank r.  Some r x r minor is nonzero mod p, so it
+      is a nonzero integer and rank_Q(A) >= r.  If r = c that is the answer.
+    - Upper bound: with the echelon entries S at the free columns read as
+      integers in (-p/2, p/2), K = (the identity on the free columns, -S on
+      the pivot rows) has full column rank c - r by construction.  If
+      A @ K = A[:, free] - A[:, pivots] @ S is zero over Z, then
+      rank_Q(A) <= r.  The check sums over the nonzeros of S in int64, and
+      runs only when no partial sum can overflow; a wrong guess of K only
+      fails it.
+
+    Returns None when an entry does not fit in int64, c exceeds the width
+    EchelonModP allows, the check could overflow, or A @ K != 0.
+    """
+    kinds = set(map(type, m.entries))
+    try:
+        if kinds <= {int}:
+            a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+        elif kinds <= {int, Fraction}:
+            # scale rows first: numpy would truncate Fractions to int64 without a word
+            a = np.array(_clear_denominators(m)[0], dtype=np.int64)
+        else:
+            return None
+    except OverflowError:
+        return None
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    n, c = a.shape
+    if c * 2**16 * WORD_PRIME >= 2**63:
+        return None
+    block = max(1, RANK_BLOCK_ENTRIES // c)
+    echelon = EchelonModP(c, WORD_PRIME)
+    for i in range(0, n, block):
+        if echelon.extend(a[i : i + block]) == c:
+            return c
+    pivots = echelon.pivots
+    is_free = np.ones(c, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    s = echelon.basis[:, free]
+    del echelon
+    s[s > WORD_PRIME // 2] -= WORD_PRIME
+    a_max = max(int(a.max()), -int(a.min()))
+    k_max = max(1, int(s.max(initial=0)), -int(s.min(initial=0)))
+    if a_max * k_max * c >= 2**62:  # bounds every partial sum of A @ K
+        return None
+    # A @ K is summed over the nonzeros of S only (kernels of structured
+    # matrices are sparse), in row blocks of at most about RANK_BLOCK_ENTRIES terms
+    j, k = np.nonzero(s.T)  # S[k, j] != 0, ordered by free column j
+    values = s[k, j]
+    starts = np.flatnonzero(np.diff(j, prepend=-1))
+    block = max(1, RANK_BLOCK_ENTRIES // max(1, len(j)))
+    for i in range(0, n, block):
+        rows = a[i : i + block]
+        sums = np.zeros((len(rows), len(free)), dtype=np.int64)
+        if len(j):
+            sums[:, j[starts]] = np.add.reduceat(rows[:, pivots[k]] * values, starts, axis=1)
+        if not np.array_equal(sums, rows[:, free]):
+            return None
+    return len(pivots)
 
 
 def det_exact(m: Matrix):
@@ -526,7 +618,7 @@ def invert_exact(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValidationError("inverse of a non-square matrix")
     inv = solve_exact(m, Matrix.identity(m.rows, m.ring))
-    if inv is None or rank_exact(m) != m.rows:
+    if inv is None:
         raise ValidationError("matrix is singular")
     return inv
 

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tensorlab import linalg
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
+    WORD_PRIME,
     Matrix,
+    _bareiss,
     det_exact,
     invert_exact,
     kron,
@@ -18,6 +21,7 @@ from tensorlab.linalg import (
     singular_values,
     solve_exact,
 )
+from tensorlab.minrank import gurvits_construction
 from tensorlab.rings import FLOAT, fp
 
 
@@ -115,6 +119,102 @@ def test_rank_of_kron_multiplies():
         a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         b = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         assert rank_exact(kron(a, b)) == rank_exact(a) * rank_exact(b)
+
+
+def low_rank_product(rng, m, n, k, rational):
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rational else rng.randint(-3, 3)
+
+    left = [[entry() for _ in range(k)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(k)]
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), 0) for j in range(n)] for i in range(m)]
+
+
+def bareiss_rank(m):
+    return _bareiss(linalg._clear_denominators(m)[0])[0]
+
+
+def padded(rows):
+    """rows block-diagonal with an identity of size CERTIFY_MIN_SIDE: rank + 16,
+    and large enough for rank_exact to try the certificate."""
+    pad = linalg.CERTIFY_MIN_SIDE
+    width = len(rows[0])
+    return [list(row) + [0] * pad for row in rows] + [
+        [0] * width + [int(i == j) for j in range(pad)] for i in range(pad)
+    ]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Count the Bareiss fallbacks rank_exact takes."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _bareiss(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 7), (7, 1), (4, 9), (9, 4), (7, 7), (1, 40), (40, 1), (16, 30), (30, 16), (18, 18)], ids=str
+)
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+def test_rank_of_low_rank_products_matches_bareiss_and_gauss(shape, rational):
+    rng = random.Random(f"rank_exact:{shape}:{rational}")
+    side = min(shape)
+    certified = 0
+    for k in sorted({0, 1, side // 2, side - 1, side, rng.randint(0, side), rng.randint(0, side)}):
+        rows = low_rank_product(rng, *shape, k, rational)
+        m = Matrix.from_rows(rows)
+        expected = gauss_rank_oracle(rows)
+        assert rank_exact(m) == bareiss_rank(m) == expected
+        # the certificate, at any size: an exact rank or no answer
+        rank = linalg._certified_rank(m)
+        assert rank in (None, expected)
+        certified += rank is not None
+    assert certified > 0
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[1, 0], [0, WORD_PRIME]], 2),  # p divides the only 2 x 2 minor
+        ([[2, 1], [4, 2]], 1),  # the kernel (1, -2)/2 is not integral
+        ([[Fraction(2, 3), Fraction(1, 3)], [4, 2]], 1),  # scaled to [[2, 1], [4, 2]]
+        ([[2**63, 1], [2**64, 2]], 1),  # entries beyond int64
+        ([[2**63, 0], [0, 1]], 2),
+        ([[2**62, 2**62], [1, 1], [3, 3]], 1),  # A @ K could overflow int64
+    ],
+)
+def test_rank_falls_back_to_bareiss_when_a_bound_is_not_certified(rows, rank, bareiss_calls):
+    assert linalg._certified_rank(Matrix.from_rows(rows)) is None
+    big = padded(rows)
+    assert rank_exact(Matrix.from_rows(big)) == rank + linalg.CERTIFY_MIN_SIDE == gauss_rank_oracle(big)
+    assert len(bareiss_calls) == 1
+
+
+def _bareiss_below_certified_size(rows):
+    if min(len(rows), len(rows[0])) >= linalg.CERTIFY_MIN_SIDE:
+        raise AssertionError("rank_exact fell back to Bareiss")
+    return _bareiss(rows)
+
+
+def test_rank_certified_with_an_int64_kernel_check(monkeypatch):
+    monkeypatch.setattr(linalg, "_bareiss", _bareiss_below_certified_size)
+    # |A| |K| cols near 2^56 * 2 * 18: int64 holds every partial sum
+    assert rank_exact(Matrix.from_rows(padded([[2**55, 2**56], [1, 2], [-3, -6]]))) == 17
+    assert rank_exact(Matrix.from_rows(padded([[2**55, 2**56, 0], [1, 2, 5]]))) == 18
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gurvits_ranks_are_certified_without_bareiss(n, monkeypatch):
+    # every pencil sample and +-I witness of 16 rows or more takes the certificate
+    monkeypatch.setattr(linalg, "_bareiss", _bareiss_below_certified_size)
+    rec = gurvits_construction(n)
+    assert rec.witness_rank_minus == rec.witness_rank_plus == 2 * n * n
+    assert rec.decrement == 2 * n * n
 
 
 # --- nullspace --------------------------------------------------------------
@@ -241,6 +341,14 @@ def test_solve_and_invert():
         rhs = random_matrix(rng, 3, 2)
         x = solve_exact(m, rhs)
         assert m.matmul(x).entries == rhs.entries
+
+
+def test_invert_singular_matrix_raises():
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValidationError, match="matrix is singular"):
+            invert_exact(Matrix.from_rows(rows))
+    with pytest.raises(ValidationError, match="matrix is singular"):
+        invert_exact(Matrix.from_rows([[1, 1], [1, 1]], fp(5)))
 
 
 # --- float lane -------------------------------------------------------------

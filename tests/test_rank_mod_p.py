@@ -12,6 +12,7 @@ from tensorlab.linalg import (
     WORD_PRIME,
     EchelonModP,
     Matrix,
+    _bareiss,
     _fp_eliminate,
     rank_exact,
     rank_mod_p,
@@ -29,7 +30,8 @@ from tensorlab.secants import (
 
 
 def bareiss(rows):
-    return rank_exact(Matrix.from_rows(rows)) if rows else 0
+    """Rank over Q by Bareiss elimination alone, not by rank_exact's mod-p path."""
+    return _bareiss([[int(x) for x in row] for row in rows])[0] if rows else 0
 
 
 def random_rows(rng, m, n, lo=-10, hi=10):
