@@ -160,7 +160,8 @@ def _known_params(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
     return {name: {a.dest for a in p._actions} - NOT_PARAMS for name, p in sub.choices.items()}
 
 
-KNOWN_PARAMS = _known_params(_build_parser())
+_PARSER = _build_parser()
+KNOWN_PARAMS = _known_params(_PARSER)
 COMMANDS = tuple(KNOWN_PARAMS)
 
 
@@ -200,12 +201,11 @@ def _config_from_file(path: str) -> ExperimentConfig:
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Experiment config from CLI flags or from a --config JSON file."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     if ns.config:
         return _config_from_file(ns.config)
     if not ns.command:
-        parser.error("a command or --config is required")
+        _PARSER.error("a command or --config is required")
     # `is not`, not `in (None, False)`: 0 == False, and an explicit 0 must
     # reach validation rather than vanish
     params = {

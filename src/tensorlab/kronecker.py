@@ -1,22 +1,27 @@
 """Symmetric-group characters and Kronecker coefficients.
 
 Characters come from the Murnaghan-Nakayama border-strip recursion on beta
-sets.  Each character row chi_lambda (its values on the classes of S_n, in
-partitions_of(n) order) and each tuple of class sizes is computed once and
-cached, so a row is only built for a partition that is asked about.
-Kronecker coefficients are the plain class-weighted character sums over three
-rows, divided exactly by n!, which is the simplest exact route at the sizes
-this package cares about (n <= 14).
+sets held as int bitmasks: removing a strip of size k moves a bead from b to
+b - k, and its sign is the parity of the beads in between.  Each character
+row chi_lambda (its values on the classes of S_n, in partitions_of(n) order)
+and each tuple of class sizes is computed once and cached, so a row is only
+built for a partition that is asked about.  Kronecker coefficients are the
+plain class-weighted character sums over three rows, divided exactly by n!,
+which is the simplest exact route at the sizes this package cares about
+(n <= 14).  The cone table contracts all its rows of one size n in a single
+int64 product, exact by a bound stated in `cone_sample`; the zero-weight
+Weyl test counts plethysm weights over numpy index arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, TensorlabError, ValidationError
 from .secants import exponents
@@ -24,6 +29,9 @@ from .secants import exponents
 PARTITIONS_CAP = 20
 CHARACTER_CAP = 16
 KRONECKER_CAP = 14
+# cone_sample's work cap, in triples enumerated: at (6,6,6,14), 1.44M triples,
+# the CLI takes ~6.5 s and ~550 MB on a 2-core x86_64 machine
+CONE_TRIPLE_CAP = 1_500_000
 WEYL_SIZE_CAP = 12
 WEYL_DIM_CAP = 4
 
@@ -52,7 +60,11 @@ class Partition:
         return len(self.parts)
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        return ",".join(map(str, self.parts)) if self.parts else "-"
 
     def conjugate(self) -> "Partition":
         if not self.parts:
@@ -99,39 +111,33 @@ def _partition_tuples(n: int, max_part: Optional[int] = None) -> tuple[tuple[int
 # characters
 # ---------------------------------------------------------------------------
 
-def _beta_set(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """First-column hook lengths: strictly decreasing beta numbers."""
+def _beta_mask(parts: tuple[int, ...]) -> int:
+    """Beta set as a bitmask: bit parts[i] + (len - 1 - i) for each part."""
     ell = len(parts)
-    return tuple(parts[i] + (ell - 1 - i) for i in range(ell))
-
-
-def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:
-    bs = sorted(beta, reverse=True)
-    parts = []
-    for i, b in enumerate(bs):
-        part = b - (len(bs) - 1 - i)
-        if part > 0:
-            parts.append(part)
-    return tuple(parts)
+    return sum(1 << (part + ell - 1 - i) for i, part in enumerate(parts))
 
 
 @lru_cache(maxsize=None)
-def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion: remove a border strip of size mu[0]."""
+def _mn(mask: int, mu: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama recursion: remove a border strip of size mu[0].
+
+    The strip moves a bead from j + k to the empty position j; its height is
+    the number of beads strictly between.  Beads left at 0, 1, ... are
+    zero-length parts and are shifted away, so each partition has one mask.
+    """
     if not mu:
         return 1
-    k = mu[0]
-    rest = mu[1:]
-    beta = _beta_set(lam)
+    k, rest = mu[0], mu[1:]
+    between = (1 << (k - 1)) - 1
     total = 0
-    beta_set = set(beta)
-    for i, b in enumerate(beta):
-        if b - k < 0 or (b - k) in beta_set:
-            continue
-        height = sum(1 for c in beta if b - k < c < b)
-        new_beta = list(beta)
-        new_beta[i] = b - k
-        total += (-1) ** height * _character(_partition_from_beta(new_beta), rest)
+    moves = (mask >> k) & ~mask  # bit j: a bead at j + k and a gap at j
+    while moves:
+        j = moves.bit_length() - 1
+        moves ^= 1 << j
+        moved = mask ^ (1 << (j + k)) ^ (1 << j)
+        moved >>= ((moved + 1) & ~moved).bit_length() - 1
+        height = ((mask >> (j + 1)) & between).bit_count()
+        total += (-1) ** height * _mn(moved, rest)
     return total
 
 
@@ -141,7 +147,7 @@ def character(lam: Partition, mu: Partition) -> int:
         raise ValidationError("partition sizes differ")
     if lam.size > CHARACTER_CAP:
         raise CapExceeded(f"character computation capped at n <= {CHARACTER_CAP}")
-    return _character(lam.parts, mu.parts)
+    return _mn(_beta_mask(lam.parts), mu.parts)
 
 
 def class_size(mu: Partition) -> int:
@@ -162,7 +168,8 @@ def _class_sizes(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _character_row(parts: tuple[int, ...]) -> tuple[int, ...]:
     """chi_lambda on every class of S_|lambda|, in partitions_of order."""
-    return tuple(_character(parts, rho) for rho in _partition_tuples(sum(parts)))
+    mask = _beta_mask(parts)
+    return tuple(_mn(mask, rho) for rho in _partition_tuples(sum(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +189,13 @@ def kronecker_coefficient(
     return _coefficient(sum(w * a * b * c for w, a, b, c in classes), math.factorial(n))
 
 
-def _coefficient(total: int, fact: int) -> int:
-    """The character sum divided by n!, checked to be exact and non-negative."""
-    if total % fact != 0:
+def _coefficient(total, fact: int):
+    """The character sum divided by n!, checked to be exact and non-negative;
+    an int64 array of sums is checked and divided as a whole."""
+    value, rest = divmod(total, fact)
+    if np.any(rest):
         raise TensorlabError("character sum not divisible by n!; this is a bug")
-    value = total // fact
-    if value < 0:
+    if np.any(value < 0):
         raise TensorlabError("negative Kronecker coefficient; this is a bug")
     return value
 
@@ -219,27 +227,45 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
 
     Enumerates triples (lambda, mu, nu) of equal size <= n_max with
     len(lambda) <= p, len(mu) <= q, len(nu) <= r and keeps those with a
-    positive coefficient.  Experimental substrate only: no facet claims.
-    The class-weighted products w*chi_lambda and w*chi_lambda*chi_mu are
-    formed outside the inner loops, so each nu costs one dot product.
+    positive coefficient, in lambda, mu, nu order.  Experimental substrate
+    only: no facet claims.
+
+    For each n the bounded character rows form int64 tables L, M, N, and one
+    product contracts w*chi_lambda*chi_mu against chi_nu over the classes.
+    The sums are exact: column orthogonality gives |chi(rho)| <=
+    sqrt(n!/w_rho), so every partial sum is at most p(n)*n!^(3/2) in absolute
+    value, which is below 2^63 for n <= KRONECKER_CAP = 14 (and not at 15).
+    The cost is bounded by the triples enumerated, sum_n |L_n||M_n||N_n|,
+    which is checked against CONE_TRIPLE_CAP before any row is built.
     """
-    if max(p, q, r) > 4:
-        raise CapExceeded("cone sampling capped at dimension bounds <= 4")
-    if n_max > 10:
-        raise CapExceeded("cone sampling capped at n_max <= 10")
+    if n_max > KRONECKER_CAP:
+        raise CapExceeded(
+            f"cone sampling capped at n_max <= {KRONECKER_CAP}, where int64 character sums are exact"
+        )
+    sizes = range(1, n_max + 1)
+    triples = sum(
+        math.prod(sum(1 for x in _partition_tuples(n) if len(x) <= b) for b in (p, q, r))
+        for n in sizes
+    )
+    if triples > CONE_TRIPLE_CAP:
+        raise CapExceeded(
+            f"cone sampling would enumerate {triples} triples, over the limit of {CONE_TRIPLE_CAP}"
+        )
     rows = []
-    for n in range(1, n_max + 1):
+    for n in sizes:
         parts = partitions_of(n)
-        fact = math.factorial(n)
-        nus = [(nu, _character_row(nu.parts)) for nu in parts if len(nu) <= r]
-        for lam in (x for x in parts if len(x) <= p):
-            w_lam = [w * a for w, a in zip(_class_sizes(n), _character_row(lam.parts))]
-            for mu in (x for x in parts if len(x) <= q):
-                w_lam_mu = [v * b for v, b in zip(w_lam, _character_row(mu.parts))]
-                for nu, row in nus:
-                    k = _coefficient(sum(map(operator.mul, w_lam_mu, row)), fact)
-                    if k > 0:
-                        rows.append((lam, mu, nu, k))
+        lams, mus, nus = ([x for x in parts if len(x) <= b] for b in (p, q, r))
+        if not (lams and mus and nus):
+            continue
+        chi_lam, chi_mu, chi_nu = (
+            np.array([_character_row(x.parts) for x in xs], dtype=np.int64) for xs in (lams, mus, nus)
+        )
+        w_lam = np.array(_class_sizes(n), dtype=np.int64) * chi_lam
+        sums = (w_lam[:, None, :] * chi_mu[None, :, :]).reshape(-1, chi_nu.shape[1]) @ chi_nu.T
+        table = _coefficient(sums.reshape(len(lams), len(mus), len(nus)), math.factorial(n))
+        positive = table > 0
+        for (i, j, k), value in zip(np.argwhere(positive).tolist(), table[positive].tolist()):
+            rows.append((lams[i], mus[j], nus[k], value))
     return rows
 
 
@@ -247,46 +273,42 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
 # zero-weight Weyl invariants via plethysm by weight enumeration
 # ---------------------------------------------------------------------------
 
-def _weight_multiplicities(a: int, d: int, n: int) -> dict[tuple[int, ...], int]:
-    """Weights of the degree-d symmetric power of degree-n monomials in a vars."""
-    monomials = exponents(a, n)
-    counts: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations_with_replacement(monomials, d):
-        w = tuple(sum(x) for x in zip(*combo)) if combo else (0,) * a
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+def _weight_keys(a: int, d: int, n: int) -> np.ndarray:
+    """Weights of the degree-d symmetric power of degree-n monomials in a
+    vars, one per d-multiset of monomials, as mixed-radix keys
+    sum_i w_i (d*n + 1)^i.
+
+    The multisets are non-decreasing index sequences, grown one level at a
+    time: a sequence ending at index j has the children j, j + 1, ..., m - 1.
+    """
+    monomials = np.array(exponents(a, n), dtype=np.int64) @ (d * n + 1) ** np.arange(a, dtype=np.int64)
+    m = len(monomials)
+    last = np.arange(m)
+    keys = monomials
+    for _ in range(d - 1):
+        children = m - last
+        starts = np.cumsum(children) - children
+        last = np.arange(children.sum()) - np.repeat(starts - last, children)
+        keys = np.repeat(keys, children) + monomials[last]
+    return keys
 
 
-def _schur_multiplicity(lam: tuple[int, ...], weights: dict[tuple[int, ...], int], a: int) -> int:
+def _schur_multiplicity(lam: tuple[int, ...], keys: np.ndarray, a: int) -> int:
     """Multiplicity of the irreducible with highest weight lam, by the
-    alternating Weyl-group sum over weight multiplicities."""
+    alternating Weyl-group sum over weight multiplicities.  Only the at most
+    a! targets are counted among the weight keys (radix |lam| + 1)."""
+    radix = sum(lam) + 1
     rho = tuple(range(a - 1, -1, -1))
     lam_rho = tuple(l + r for l, r in zip(lam + (0,) * (a - len(lam)), rho))
     total = 0
     for sigma in itertools.permutations(range(a)):
-        sign = _perm_sign(sigma)
-        target = tuple(lam_rho[sigma[i]] - rho[i] for i in range(a))
+        target = [lam_rho[sigma[i]] - rho[i] for i in range(a)]
         if any(t < 0 for t in target):
             continue
-        total += sign * weights.get(target, 0)
+        key = sum(t * radix**i for i, t in enumerate(target))
+        inversions = sum(sigma[i] > sigma[j] for i, j in itertools.combinations(range(a), 2))
+        total += (-1) ** inversions * int(np.count_nonzero(keys == key))
     return total
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def weyl_zero_weight_invariant_exists(lam: Partition, a: int) -> bool:
@@ -310,7 +332,6 @@ def weyl_zero_weight_invariant_exists(lam: Partition, a: int) -> bool:
         if size % d != 0:
             continue
         n = size // d
-        weights = _weight_multiplicities(a, d, n)
-        if _schur_multiplicity(lam.parts, weights, a) > 0:
+        if _schur_multiplicity(lam.parts, _weight_keys(a, d, n), a) > 0:
             return True
     return False

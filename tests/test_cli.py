@@ -70,6 +70,25 @@ def test_config_rejects_unknown_top_level_key(tmp_path):
         parse_config(["--config", str(path)])
 
 
+def test_one_parser_serves_consecutive_configs_without_leaking(capsys):
+    assert cli.parse_config(["terracini", "--variety", "segre:2,2", "--r", "2"]).parameters == {
+        "variety": "segre:2,2",
+        "r": 2,
+        "trials": 3,
+    }
+    cfg = cli.parse_config(["kron", "--cone", "2,2,2,3", "--seed", "5"])
+    assert (cfg.command, cfg.parameters, cfg.seed) == ("kron", {"cone": "2,2,2,3"}, 5)
+    assert cli.parse_config(["rank", "--w-state", "3"]).seed == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["kron", "--bogus", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config([])
+    assert exc.value.code == 2
+    assert "a command or --config is required" in capsys.readouterr().err
+    assert cli.parse_config(["kron", "--weyl", "2,2", "--dim", "2"]).parameters == {"weyl": "2,2", "dim": 2}
+
+
 def test_every_subcommand_option_is_accepted_from_a_config_file(tmp_path, capsys):
     parser = cli._build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -119,9 +138,13 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_main_cap_exit_code(capsys):
-    code = cli.main(["kron", "--cone", "2,2,2,11"])
+    # 2,853,720 triples, over the cone's work cap; refused before any row
+    code = cli.main(["kron", "--cone", "8,8,8,14"])
     assert code == 3
-    assert "cap" in capsys.readouterr().err
+    assert "over the limit of 1500000" in capsys.readouterr().err
+    # past n = 14 the int64 character sums are no longer exact
+    assert cli.main(["kron", "--cone", "2,2,2,15"]) == 3
+    assert "n_max <= 14" in capsys.readouterr().err
 
 
 def test_main_validation_exit_code(capsys):

@@ -1,6 +1,9 @@
 import itertools
 import math
+from collections import Counter
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from tensorlab import kronecker
@@ -16,6 +19,7 @@ from tensorlab.kronecker import (
     rectangular_kronecker,
     weyl_zero_weight_invariant_exists,
 )
+from tensorlab.secants import exponents
 
 P = Partition.of
 
@@ -75,6 +79,76 @@ def cone_oracle(p, q, r, n_max):
                         if k > 0:
                             rows.append((lam, mu, nu, k))
     return rows
+
+
+# --- test-local copies of the scalar kernels the array code replaced --------------
+
+def _partition_from_beta(beta):
+    bs = sorted(beta, reverse=True)
+    parts = (b - (len(bs) - 1 - i) for i, b in enumerate(bs))
+    return tuple(p for p in parts if p > 0)
+
+
+@lru_cache(maxsize=None)
+def beta_list_character(lam, mu):
+    """Murnaghan-Nakayama on sorted beta lists: remove a strip of size mu[0]."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    beta = tuple(lam[i] + (len(lam) - 1 - i) for i in range(len(lam)))
+    total = 0
+    for i, b in enumerate(beta):
+        if b - k < 0 or (b - k) in beta:
+            continue
+        height = sum(1 for c in beta if b - k < c < b)
+        new_beta = list(beta)
+        new_beta[i] = b - k
+        total += (-1) ** height * beta_list_character(_partition_from_beta(new_beta), rest)
+    return total
+
+
+def scalar_cone(p, q, r, n_max):
+    """One dot product per (lambda, mu, nu), in lambda, mu, nu order."""
+    rows = []
+    for n in range(1, n_max + 1):
+        parts = partitions_of(n)
+        weights = kronecker._class_sizes(n)
+        for lam in (x for x in parts if len(x) <= p):
+            for mu in (x for x in parts if len(x) <= q):
+                for nu in (x for x in parts if len(x) <= r):
+                    rows_ = (kronecker._character_row(x.parts) for x in (lam, mu, nu))
+                    total = sum(w * a * b * c for w, a, b, c in zip(weights, *rows_))
+                    k, rest = divmod(total, math.factorial(n))
+                    assert rest == 0 and k >= 0
+                    if k > 0:
+                        rows.append((lam, mu, nu, k))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def itertools_weights(a, d, n):
+    """Weight multiplicities of Sym^d(Sym^n) in a variables, one multiset at a time."""
+    counts = {}
+    for combo in itertools.combinations_with_replacement(exponents(a, n), d):
+        w = tuple(sum(x) for x in zip(*combo))
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def weyl_oracle(lam, a):
+    """The alternating Weyl-group sum over the itertools weight dicts."""
+    size = lam.size
+    rho = tuple(range(a - 1, -1, -1))
+    lam_rho = [l + r for l, r in zip(lam.parts + (0,) * (a - len(lam)), rho)]
+    for d in (d for d in range(1, size + 1) if size % d == 0):
+        weights = itertools_weights(a, d, size // d)
+        total = 0
+        for sigma in itertools.permutations(range(a)):
+            sign = round(np.linalg.det(np.eye(a)[list(sigma)]))
+            total += sign * weights.get(tuple(lam_rho[sigma[i]] - rho[i] for i in range(a)), 0)
+        if total > 0:
+            return True
+    return False
 
 
 # (lambda, mu, nu, g) at n = 11..14, the benchmark's triple table
@@ -171,6 +245,16 @@ def test_character_orthogonality():
 def test_class_sizes_sum_to_group_order():
     for n in (5, 8):
         assert sum(class_size(mu) for mu in partitions_of(n)) == math.factorial(n)
+
+
+def test_bitmask_recursion_matches_beta_lists_on_every_pair_up_to_12():
+    for n in range(13):
+        parts = partitions_of(n)
+        for lam in parts:
+            mask = kronecker._beta_mask(lam.parts)
+            row = kronecker._character_row(lam.parts)
+            for rho, value in zip(parts, row):
+                assert kronecker._mn(mask, rho.parts) == value == beta_list_character(lam.parts, rho.parts)
 
 
 def test_character_size_mismatch():
@@ -327,11 +411,43 @@ def test_cone_semigroup_property_on_samples():
         assert k2 > 0  # stretching keeps positivity
 
 
-def test_cone_sample_caps():
+@pytest.mark.parametrize("bounds", [(4, 4, 4, 8), (2, 3, 4, 10)])
+def test_array_cone_matches_scalar_loop(bounds):
+    rows = cone_sample(*bounds)
+    assert rows == scalar_cone(*bounds)
+    assert all(type(k) is int for *_, k in rows)
+
+
+def test_cone_int64_bound_holds_up_to_the_kronecker_cap():
+    # p(n) * n!^(3/2) < 2^63, squared to stay in integers
+    def holds(n):
+        return len(partitions_of(n)) ** 2 * math.factorial(n) ** 3 < 2**126
+
+    assert all(holds(n) for n in range(1, kronecker.KRONECKER_CAP + 1))
+    assert not holds(kronecker.KRONECKER_CAP + 1)
+    with pytest.raises(CapExceeded, match="n_max <= 14"):
+        cone_sample(1, 1, 1, kronecker.KRONECKER_CAP + 1)
+
+
+def test_cone_sample_caps(monkeypatch):
+    # a triple count over the work cap is refused before any row is built
+    def no_rows(parts):
+        raise AssertionError("a character row was built")
+
+    monkeypatch.setattr(kronecker, "_character_row", no_rows)
+    with pytest.raises(CapExceeded, match="enumerate 2853720 triples, over the limit of 1500000"):
+        cone_sample(8, 8, 8, 14)
+    with pytest.raises(CapExceeded, match="enumerate 1608723 triples"):
+        cone_sample(14, 4, 14, 14)  # only mu is bounded, so the count sees which bound is which
     with pytest.raises(CapExceeded):
-        cone_sample(5, 2, 2, 4)
-    with pytest.raises(CapExceeded):
-        cone_sample(2, 2, 2, 11)
+        cone_sample(2, 2, 2, 15)
+
+
+def test_cone_sample_admits_the_large_bounds():
+    # the row counts the scalar kernel gave with its size caps lifted
+    assert len(cone_sample(4, 4, 4, 14)) == 175447
+    assert len(cone_sample(6, 6, 6, 12)) == 256802
+    assert cone_sample(5, 2, 2, 4) == scalar_cone(5, 2, 2, 4)
 
 
 # --- zero-weight Weyl invariants ----------------------------------------------------------
@@ -347,6 +463,26 @@ def test_weyl_alternating_square_has_no_invariant():
 
 def test_weyl_two_two():
     assert weyl_zero_weight_invariant_exists(P([2, 2]), 2) is True
+
+
+def test_weight_keys_match_itertools_counts():
+    for a in range(1, 5):
+        for n in range(1, 13):
+            for d in range(1, 12 // n + 1):
+                radix = d * n + 1
+                expected = Counter(
+                    {sum(w * radix**i for i, w in enumerate(weight)): c
+                     for weight, c in itertools_weights(a, d, n).items()}
+                )
+                assert Counter(kronecker._weight_keys(a, d, n).tolist()) == expected
+
+
+def test_weyl_matches_itertools_oracle():
+    for a in range(1, 5):
+        for size in range(a, 13, a):
+            for lam in partitions_of(size):
+                if len(lam) <= a:
+                    assert weyl_zero_weight_invariant_exists(lam, a) is weyl_oracle(lam, a)
 
 
 def test_weyl_validation():
