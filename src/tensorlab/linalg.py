@@ -6,16 +6,15 @@ the float lane is served by numpy and a relative singular-value threshold.
 word-size prime (a lower bound) and an integer kernel checked over Z (an
 upper bound), and runs Bareiss fraction-free elimination only when the two
 cannot be certified; `det_exact` is Bareiss throughout.
-`rank_mod_p` ranks integer rows modulo a word-size prime in numpy int64: a
-lower bound on the rational rank, for callers that only need one.
-`ranks_mod_p` does the same for a whole stack of small matrices at once, and
-`EchelonModP` keeps a reduced echelon basis mod p that grows by blocks of rows.
+`ranks_mod_p` ranks a whole stack of small integer matrices modulo a
+word-size prime in numpy int64, and `EchelonModP` keeps a reduced echelon
+basis mod p that grows by blocks of rows; a rank mod p is a lower bound on
+the rational rank.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,59 +290,27 @@ def _check_word_prime(p: int, who: str):
         raise ValidationError(f"{who} needs a prime below 2^31, got {p}")
 
 
-def _residues(rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
-    """Integer rows as an int64 array of residues in [0, p)."""
+def _residues(rows, p: int) -> np.ndarray:
+    """Integers of any size and sign, as an int64 array of residues in [0, p)
+    of the same shape: rows of a matrix, of a tensor, or the entries of a vector."""
     try:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:
         # one row of Python-int residues at a time, not a second copy of all rows
-        a = np.empty((len(rows), len(rows[0])), dtype=np.int64)
+        a = np.empty((len(rows),) + np.shape(rows[0]), dtype=np.int64)
         for i, row in enumerate(rows):
-            a[i] = [x % p for x in row]
+            a[i] = np.asarray(row, dtype=object) % p
     a %= p
     return a
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of the matrix with these integer rows, for a prime p < 2^31.
-
-    Reducing mod p can only lose rank, so this is a lower bound on the rank
-    over the rationals; the two agree unless p divides every maximal nonzero
-    minor.  The residues live in one numpy int64 array, which is
-    row-reduced with one vectorised update per pivot.
-    """
-    _check_word_prime(p, "rank_mod_p")
-    if len(rows) == 0:
-        return 0
-    if len({len(row) for row in rows}) > 1:
-        raise ValidationError("ragged rows")
-    kinds = set(map(type, itertools.chain.from_iterable(rows)))
-    if not all(issubclass(k, (int, np.integer)) for k in kinds):
-        # numpy would truncate Fractions and floats to int64 without a word
-        names = sorted(k.__name__ for k in kinds)
-        raise ValidationError(f"rank_mod_p needs integer entries, got {names}")
-    a = _residues(rows, p)
-    if a.shape[0] > a.shape[1]:
-        a = a.T  # eliminate along the shorter side: at most min(m, n) pivots
-    rank = 0
-    while a.shape[0]:
-        head, a = a[0], a[1:]
-        nonzero = np.flatnonzero(head)
-        if nonzero.size:
-            j = nonzero[0]
-            head = head * pow(int(head[j]), -1, p) % p
-            a = (a - np.outer(a[:, j], head)) % p
-            rank += 1
-    return rank
 
 
 def ranks_mod_p(stack, p: int) -> np.ndarray:
     """Ranks over F_p of a (B, m, n) stack of integer matrices, p prime < 2^31.
 
-    The B eliminations run side by side, as in `rank_mod_p`: each head row
-    is scaled by the inverse of its first nonzero entry, found by Fermat
-    powering lead^(p-2), and cleared from the rows below in one broadcast
-    update.  Residues stay below 2^31, so every product stays below 2^62.
+    The B eliminations run side by side: each head row is scaled by the
+    inverse of its first nonzero entry, found by Fermat powering lead^(p-2),
+    and cleared from the rows below in one broadcast update.  Residues stay
+    below 2^31, so every product stays below 2^62.
     Returns an int64 array of the B ranks.
     """
     _check_word_prime(p, "ranks_mod_p")
@@ -393,7 +360,7 @@ class EchelonModP:
     reduces a block of rows against it in one product, x - x[:, pivots] @
     basis, eliminates what is left on its own, clears the basis at the new
     pivots in a second product and appends the new rows.  Growing a basis by
-    blocks gives the rank `rank_mod_p` gives for all the rows stacked.
+    blocks gives the rank mod p of all the rows stacked.
     """
 
     def __init__(self, ncols: int, p: int):

@@ -3,13 +3,22 @@
 The dimension of the affine cone over the r-th secant variety of X is the
 rank of the stacked affine tangent spaces at r generic points.  A trial
 draws its points with coordinates uniform in [0, p), p = linalg.WORD_PRIME,
-and ranks their exact integer tangent rows modulo p.  This rank is a
-certified lower bound: every entry of the Terracini matrix is an integer
-polynomial in the coordinates, so a k x k minor that is nonzero mod p at an
-F_p point is a nonzero polynomial over Z, and the rank over Q at a generic
-point is at least k.  By Schwartz-Zippel a trial falls short of the generic
-rank with probability at most about deg/p, where deg, the degree of a
-maximal minor, is at most the number of rows times the degree of the
+and ranks their integer tangent rows modulo p.  The rows are built as int64
+residues mod p: a degree-k form in n variables is its vector of coefficients
+over exponents(n, k), and every row comes from three operations on such
+vectors, the power l_v^k (k!/alpha! v^alpha, from factorials mod p, which
+are invertible because every degree is at most AMBIENT_CAP < p),
+multiplication by a linear form or by one variable, and outer products, with
+the mode products of subspace varieties done by linalg._matmul_mod_p.
+Reduction mod p is a ring map, so each row is the exact integer tangent row
+reduced mod p, and its rank mod p is the rank the exact rows have mod p.
+
+This rank is a certified lower bound: every entry of the Terracini matrix is
+an integer polynomial in the coordinates, so a k x k minor that is nonzero
+mod p at an F_p point is a nonzero polynomial over Z, and the rank over Q at
+a generic point is at least k.  By Schwartz-Zippel a trial falls short of
+the generic rank with probability at most about deg/p, where deg, the degree
+of a maximal minor, is at most the number of rows times the degree of the
 parametrization (the bound holds outright when p does not divide every
 coefficient of that minor).  The maximum over a few seeded trials is
 therefore a certified lower bound, exact when it reaches the expected
@@ -27,15 +36,16 @@ variety has every degree 1 and a Veronese variety has a single factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, TensorlabError, ValidationError
-from .linalg import WORD_PRIME, EchelonModP, Matrix
-from .rings import RATIONAL
-from .tensors import DenseTensor, mode_apply, multi_indices, outer
+from .linalg import WORD_PRIME, EchelonModP, _matmul_mod_p, _residues
 
 AMBIENT_CAP = 20000
 RESAMPLE_LIMIT = 10
@@ -159,68 +169,77 @@ def exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def multinomial(d: int, alpha: Sequence[int]) -> int:
-    out = math.factorial(d)
-    for a in alpha:
-        out //= math.factorial(a)
-    return out
-
-
 def sym_dim(n: int, d: int) -> int:
     return math.comb(n + d - 1, d)
 
 
-def _power_coeff_vector(v: Sequence[int], d: int, exps: list[tuple[int, ...]], drop: Optional[int] = None):
-    """Coefficients of l_v^d (or l_v^(d-1) * x_drop when drop is given)."""
-    out = []
-    for alpha in exps:
-        if drop is None:
-            c = multinomial(d, alpha)
-            for vi, a in zip(v, alpha):
-                c *= vi**a
-        else:
-            if alpha[drop] == 0:
-                out.append(0)
-                continue
-            beta = list(alpha)
-            beta[drop] -= 1
-            c = multinomial(d - 1, beta)
-            for vi, a in zip(v, beta):
-                c *= vi**a
-        out.append(c)
+# forms mod p: a degree-k form in n variables is its int64 vector of
+# coefficients over exponents(n, k), reduced mod WORD_PRIME
+
+@functools.lru_cache(maxsize=64)
+def _shift(n: int, k: int) -> np.ndarray:
+    """(n, sym_dim(n, k)) table: row j holds, for each alpha in exponents(n, k),
+    the position of alpha + e_j in exponents(n, k + 1)."""
+    index = {alpha: i for i, alpha in enumerate(exponents(n, k + 1))}
+    shifted = [[index[a[:j] + (a[j] + 1,) + a[j + 1 :]] for a in exponents(n, k)] for j in range(n)]
+    table = np.array(shifted, dtype=np.intp).reshape(n, -1)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _multinomials(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """exponents(n, k) as an n x sym_dim(n, k) array, and k!/alpha! mod p
+    for each alpha, from factorials and their inverses mod p (k < p)."""
+    fact = [1] * (k + 1)
+    for i in range(1, k + 1):
+        fact[i] = fact[i - 1] * i % WORD_PRIME
+    inv_fact = [pow(fact[k], -1, WORD_PRIME)] * (k + 1)
+    for i in range(k, 0, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % WORD_PRIME
+    exps = np.array(exponents(n, k), dtype=np.intp).reshape(-1, n).T
+    inv_fact = np.array(inv_fact, dtype=np.int64)
+    coeffs = np.full(exps.shape[1], fact[k], dtype=np.int64)
+    for alpha_i in exps:
+        coeffs = coeffs * inv_fact[alpha_i] % WORD_PRIME
+    exps.setflags(write=False)  # shared by every caller through the cache
+    coeffs.setflags(write=False)
+    return exps, coeffs
+
+
+def _power(v: np.ndarray, k: int) -> np.ndarray:
+    """l_v^k: the coefficient of x^alpha is k!/alpha! v^alpha."""
+    exps, out = _multinomials(len(v), k)
+    powers = np.ones((len(v), k + 1), dtype=np.int64)
+    for a in range(1, k + 1):
+        powers[:, a] = powers[:, a - 1] * v % WORD_PRIME
+    for v_alpha_i in powers[np.arange(len(v))[:, None], exps]:
+        out = out * v_alpha_i % WORD_PRIME
     return out
 
 
-# dense multivariate polynomials as {exponent tuple: coefficient}
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_pow(a: dict, k: int, nvars: int) -> dict:
-    out = {(0,) * nvars: 1}
-    for _ in range(k):
-        out = _poly_mul(out, a)
+def _times_variables(f: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Row j is x_j f, for a degree-k form f in n variables."""
+    out = np.zeros((n, sym_dim(n, k + 1)), dtype=np.int64)
+    out[np.arange(n)[:, None], _shift(n, k)] = f
     return out
 
 
-def _linear_form(coeffs: Sequence[int], nvars: int) -> dict:
-    out = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = [0] * nvars
-            e[i] = 1
-            out[tuple(e)] = c
+def _times_linear(f: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """Row i is f[i] times the linear form with coefficients c[i], for a
+    stack f of degree-k forms in n = c.shape[1] variables."""
+    out = np.zeros((len(f), sym_dim(c.shape[1], k + 1)), dtype=np.int64)
+    for j, positions in enumerate(_shift(c.shape[1], k)):
+        out[:, positions] += f * c[:, j, None] % WORD_PRIME
+    return out % WORD_PRIME
+
+
+def _kron(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product mod p, rows and columns row-major over the factors."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, None, :, None] * m[None, :, None, :] % WORD_PRIME).reshape(len(out) * len(m), -1)
     return out
-
-
-def _poly_coeff_vector(poly: dict, exps: list[tuple[int, ...]]) -> list:
-    return [poly.get(alpha, 0) for alpha in exps]
 
 
 # ---------------------------------------------------------------------------
@@ -260,149 +279,106 @@ def _random_vector(rng: random.Random, dim: int) -> tuple[int, ...]:
     raise TensorlabError("failed to sample a nonzero vector after 10 attempts")
 
 
-def _random_matrix_with_nonzero_columns(rng: random.Random, rows: int, cols: int) -> Matrix:
-    col_vectors = [_random_vector(rng, rows) for _ in range(cols)]
-    return Matrix.from_rows([[col_vectors[j][i] for j in range(cols)] for i in range(rows)], RATIONAL)
+def _random_factor(rng: random.Random, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix whose columns are nonzero random vectors."""
+    return np.array([_random_vector(rng, rows) for _ in range(cols)], dtype=np.int64).T
 
 
 def sample_params(spec: VarietySpec, rng: random.Random):
-    """Random point parameters with coordinates in [0, WORD_PRIME), nonzero per factor."""
+    """Random point parameters with coordinates in [0, WORD_PRIME), nonzero per factor.
+
+    Segre-Veronese: one vector per factor.  Subspace: a nonzero core tensor
+    of shape ranks and one factor matrix per factor.  Symmetric subspace: a
+    nonzero degree-d core form in r variables, as coefficients over
+    exponents(r, d), and one n x r factor matrix.
+    """
     if spec.kind in SEGRE_VERONESE_KINDS:
         return [_random_vector(rng, d) for d in spec.dims]
     if spec.kind == "subspace":
-        core_shape = spec.ranks
-        for _ in range(RESAMPLE_LIMIT):
-            core = DenseTensor(
-                core_shape,
-                tuple(rng.randrange(WORD_PRIME) for _ in range(math.prod(core_shape))),
-                RATIONAL,
-            )
-            if not core.is_zero():
-                break
-        else:
-            raise TensorlabError("failed to sample a nonzero core tensor")
-        factors = [
-            _random_matrix_with_nonzero_columns(rng, d, r)
-            for d, r in zip(spec.dims, spec.ranks)
-        ]
-        return core, factors
-    # sym_subspace: a degree-d core polynomial in r variables plus one factor map
+        core = np.array(_random_vector(rng, math.prod(spec.ranks)), dtype=np.int64).reshape(spec.ranks)
+        return core, [_random_factor(rng, d, r) for d, r in zip(spec.dims, spec.ranks)]
     n, r, d = spec.dims[0], spec.ranks[0], spec.degrees[0]
-    core_exps = exponents(r, d)
-    for _ in range(RESAMPLE_LIMIT):
-        core = {e: rng.randrange(WORD_PRIME) for e in core_exps}
-        core = {e: c for e, c in core.items() if c}
-        if core:
-            break
-    else:
-        raise TensorlabError("failed to sample a nonzero core polynomial")
-    factor = _random_matrix_with_nonzero_columns(rng, n, r)
-    return core, factor
+    core = np.array(_random_vector(rng, sym_dim(r, d)), dtype=np.int64)
+    return core, _random_factor(rng, n, r)
 
 
-def affine_tangent_basis(spec: VarietySpec, params) -> list[tuple]:
-    """Spanning set of the affine tangent space at the parametrized point."""
+def affine_tangent_basis(spec: VarietySpec, params) -> np.ndarray:
+    """Spanning set of the affine tangent space at the parametrized point.
+
+    Returns an int64 array with one row per spanning vector, each the exact
+    integer tangent vector reduced mod WORD_PRIME; the parameters may be any
+    integers and are reduced first.
+    """
     if spec.kind in SEGRE_VERONESE_KINDS:
-        return _segre_veronese_tangent(spec.dims, spec.degrees or (1,) * len(spec.dims), params)
+        return _segre_veronese_tangent(spec.degrees or (1,) * len(spec.dims), params)
+    core, factors = params
+    core = _residues(core, WORD_PRIME)
     if spec.kind == "subspace":
-        core, factors = params
-        return _subspace_tangent(spec, core, factors)
-    core, factor = params
-    return _sym_subspace_tangent(spec, core, factor)
+        return _subspace_tangent(spec, core, [_residues(f, WORD_PRIME) for f in factors])
+    return _sym_subspace_tangent(spec, core, _residues(factors, WORD_PRIME))
 
 
-def _check_nonzero_vectors(vectors):
-    for v in vectors:
-        if not any(v):
-            raise ValidationError("degenerate parameters: zero factor vector")
+def _segre_veronese_tangent(degrees, vectors) -> np.ndarray:
+    vectors = [_residues(v, WORD_PRIME) for v in vectors]
+    if not all(v.any() for v in vectors):
+        raise ValidationError("degenerate parameters: zero factor vector")
+    points = [_power(v, d)[None, :] for v, d in zip(vectors, degrees)]
+    rows = []
+    for pos, (v, d) in enumerate(zip(vectors, degrees)):
+        directions = _times_variables(_power(v, d - 1), len(v), d - 1)  # x_j l_v^(d-1)
+        rows.append(_kron(points[:pos] + [directions] + points[pos + 1 :]))
+    return np.concatenate(rows)
 
 
-def _segre_veronese_tangent(dims, degrees, vectors) -> list[tuple]:
-    _check_nonzero_vectors(vectors)
-    exps_per_factor = [exponents(n, d) for n, d in zip(dims, degrees)]
-    points = [
-        _power_coeff_vector(v, d, exps)
-        for v, d, exps in zip(vectors, degrees, exps_per_factor)
-    ]
-    out = []
-    for pos, (n, d) in enumerate(zip(dims, degrees)):
-        for j in range(n):
-            parts = [
-                _power_coeff_vector(vectors[q], degrees[q], exps_per_factor[q], drop=j)
-                if q == pos
-                else points[q]
-                for q in range(len(dims))
-            ]
-            out.append(outer(parts))
-    return out
-
-
-def _subspace_tangent(spec: VarietySpec, core: DenseTensor, factors: list[Matrix]) -> list[tuple]:
-    n_factors = len(spec.dims)
-    out = []
+def _subspace_tangent(spec: VarietySpec, core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    if not all(f.any(axis=0).all() for f in factors):
+        raise ValidationError("degenerate parameters: zero factor column")
     # core directions: products of one column per factor
-    cols = [
-        [[f.entries[i * f.cols + j] for i in range(f.rows)] for j in range(f.cols)]
-        for f in factors
-    ]
-    for jidx in multi_indices(spec.ranks):
-        vecs = [cols[q][jidx[q]] for q in range(n_factors)]
-        if any(not any(v) for v in vecs):
-            raise ValidationError("degenerate parameters: zero factor column")
-        out.append(outer(vecs))
+    rows = [_kron([f.T for f in factors])]
     # factor directions: Leibniz terms with one factor map replaced by E_kl
-    for pos in range(n_factors):
+    for pos, (d, r) in enumerate(zip(spec.dims, spec.ranks)):
         partial = core
-        for q in range(n_factors):
-            if q != pos:
-                partial = mode_apply(partial, q, factors[q])
-        d, r = spec.dims[pos], spec.ranks[pos]
-        for k in range(d):
-            for l in range(r):
-                unit = Matrix(
-                    d, r, tuple(1 if (i, j) == (k, l) else 0 for i in range(d) for j in range(r)), RATIONAL
-                )
-                out.append(mode_apply(partial, pos, unit).data)
-    return out
+        for q, f in enumerate(factors):
+            if q != pos:  # the mode product partial x_q f
+                moved = np.moveaxis(partial, q, 0)
+                product = _matmul_mod_p(f, moved.reshape(len(moved), -1), WORD_PRIME)
+                partial = np.moveaxis(product.reshape((len(f),) + moved.shape[1:]), 0, q)
+        # E_kl moves slice l of partial at pos to slice k, zero elsewhere
+        out = np.zeros((d, r) + spec.dims, dtype=np.int64)
+        np.moveaxis(out, 2 + pos, 2)[np.arange(d), :, np.arange(d)] = np.moveaxis(partial, pos, 0)
+        rows.append(out.reshape(d * r, -1))
+    return np.concatenate(rows)
 
 
-def _sym_subspace_tangent(spec: VarietySpec, core: dict, factor: Matrix) -> list[tuple]:
+def _form_monomials(forms: np.ndarray, d: int) -> list[np.ndarray]:
+    """monomials[k]: row beta, for beta in exponents(r, k), is the product of
+    the r linear forms (rows of forms) to the powers beta."""
+    r, n = forms.shape
+    monomials = [np.ones((1, 1), dtype=np.int64)]
+    for k in range(1, d + 1):
+        # beta = parent + e_l for its first nonzero l: the last write wins
+        parent = np.empty(sym_dim(r, k), dtype=np.intp)
+        first = np.empty(sym_dim(r, k), dtype=np.intp)
+        for l in reversed(range(r)):
+            parent[_shift(r, k - 1)[l]] = np.arange(sym_dim(r, k - 1))
+            first[_shift(r, k - 1)[l]] = l
+        monomials.append(_times_linear(monomials[-1][parent], forms[first], k - 1))
+    return monomials
+
+
+def _sym_subspace_tangent(spec: VarietySpec, core: np.ndarray, factor: np.ndarray) -> np.ndarray:
     n, r, d = spec.dims[0], spec.ranks[0], spec.degrees[0]
-    exps_n = exponents(n, d)
-    forms = [
-        _linear_form([factor.entries[i * r + l] for i in range(n)], n) for l in range(r)
-    ]
-    for l in range(r):
-        if not forms[l]:
-            raise ValidationError("degenerate parameters: zero factor column")
-    out = []
-    form_powers = [[_poly_pow(forms[l], k, n) for k in range(d + 1)] for l in range(r)]
+    if not factor.any(axis=0).all():
+        raise ValidationError("degenerate parameters: zero factor column")
+    monomials = _form_monomials(factor.T, d)
     # core directions: substituted monomials of degree d in the r forms
-    for beta in exponents(r, d):
-        poly = {(0,) * n: 1}
-        for l, b in enumerate(beta):
-            if b:
-                poly = _poly_mul(poly, form_powers[l][b])
-        out.append(tuple(_poly_coeff_vector(poly, exps_n)))
+    rows = [monomials[d]]
     # factor directions: d/dA[k,l] of core(l_1, ..., l_r) = dg/dy_l (l) * x_k
     for l in range(r):
-        dgdl: dict = {}
-        for beta, c in core.items():
-            if beta[l] == 0:
-                continue
-            poly = {(0,) * n: c * beta[l]}
-            for q, b in enumerate(beta):
-                k = b - 1 if q == l else b
-                if k:
-                    poly = _poly_mul(poly, form_powers[q][k])
-            for e, cc in poly.items():
-                dgdl[e] = dgdl.get(e, 0) + cc
-        for k in range(n):
-            xk = [0] * n
-            xk[k] = 1
-            shifted = _poly_mul(dgdl, {tuple(xk): 1}) if dgdl else {}
-            out.append(tuple(_poly_coeff_vector(shifted, exps_n)))
-    return out
+        # dg/dy_l has coefficient (gamma_l + 1) core[gamma + e_l] at gamma
+        dg = core[_shift(r, d - 1)[l]] * (_multinomials(r, d - 1)[0][l] + 1) % WORD_PRIME
+        rows.append(_times_variables(_matmul_mod_p(dg[None, :], monomials[d - 1], WORD_PRIME)[0], n, d - 1))
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +414,10 @@ class GenericRankResult:
 
 
 def _check_ambient(spec: VarietySpec) -> int:
+    # only one-variable factors reach such degrees: sym_dim(n, d) > d for n >= 2
+    degree = max(spec.degrees, default=0)
+    if degree > AMBIENT_CAP:
+        raise CapExceeded(f"degree {degree} exceeds the cap {AMBIENT_CAP}")
     ambient = ambient_affine_dim(spec)
     if ambient > AMBIENT_CAP:
         raise CapExceeded(f"ambient dimension {ambient} exceeds the cap {AMBIENT_CAP}")
@@ -447,18 +427,6 @@ def _check_ambient(spec: VarietySpec) -> int:
 def _trial_rng(spec: VarietySpec, seed: int, trial: int) -> random.Random:
     # not seeded on r: the points for r + 1 extend the points for r
     return random.Random(f"terracini:{spec}:{seed}:{trial}")
-
-
-def terracini_rows(spec: VarietySpec, r: int, seed: int, trial: int) -> list[tuple]:
-    """One trial's Terracini matrix: exact tangent rows at its first r points.
-
-    The oracle for the incremental trial state that secant_dimension ranks.
-    """
-    rng = _trial_rng(spec, seed, trial)
-    rows = []
-    for _ in range(r):
-        rows.extend(affine_tangent_basis(spec, sample_params(spec, rng)))
-    return rows
 
 
 class _Trial:

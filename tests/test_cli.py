@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,6 +146,15 @@ def test_main_cap_exit_code(capsys):
     # past n = 14 the int64 character sums are no longer exact
     assert cli.main(["kron", "--cone", "2,2,2,15"]) == 3
     assert "n_max <= 14" in capsys.readouterr().err
+
+
+def test_terracini_degree_cap_exit_code(capsys):
+    # ambient dimensions 1 and 2, at a degree refused before any point is drawn
+    for variety in ("veronese:1,3000000", "segver:1,2@3000000,1"):
+        started = time.perf_counter()
+        assert cli.main(["terracini", "--variety", variety, "--r", "1"]) == 3
+        assert time.perf_counter() - started < 1
+        assert "degree 3000000 exceeds the cap 20000" in capsys.readouterr().err
 
 
 def test_main_validation_exit_code(capsys):

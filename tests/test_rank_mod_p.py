@@ -1,12 +1,12 @@
-"""Differential tests: ranks modulo a prime, one matrix, a stack or a growing
-echelon form, against the exact kernels (Bareiss over Q, F_p elimination)."""
+"""Differential tests: ranks modulo a prime, of a stack or a growing echelon
+form, against the exact kernels (Bareiss over Q, F_p elimination)."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tangent_oracle import exact_tangent_rows
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
     WORD_PRIME,
@@ -15,16 +15,16 @@ from tensorlab.linalg import (
     _bareiss,
     _fp_eliminate,
     rank_exact,
-    rank_mod_p,
     ranks_mod_p,
 )
 from tensorlab.rings import fp
 from tensorlab.secants import (
     _Trial,
+    _trial_rng,
     affine_tangent_basis,
     parse_variety,
+    sample_params,
     secant_dimension,
-    terracini_rows,
     veronese,
 )
 
@@ -32,6 +32,29 @@ from tensorlab.secants import (
 def bareiss(rows):
     """Rank over Q by Bareiss elimination alone, not by rank_exact's mod-p path."""
     return _bareiss([[int(x) for x in row] for row in rows])[0] if rows else 0
+
+
+def fp_rank(rows, p):
+    """Rank over F_p by the Python-int elimination of the fp ring."""
+    return len(_fp_eliminate([[int(x) for x in row] for row in rows], p)[0])
+
+
+def echelon_rank(rows, p):
+    """Rank over F_p of integer rows put into one EchelonModP at once."""
+    return EchelonModP(len(rows[0]) if len(rows) else 0, p).extend(rows)
+
+
+def terracini_rows(spec, r, seed, trial):
+    """One trial's first r points: their exact tangent rows (the oracle's)
+    and the residues affine_tangent_basis builds, in the trial's row order."""
+    rng = _trial_rng(spec, seed, trial)
+    exact, residues = [], []
+    for _ in range(r):
+        params = sample_params(spec, rng)
+        exact.extend(exact_tangent_rows(spec, params))
+        residues.extend(affine_tangent_basis(spec, params).tolist())
+    assert residues == [[x % WORD_PRIME for x in row] for row in exact]
+    return exact, residues
 
 
 def random_rows(rng, m, n, lo=-10, hi=10):
@@ -43,13 +66,13 @@ def test_random_matrices_agree(shape):
     rng = random.Random(f"rank_mod_p:{shape}")
     for _ in range(5):
         rows = random_rows(rng, *shape)
-        assert rank_mod_p(rows, WORD_PRIME) == bareiss(rows)
+        assert echelon_rank(rows, WORD_PRIME) == fp_rank(rows, WORD_PRIME) == bareiss(rows)
 
 
 def test_empty_and_zero_matrices():
-    assert rank_mod_p([], WORD_PRIME) == 0
-    assert rank_mod_p([[], []], WORD_PRIME) == 0
-    assert rank_mod_p([[0] * 6 for _ in range(4)], WORD_PRIME) == 0
+    assert echelon_rank([], WORD_PRIME) == fp_rank([], WORD_PRIME) == 0
+    assert echelon_rank([[], []], WORD_PRIME) == fp_rank([[], []], WORD_PRIME) == 0
+    assert echelon_rank([[0] * 6 for _ in range(4)], WORD_PRIME) == 0
     assert bareiss([[0] * 6 for _ in range(4)]) == 0
 
 
@@ -59,7 +82,7 @@ def test_rank_deficient_products_agree():
         a = random_rows(rng, m, k)
         b = random_rows(rng, k, n)
         prod = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
-        assert rank_mod_p(prod, WORD_PRIME) == bareiss(prod) <= k
+        assert echelon_rank(prod, WORD_PRIME) == fp_rank(prod, WORD_PRIME) == bareiss(prod) <= k
 
 
 def test_negative_and_huge_entries_agree():
@@ -69,18 +92,18 @@ def test_negative_and_huge_entries_agree():
         rows = random_rows(rng, 7, 6, -(2**70), 2**70)
         rows[0][0] = big  # one entry above int64 forces the Python-int reduction
         rows[1][1] = -big - 5
-        assert rank_mod_p(rows, WORD_PRIME) == bareiss(rows)
+        assert echelon_rank(rows, WORD_PRIME) == fp_rank(rows, WORD_PRIME) == bareiss(rows)
     # rows that are multiples of each other by huge and negative factors
     base = random_rows(rng, 1, 5)[0]
     rows = [base, [-(big + 3) * x for x in base], [(2**100) * x for x in base]]
-    assert rank_mod_p(rows, WORD_PRIME) == bareiss(rows) == 1
+    assert echelon_rank(rows, WORD_PRIME) == fp_rank(rows, WORD_PRIME) == bareiss(rows) == 1
 
 
 def test_rank_mod_p_sees_what_p_divides():
     # rank over Q is 2, but the second row vanishes mod p: a lower bound only
     rows = [[1, 0], [0, WORD_PRIME]]
     assert bareiss(rows) == 2
-    assert rank_mod_p(rows, WORD_PRIME) == 1
+    assert echelon_rank(rows, WORD_PRIME) == fp_rank(rows, WORD_PRIME) == 1
 
 
 def test_small_prime_matches_fp_ring():
@@ -88,22 +111,10 @@ def test_small_prime_matches_fp_ring():
     for p in (2, 3, 7, 65521):
         for _ in range(4):
             rows = random_rows(rng, 6, 8, 0, p - 1)
-            assert rank_mod_p(rows, p) == rank_exact(Matrix.from_rows(rows, fp(p)))
+            assert echelon_rank(rows, p) == rank_exact(Matrix.from_rows(rows, fp(p)))
 
 
-def test_rejects_non_integers_and_bad_moduli():
-    with pytest.raises(ValidationError, match="integer"):
-        rank_mod_p([[1, Fraction(1, 2)]], WORD_PRIME)
-    with pytest.raises(ValidationError, match="integer"):
-        rank_mod_p([[1, 2.5]], WORD_PRIME)
-    with pytest.raises(ValidationError, match="ragged"):
-        rank_mod_p([[1, 2], [3]], WORD_PRIME)
-    for p in (1, 4, 2**31 + 11, 2**61 - 1):
-        with pytest.raises(ValidationError, match="prime"):
-            rank_mod_p([[1]], p)
-
-
-# every small shipped cell, one trial each: the exact matrix secant_dimension ranks
+# every small shipped cell, one trial each: the matrix secant_dimension ranks
 TERRACINI_CELLS = [
     ("segre:2,2,2,2", 3),
     ("segre:3,3,3", 4),
@@ -120,8 +131,12 @@ TERRACINI_CELLS = [
 @pytest.mark.parametrize("variety,r", TERRACINI_CELLS, ids=lambda x: str(x))
 def test_terracini_matrices_agree(variety, r):
     spec = parse_variety(variety)
-    rows = terracini_rows(spec, r, seed=0, trial=0)
-    assert _Trial(spec, 0, 0).rank(r) == rank_mod_p(rows, WORD_PRIME) == bareiss(rows)
+    exact, rows = terracini_rows(spec, r, seed=0, trial=0)
+    rank = fp_rank(rows, WORD_PRIME)
+    assert _Trial(spec, 0, 0).rank(r) == rank
+    # the rank mod p bounds the rank over Q from below: a full one is exact
+    if rank < min(len(exact), len(exact[0])):
+        assert bareiss(exact) == rank
 
 
 @pytest.mark.parametrize("variety,r", TERRACINI_CELLS, ids=lambda x: str(x))
@@ -131,8 +146,8 @@ def test_incremental_trial_matches_from_scratch_rank_at_every_r(variety, r):
     for trial in range(3):
         state = _Trial(spec, 0, trial)
         for k in range(1, r + 1):
-            rows = terracini_rows(spec, k, seed=0, trial=trial)
-            assert state.rank(k) == rank_mod_p(rows, WORD_PRIME)
+            _, rows = terracini_rows(spec, k, seed=0, trial=trial)
+            assert state.rank(k) == fp_rank(rows, WORD_PRIME)
         assert state.ranks == [0] + [state.rank(k) for k in range(1, r + 1)]
 
 
@@ -151,14 +166,17 @@ def test_stopped_cell_is_the_maximum_over_full_trials(variety, r):
 
 def test_veronese_2_30_beyond_int64():
     # tangent rows of the degree-30 rational normal curve at the integer points
-    # (1, k): entries such as 30 k^29 exceed 2^63, so rank_mod_p reduces them
-    # as Python ints.  The r points are distinct, so Hermite interpolation
-    # gives the rank min(2r, 31) over Q, and p divides none of the minors.
+    # (1, k): exact entries such as 30 k^29 exceed 2^63, and the builder's
+    # residues must be theirs mod p.  The r points are distinct, so Hermite
+    # interpolation gives the rank min(2r, 31) over Q, and p divides none of
+    # the minors.
     spec = veronese(2, 30)
     for r in (8, 12, 16):
-        rows = [row for k in range(1, r + 1) for row in affine_tangent_basis(spec, [(1, k)])]
-        assert max(abs(x) for row in rows for x in row) >= 2**63
-        assert rank_mod_p(rows, WORD_PRIME) == bareiss(rows) == min(2 * r, 31)
+        exact = [row for k in range(1, r + 1) for row in exact_tangent_rows(spec, [(1, k)])]
+        assert max(abs(x) for row in exact for x in row) >= 2**63
+        rows = np.concatenate([affine_tangent_basis(spec, [(1, k)]) for k in range(1, r + 1)])
+        assert rows.tolist() == [[x % WORD_PRIME for x in row] for row in exact]
+        assert echelon_rank(rows, WORD_PRIME) == bareiss(exact) == min(2 * r, 31)
     # binary forms are never defective; the old [-10, 10] sampler reported
     # false defects at r = 12 and 16
     for r in (8, 12, 16):
@@ -166,7 +184,7 @@ def test_veronese_2_30_beyond_int64():
         assert report.computed_affine_dim == report.expected_affine_dim == min(2 * r, 31)
 
 
-# --- the growing echelon form: EchelonModP against rank_mod_p -------------------------
+# --- the growing echelon form: EchelonModP against F_p elimination -------------------
 
 @pytest.mark.parametrize("p", [2, 3, 101, WORD_PRIME])
 def test_echelon_blocks_match_rank_mod_p(p):
@@ -178,12 +196,12 @@ def test_echelon_blocks_match_rank_mod_p(p):
             echelon, start = EchelonModP(n, p), 0
             for size in blocks:
                 start += size
-                assert echelon.extend(rows[start - size : start]) == rank_mod_p(rows[:start], p)
+                assert echelon.extend(rows[start - size : start]) == fp_rank(rows[:start], p)
                 basis = echelon.basis.tolist()
                 assert all(0 <= x < p for row in basis for x in row)
                 # basis[:, pivots] is the identity
                 assert echelon.basis[:, echelon.pivots].tolist() == np.eye(echelon.rank, dtype=int).tolist()
-                assert rank_mod_p(basis + rows[:start], p) == echelon.rank
+                assert fp_rank(basis + rows[:start], p) == echelon.rank
 
 
 def test_echelon_limb_products_are_exact_near_p():

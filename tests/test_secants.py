@@ -2,20 +2,21 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tangent_oracle import exact_tangent_rows, power_coeff_vector
+from tensorlab import secants
 from tensorlab.errors import CapExceeded, ValidationError
-from tensorlab.linalg import Matrix, det_exact, rank_exact
+from tensorlab.linalg import WORD_PRIME, Matrix, _fp_eliminate, det_exact, rank_exact
 from tensorlab.ranks import sylvester_symmetric_rank_binary
 from tensorlab.secants import (
-    _power_coeff_vector,
     affine_tangent_basis,
     ambient_affine_dim,
     cone_dim,
     defect_scan,
     exponents,
     generic_rank,
-    multinomial,
     parse_variety,
     sample_params,
     secant_dimension,
@@ -34,6 +35,14 @@ def perm_sign(perm):
         if perm[i] > perm[j]:
             sign = -sign
     return sign
+
+
+def rank_mod_word_prime(rows):
+    return len(_fp_eliminate(np.asarray(rows).tolist(), WORD_PRIME)[0])
+
+
+def residues(rows):
+    return [[x % WORD_PRIME for x in row] for row in rows]
 
 
 def det_permutation_oracle(rows):
@@ -84,18 +93,15 @@ def test_ambient_and_cone_dims():
 def test_segre_tangent_at_unit_point():
     spec = segre((2, 2))
     basis = affine_tangent_basis(spec, [(1, 0), (1, 0)])
-    m = Matrix.from_rows([list(v) for v in basis])
-    assert rank_exact(m) == 3
+    assert rank_mod_word_prime(basis) == 3
     # span contains e1 x e1, e2 x e1, e1 x e2 but not e2 x e2
-    span_with_unit = Matrix.from_rows([list(v) for v in basis] + [[0, 0, 0, 1]])
-    assert rank_exact(span_with_unit) == 4
+    assert rank_mod_word_prime(basis.tolist() + [[0, 0, 0, 1]]) == 4
 
 
 def test_veronese_tangent_at_unit_point():
     basis = affine_tangent_basis(veronese(2, 2), [(1, 0)])
     # coordinates over monomials x^2, xy, y^2: span of {x^2, xy}
-    m = Matrix.from_rows([list(v) for v in basis])
-    assert rank_exact(m) == 2
+    assert rank_mod_word_prime(basis) == 2
     for v in basis:
         assert v[2] == 0
 
@@ -104,7 +110,7 @@ def test_segre_tangent_cone_dim_random():
     rng = random.Random(0)
     spec = segre((2, 2, 2))
     basis = affine_tangent_basis(spec, sample_params(spec, rng))
-    assert rank_exact(Matrix.from_rows([list(v) for v in basis])) == 4
+    assert rank_mod_word_prime(basis) == 4
 
 
 def old_segre_veronese_rows(spec, vectors):
@@ -117,10 +123,10 @@ def old_segre_veronese_rows(spec, vectors):
                 unit = tuple(1 if i == j else 0 for i in range(n))
                 parts = [unit if q == pos else v for q, v in enumerate(vectors)]
             elif spec.kind == "veronese":
-                parts = [_power_coeff_vector(vectors[0], d, exponents(n, d), drop=j)]
+                parts = [power_coeff_vector(vectors[0], d, exponents(n, d), drop=j)]
             else:
                 parts = [
-                    _power_coeff_vector(v, e, exponents(m, e), drop=j if q == pos else None)
+                    power_coeff_vector(v, e, exponents(m, e), drop=j if q == pos else None)
                     for q, (v, m, e) in enumerate(zip(vectors, spec.dims, degrees))
                 ]
             rows.append(rank_one(parts).data)
@@ -141,8 +147,8 @@ def test_segre_veronese_tangent_matches_rank_one_oracle(text):
         vectors = sample_params(spec, random.Random(seed))
         basis = affine_tangent_basis(spec, vectors)
         oracle = old_segre_veronese_rows(spec, vectors)
-        assert basis == oracle
-        assert all(type(x) is int for row in basis for x in row)
+        assert basis.dtype == np.int64
+        assert basis.tolist() == residues(oracle)
         assert len(basis) == sum(spec.dims)
 
 
@@ -151,15 +157,11 @@ def test_subspace_core_rows_match_rank_one_of_factor_columns():
     for seed in range(5):
         core, factors = sample_params(spec, random.Random(seed))
         basis = affine_tangent_basis(spec, (core, factors))
-        cols = [
-            [[f.entries[i * f.cols + j] for i in range(f.rows)] for j in range(f.cols)]
-            for f in factors
-        ]
         oracle = [
-            rank_one([cols[q][jq] for q, jq in enumerate(jidx)]).data
+            rank_one([f[:, jq].tolist() for f, jq in zip(factors, jidx)]).data
             for jidx in itertools.product(*(range(r) for r in spec.ranks))
         ]
-        assert basis[: len(oracle)] == oracle
+        assert basis[: len(oracle)].tolist() == residues(oracle)
 
 
 def test_tangent_rejects_zero_factor():
@@ -334,7 +336,7 @@ def test_terracini_rank_invariant_under_factor_basis_change():
     rows = []
     for pt in points:
         rows.extend(affine_tangent_basis(spec, pt))
-    base_rank = rank_exact(Matrix.from_rows([list(v) for v in rows]))
+    base_rank = rank_mod_word_prime(rows)
     # apply one invertible map per factor to every sampled point
     gs = []
     for _ in range(3):
@@ -343,11 +345,10 @@ def test_terracini_rank_invariant_under_factor_basis_change():
             if det_exact(g) != 0:
                 gs.append(g)
                 break
-    rows = []
-    for pt in points:
-        moved = [tuple(g.mul_vector(list(v))) for g, v in zip(gs, pt)]
-        rows.extend(affine_tangent_basis(spec, moved))
-    assert rank_exact(Matrix.from_rows([list(v) for v in rows])) == base_rank
+    moved = [[tuple(int(x) for x in g.mul_vector(list(v))) for g, v in zip(gs, pt)] for pt in points]
+    assert any(x < 0 for pt in moved for v in pt for x in v)  # the builder reduces these mod p
+    rows = [row for pt in moved for row in affine_tangent_basis(spec, pt)]
+    assert rank_mod_word_prime(rows) == base_rank
 
 
 def test_subspace_generic_rank_experiment_is_stable():
@@ -366,11 +367,34 @@ def test_ambient_cap():
         secant_dimension(segre((12, 12, 12, 12)), 1)
 
 
+def test_degree_cap(monkeypatch):
+    # one-variable factors keep the ambient dimension small at any degree
+    def no_points(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(secants, "sample_params", no_points)
+    for spec in (veronese(1, 3_000_000), segre_veronese((1, 2), (3_000_000, 1)), veronese(1, 20001)):
+        assert ambient_affine_dim(spec) <= 2
+        with pytest.raises(CapExceeded, match="degree"):
+            secant_dimension(spec, 1)
+        with pytest.raises(CapExceeded, match="degree"):
+            defect_scan([spec])
+
+
+def test_power_at_the_largest_admitted_degree():
+    # k!/alpha! from factorial tables mod p, not a factorial per coefficient
+    spec = veronese(2, 19999)
+    assert ambient_affine_dim(spec) == 20000
+    basis = affine_tangent_basis(spec, [(1, 1)])
+    assert basis[0, :3].tolist() == [1, 19998, 19998 * 19997 // 2]
+    assert secant_dimension(spec, 1, trials=1).computed_affine_dim == 2
+    assert secant_dimension(veronese(1, 20000), 1, trials=1).computed_affine_dim == 1
+
+
 def test_exponent_enumeration_order():
     assert exponents(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert exponents(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert len(exponents(3, 4)) == 15
-    assert multinomial(4, (2, 2, 0)) == 6
 
 
 def test_generic_rank_binary_forms_of_degree_30():
@@ -420,3 +444,34 @@ def test_defect_survey_shows_exactly_the_known_defects():
     assert {rep.variety for rep in reports} == set(SURVEY)
     found = {(rep.variety, rep.r): rep.defect for rep in reports if rep.defect}
     assert found == KNOWN_DEFECTS
+
+
+# the benchmark's other Terracini cells are in the survey
+BENCHMARK_VARIETIES = ["segre:5,5,5", "segre:9,9,9,9"]
+
+
+@pytest.mark.parametrize("text", SURVEY + BENCHMARK_VARIETIES)
+def test_tangent_rows_are_the_exact_rows_mod_p(text):
+    spec = parse_variety(text)
+    for seed in range(3):
+        params = sample_params(spec, random.Random(f"oracle:{seed}"))
+        basis = affine_tangent_basis(spec, params)
+        assert basis.dtype == np.int64
+        assert basis.tolist() == residues(exact_tangent_rows(spec, params))
+
+
+@pytest.mark.parametrize("text", ["segre:2,3", "veronese:3,4", "segver:2,2@2,1", "sub:3,3,3@1,2,2", "symsub:4@2,3"])
+def test_tangent_rows_reduce_coordinates_of_any_size_and_sign(text):
+    spec = parse_variety(text)
+    params = sample_params(spec, random.Random(text))
+    offset = -(2**70) * WORD_PRIME  # negative and beyond int64, zero mod p
+    if spec.kind == "subspace":
+        core, factors = params
+        moved = (np.asarray(core, dtype=object) + offset, [np.asarray(f, dtype=object) + offset for f in factors])
+    elif spec.kind == "sym_subspace":
+        moved = tuple(np.asarray(a, dtype=object) + offset for a in params)
+    else:
+        moved = [tuple(x + offset for x in v) for v in params]
+    basis = affine_tangent_basis(spec, moved)
+    assert basis.tolist() == affine_tangent_basis(spec, params).tolist()
+    assert basis.tolist() == residues(exact_tangent_rows(spec, moved))
