@@ -23,6 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from . import __version__, decomp, kronecker, matchgate, minrank, ranks, rings, secants, tensors
 from .errors import CapExceeded, TensorlabError, ValidationError
 
@@ -474,7 +476,7 @@ def _run_matchgate(config: ExperimentConfig) -> list[dict]:
                     "signature": json.loads(sv.to_json()),
                 }
             ]
-        orient = matchgate.pfaffian_orientation_search(g)  # checks the edge cap, then counts
+        orient = matchgate.pfaffian_orientation_search(g)  # checks the work cap, then counts
         return [
             {
                 "mode": "matchings",
@@ -509,7 +511,7 @@ def _run_matchgate(config: ExperimentConfig) -> list[dict]:
             }
         ]
     residuals = matchgate.mgi_residuals(sv)
-    nonzero = sum(1 for x in residuals if x != 0)
+    nonzero = int(np.count_nonzero(residuals))
     return [
         {
             "mode": "mgi",

@@ -7,12 +7,22 @@ matching count, and the orientation search finds the first such vector.
 Since Pf(DAD) = det(D) Pf(A) for a diagonal sign matrix D, it evaluates one
 sign vector per coset of the cut space over F_2, the smallest, read off an
 echelon cut basis with pivots at the most significant bits; the answer is
-the one a scan of all 2^E sign vectors would give.
+the one a scan of all 2^E sign vectors would give.  The graph's perfect
+matchings are enumerated once with their signed weights, and a block of
+coset codes gets its Pfaffians as a +-1 parity matrix times that weight
+vector.
+
+The two hot kernels work on whole numpy arrays in blocks of at most
+BLOCK_ENTRIES entries, so their temporaries stay bounded: the orientation
+search's (code, matching) parities, and the matchgate identities'
+(difference pattern, alpha) residual grid, whose blocks fill the one int64
+or object array that `mgi_residuals` returns.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -24,8 +34,9 @@ from .errors import CapExceeded, ValidationError
 from .rings import RATIONAL, Ring
 
 MATCHING_NODE_CAP = 16
-ORIENTATION_EDGE_CAP = 20
+ORIENTATION_WORK_CAP = 10**8  # (coset, matching) pairs at ~42 ns each: about 4 s
 MGI_WIRE_CAP = 10
+BLOCK_ENTRIES = 1 << 14  # entries per block of the whole-array kernels
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,12 @@ def complete_bipartite(m: int, n: int, weight=1, ring: Ring = RATIONAL) -> Weigh
 
 def count_matchings(g: WeightedGraph):
     """Sum over perfect matchings of the product of matched edge weights."""
+    return _matching_sum(g)
+
+
+def _matching_sum(g: WeightedGraph):
+    # the orientation search counts unit-weight matchings for its work
+    # estimate here, so `count_matchings` runs once per search
     if g.nodes > MATCHING_NODE_CAP:
         raise CapExceeded(f"matching count capped at {MATCHING_NODE_CAP} nodes")
     if g.nodes % 2 == 1:
@@ -283,6 +300,47 @@ def _cut_pivots(g: WeightedGraph) -> int:
     return sum(1 << (length - 1) for length in basis)
 
 
+def _signed_matchings(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every perfect matching of g as (edge-code mask, signed weight).
+
+    The mask has bit E-1-b for each matched edge b, as a sign code does.
+    The weight is the matching's term in the Pfaffian of the all-plus skew
+    matrix: the first-row expansion pairs the lowest unmatched vertex with
+    the t-th of the others at sign (-1)^t, so the terms sum to `pfaffian`.
+    """
+    n_edges = len(g.edges)
+    edge = {(i, j): (1 << (n_edges - 1 - b), w) for b, (i, j, w) in enumerate(g.edges)}
+    masks, weights = [], []
+
+    def extend(unmatched: tuple, mask: int, weight):
+        if not unmatched:
+            masks.append(mask)
+            weights.append(rings.reduce(weight, g.ring))
+            return
+        first, rest = unmatched[0], unmatched[1:]
+        for t, j in enumerate(rest):
+            hit = edge.get((first, j))
+            if hit is not None:
+                term = weight * hit[1]
+                extend(rest[:t] + rest[t + 1 :], mask | hit[0], term if t % 2 == 0 else -term)
+
+    extend(tuple(range(g.nodes)), 0, rings.one(g.ring))
+    return np.array(masks, dtype=np.int64), np.array(weights, dtype=object)
+
+
+def _block_pfaffians(codes: np.ndarray, masks: np.ndarray, weights: np.ndarray, ring: Ring) -> np.ndarray:
+    """Pfaffians of the signed skew matrices of a block of sign codes.
+
+    Code c negates a matching's term once per minus-signed matched edge,
+    so Pf(c) = sum_m (-1)^|c & mask_m| weight_m: a +-1 parity matrix times
+    the object weight vector, exact over Q and F_p.
+    """
+    parity = codes[:, None] & masks[None, :]
+    for shift in (32, 16, 8, 4, 2, 1):  # fold every bit onto bit 0
+        parity ^= parity >> shift
+    return rings.reduce((1 - 2 * (parity & 1)) @ weights, ring)
+
+
 def pfaffian_orientation_search(g: WeightedGraph) -> OrientationResult:
     """First edge-sign vector (lexicographic, +1 before -1) whose signed
     skew matrix has |Pf| equal to the matching count; None if all fail.
@@ -301,29 +359,54 @@ def pfaffian_orientation_search(g: WeightedGraph) -> OrientationResult:
     one that hits is the first code the full 2^E scan would hit, so `signs`
     and `candidates_tried` (that code + 1, or 2^E on no hit) are unchanged,
     while only 2^(E-V+c) Pfaffians are evaluated for c components.
+
+    The work, cosets x perfect matchings (at least one per coset), is
+    checked against ORIENTATION_WORK_CAP before any matching is enumerated
+    or any Pfaffian evaluated; under the cap E <= 15 + log2(cap) < 63, so
+    codes and masks fit in int64.  The matchings are then enumerated once
+    with their signed weights, and the coset codes go to
+    `_block_pfaffians` in increasing order, in blocks of at most
+    BLOCK_ENTRIES (code, matching) pairs; the search stops at the first
+    block with a hit.
     """
     n_edges = len(g.edges)
-    if n_edges > ORIENTATION_EDGE_CAP:
-        raise CapExceeded(f"orientation search capped at {ORIENTATION_EDGE_CAP} edges")
-    target = count_matchings(g)
-    neg_target = rings.reduce(-target, g.ring)
     free = (1 << n_edges) - 1 - _cut_pivots(g)
-    code = 0
-    while True:
-        signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
-        pf = pfaffian(g.skew_matrix(signs))
-        if pf == target or pf == neg_target:
-            return OrientationResult(signs, code + 1, target)
-        code = (code - free) & free  # the next larger code that is zero at every pivot
-        if not code:
-            return OrientationResult(None, 2**n_edges, target)
+    positions = [b for b in range(n_edges) if free >> b & 1]
+    unit = WeightedGraph(g.nodes, tuple((i, j, 1) for i, j, _ in g.edges))
+    cosets, per_coset = 2 ** len(positions), max(_matching_sum(unit), 1)
+    work = cosets * per_coset
+    if work > ORIENTATION_WORK_CAP:
+        raise CapExceeded(
+            f"orientation search estimated at {work} Pfaffian terms "
+            f"(2^{len(positions)} cosets x {per_coset} matchings), over the cap of {ORIENTATION_WORK_CAP}"
+        )
+    target = count = count_matchings(g)
+    masks, weights = _signed_matchings(g)
+    if g.ring.kind == "rational":  # cleared denominators: int sums cost ~1/100 of Fraction sums
+        scale = math.lcm(*(w.denominator for w in weights))
+        weights = np.array([int(w * scale) for w in weights], dtype=object)
+        target = target * scale
+    neg_target = rings.reduce(-target, g.ring)
+    step = max(1, BLOCK_ENTRIES // per_coset)
+    for start in range(0, cosets, step):
+        index = np.arange(start, min(start + step, cosets), dtype=np.int64)
+        codes = np.zeros_like(index)
+        for i, pos in enumerate(positions):  # deposit index bit i at free position i
+            codes |= (index >> i & 1) << pos
+        pf = _block_pfaffians(codes, masks, weights, g.ring)
+        hits = np.flatnonzero((pf == target) | (pf == neg_target))
+        if len(hits):
+            code = int(codes[hits[0]])
+            signs = tuple(-1 if code >> (n_edges - 1 - b) & 1 else 1 for b in range(n_edges))
+            return OrientationResult(signs, code + 1, count)
+    return OrientationResult(None, 2**n_edges, count)
 
 
 # ---------------------------------------------------------------------------
 # matchgate identities
 # ---------------------------------------------------------------------------
 
-def mgi_residuals(s: SignatureVector) -> list:
+def mgi_residuals(s: SignatureVector) -> np.ndarray:
     """Residuals of the Pfaffian bilinear identities on a binary signature.
 
     For every pattern pair (alpha, beta), with p_1 < ... < p_l the positions
@@ -333,14 +416,17 @@ def mgi_residuals(s: SignatureVector) -> list:
     empirically by the test suite against random skew matrices, since it is
     the package's operational definition of the identities.
 
-    The sums run per difference pattern d = alpha ^ beta, as array
-    operations over every alpha whose top bit of d is clear (those are the
-    pairs with alpha < beta), flipping bits in increasing order.  Python int
-    entries go in int64 when wires * max|s|^2 < 2^63, so no partial sum can
-    overflow; any other entries go in an object array, so their own
-    operators run in the same order as a scalar loop.  The result lists the
-    residuals in (alpha, beta) order with alpha < beta, with the types that
-    loop would give.
+    The sums run at once for every difference pattern d = alpha ^ beta with
+    top bit h, on the (d, alpha) grid of every alpha with bit h clear (the
+    pairs with alpha < beta), in row blocks of at most BLOCK_ENTRIES pairs.
+    For each bit position in increasing order, the rows whose d has that
+    bit add their term if an even number of lower bits of d are set and
+    subtract it otherwise: the scalar loop's operations, in its order.
+    Python int entries go in int64 when wires * max|s|^2 < 2^63, so no
+    partial sum can overflow; any other entries go in an object array, so
+    their own operators give the loop's values and types.  The result is
+    one array of the residuals in (alpha, beta) order with alpha < beta,
+    int64 or object: `.tolist()` is the loop's list.
     """
     if s.arity != 2:
         raise ValidationError("matchgate identities apply to binary wires")
@@ -351,25 +437,28 @@ def mgi_residuals(s: SignatureVector) -> list:
         sig = np.array(s.entries, dtype=np.int64)
     else:
         sig = np.array(s.entries, dtype=object)
-    out = [None] * (n * (n - 1) // 2)
+    out = np.empty(n * (n - 1) // 2, dtype=sig.dtype)
     alphas = np.arange(n)
     # floats overflow to inf silently, as they do in scalar arithmetic
     with np.errstate(all="ignore"):
-        for diff in range(1, n):
-            alpha = alphas[alphas & (1 << (diff.bit_length() - 1)) == 0]
-            beta = alpha ^ diff
-            total = np.full(len(alpha), rings.zero(s.ring), dtype=sig.dtype)
-            sign = 1
-            for pos in range(diff.bit_length()):
-                if diff >> pos & 1:
+        for h in range(s.wires):
+            alpha = alphas[alphas & (1 << h) == 0]
+            step = max(1, BLOCK_ENTRIES // len(alpha))
+            for start in range(1 << h, 2 << h, step):
+                diff = np.arange(start, min(start + step, 2 << h))
+                beta = alpha ^ diff[:, None]
+                total = np.full(beta.shape, rings.zero(s.ring), dtype=sig.dtype)
+                odd = np.zeros(len(diff), dtype=bool)  # an odd number of lower bits of d
+                for pos in range(h + 1):
                     bit = 1 << pos
-                    term = sig[alpha ^ bit] * sig[beta ^ bit]
-                    total = total + term if sign > 0 else total - term
-                    sign = -sign
-            # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
-            index = alpha * (2 * n - alpha - 3) // 2 + beta - 1
-            for i, value in zip(index.tolist(), rings.reduce(total, s.ring).tolist()):
-                out[i] = value
+                    has = diff & bit != 0
+                    left = sig[alpha ^ bit]
+                    plus, minus = np.flatnonzero(has & ~odd), np.flatnonzero(has & odd)
+                    total[plus] = total[plus] + left * sig[beta[plus] ^ bit]
+                    total[minus] = total[minus] - left * sig[beta[minus] ^ bit]
+                    odd ^= has
+                # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
+                out[alpha * (2 * n - alpha - 3) // 2 + beta - 1] = rings.reduce(total, s.ring)
     return out
 
 

@@ -160,13 +160,27 @@ def parse_variety(text: str) -> VarietySpec:
 # ---------------------------------------------------------------------------
 
 def exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Degree-d exponent tuples in nvars variables, lex-descending."""
+    """Degree-d exponent tuples in nvars variables, lex-descending.
+
+    The successor of e takes one unit from its last nonzero entry before
+    the final one, at i, and moves it, with the whole final entry, to i + 1.
+    """
     if nvars == 1:
         return [(degree,)]
-    out = []
-    for e in range(degree, -1, -1):
-        out.extend((e,) + tail for tail in exponents(nvars - 1, degree - e))
-    return out
+    if degree < 0:
+        return []
+    e = [degree] + [0] * (nvars - 1)
+    out = [tuple(e)]
+    while True:
+        i = nvars - 2
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:
+            return out
+        tail, e[-1] = e[-1], 0
+        e[i] -= 1
+        e[i + 1] = tail + 1
+        out.append(tuple(e))
 
 
 def sym_dim(n: int, d: int) -> int:

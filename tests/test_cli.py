@@ -157,6 +157,12 @@ def test_terracini_degree_cap_exit_code(capsys):
         assert "degree 3000000 exceeds the cap 20000" in capsys.readouterr().err
 
 
+def test_one_factor_segre_beyond_the_recursion_limit(capsys):
+    # exponents() once recursed per variable: 1200 variables raised RecursionError
+    assert cli.main(["terracini", "--variety", "segre:1200", "--r", "1", "--trials", "1"]) == 0
+    assert '"computed_affine_dim": 1200' in capsys.readouterr().out
+
+
 def test_main_validation_exit_code(capsys):
     assert cli.main(["terracini", "--variety", "nope:1"]) == 2
     capsys.readouterr()
@@ -310,11 +316,31 @@ def test_matchgate_counts_once_and_checks_the_edge_cap_first(tmp_path, monkeypat
     assert cli.main(["matchgate", "--graph", str(k4)]) == 0
     assert calls == [4]
     k8 = tmp_path / "k8.graph"
-    k8.write_text(dumps_graph(complete_graph(8)))  # 28 edges, over the 20-edge cap
+    k8.write_text(dumps_graph(complete_graph(8)))  # 2^21 cosets x 105 matchings, over the work cap
     capsys.readouterr()
+    started = time.perf_counter()
     assert cli.main(["matchgate", "--graph", str(k8)]) == 3
-    assert "capped at 20 edges" in capsys.readouterr().err
+    assert time.perf_counter() - started < 1
+    assert "estimated at 220200960 Pfaffian terms (2^21 cosets x 105 matchings), over the cap of" in (
+        capsys.readouterr().err
+    )
     assert calls == [4]
+
+
+def test_orientation_work_cap_admits_the_grid_and_refuses_before_any_pfaffian(tmp_path, monkeypatch, capsys):
+    grid = tmp_path / "grid.graph"  # 4 x 4 grid: 24 edges, 2^9 cosets x 36 matchings
+    grid.write_text(dumps_graph(matchgate.WeightedGraph.build(
+        16, [(v, v + d, 1) for v in range(16) for d in (1, 4) if v + d < 16 and (d == 4 or v % 4 < 3)])))
+    assert cli.main(["matchgate", "--graph", str(grid)]) == 0
+    orientation = json.loads(capsys.readouterr().out)["payload"]["orientation"]
+    assert orientation["found"] is True and orientation["candidates_tried"] == 86024
+    work = []
+    for name in ("_signed_matchings", "_block_pfaffians"):
+        monkeypatch.setattr(matchgate, name, lambda *args, name=name: work.append(name))
+    k8 = tmp_path / "k8.graph"
+    k8.write_text(dumps_graph(complete_graph(8)))
+    assert cli.main(["matchgate", "--graph", str(k8)]) == 3
+    assert work == []
 
 
 def test_subpfaffian_checks_the_node_cap_before_any_pfaffian(tmp_path, monkeypatch, capsys):
@@ -350,6 +376,12 @@ def test_matchgate_signature_modes(tmp_path):
     nae.write_text(json.dumps(["0", "1", "1", "1", "1", "1", "1", "0"]))
     payload = run(parse_config(["matchgate", "--signature", str(nae)]))[0].payload
     assert payload["satisfies_identities"] is False
+    assert payload["relations"] == 28 and payload["nonzero_residuals"] == 8
+
+    first = tmp_path / "first.json"  # only the first relation, s[1] s[0], is violated
+    first.write_text(json.dumps(["1", "1", "0", "0"]))
+    payload = run(parse_config(["matchgate", "--signature", str(first)]))[0].payload
+    assert payload["relations"] == 6 and payload["nonzero_residuals"] == 1
 
     payload = run(
         parse_config(

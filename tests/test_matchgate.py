@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorlab import matchgate, rings
@@ -243,8 +244,11 @@ def test_orientation_search_single_edge():
 
 
 def test_orientation_search_cap():
-    with pytest.raises(CapExceeded):
-        pfaffian_orientation_search(complete_graph(7))  # 21 edges
+    # K8: 2^21 cosets x 105 matchings; K7 (21 edges) has no perfect matching,
+    # so it costs one term per coset, and its first code hits
+    with pytest.raises(CapExceeded, match=r"220200960 Pfaffian terms .* over the cap of 100000000"):
+        pfaffian_orientation_search(complete_graph(8))
+    assert pfaffian_orientation_search(complete_graph(7)) == OrientationResult((1,) * 21, 1, 0)
 
 
 def signed_matchings(g):
@@ -321,6 +325,42 @@ def random_graph(rng):
     )
 
 
+def per_coset_search(g):
+    """The per-coset loop the block search replaced: one SkewMatrix and one
+    first-row Pfaffian per coset minimum, in increasing code order."""
+    n_edges = len(g.edges)
+    target = count_matchings(g)
+    neg_target = rings.reduce(-target, g.ring)
+    free = (1 << n_edges) - 1 - matchgate._cut_pivots(g)
+    code = 0
+    while True:
+        signs = tuple(1 if not (code >> (n_edges - 1 - b)) & 1 else -1 for b in range(n_edges))
+        pf = pfaffian(g.skew_matrix(signs))
+        if pf == target or pf == neg_target:
+            return OrientationResult(signs, code + 1, target)
+        code = (code - free) & free  # the next larger code that is zero at every pivot
+        if not code:
+            return OrientationResult(None, 2**n_edges, target)
+
+
+GRID = WeightedGraph.build(  # the 4 x 4 grid: 24 edges, 2^9 cosets, 36 matchings
+    16, [(v, v + d, 1) for v in range(16) for d in (1, 4) if v + d < 16 and (d == 4 or v % 4 < 3)]
+)
+
+
+def test_coset_search_matches_the_per_coset_loop_on_the_grid():
+    # a 2^24 scan is out of reach; the per-coset loop was checked against it
+    rng = random.Random(16)
+    weighted = WeightedGraph.build(16, [(i, j, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+                                        for i, j, _ in GRID.edges])
+    over_f5 = WeightedGraph.build(16, [(i, j, rng.randrange(1, 5)) for i, j, _ in GRID.edges], fp(5))
+    for g in (GRID, weighted, over_f5):
+        res = pfaffian_orientation_search(g)
+        assert res == per_coset_search(g)
+        assert res.found
+    assert pfaffian_orientation_search(GRID).candidates_tried == 86024
+
+
 def test_coset_search_matches_exhaustive_search():
     rng = random.Random(2008)
     k4 = complete_graph(4)
@@ -344,7 +384,31 @@ def test_coset_search_matches_exhaustive_search():
         for code in (0, rng.randrange(2 ** len(g.edges))):  # the reference's Pfaffian
             signs = [-1 if code >> (len(g.edges) - 1 - b) & 1 else 1 for b in range(len(g.edges))]
             assert pfaffian(g.skew_matrix(signs)) == matching_pfaffian(terms, code, g.ring), name
-        assert pfaffian_orientation_search(g) == exhaustive_search(g), name
+        expected = exhaustive_search(g)
+        assert pfaffian_orientation_search(g) == expected == per_coset_search(g), name
+
+
+def test_signed_matchings_are_the_pfaffian_terms():
+    rng = random.Random(2009)
+    for g in [complete_graph(4), complete_bipartite(3, 3), complete_graph(6), CUBE, complete_graph(5)] + [
+        random_graph(rng) for _ in range(10)
+    ]:
+        masks, weights = matchgate._signed_matchings(g)
+        assert sorted(zip(masks.tolist(), weights.tolist())) == sorted(signed_matchings(g))
+
+
+def test_block_pfaffians_fold_every_code_bit():
+    # K10 less five edges: 40 edges, so sign codes reach past bit 32
+    rng = random.Random(40)
+    dropped = {(0, 1), (2, 5), (3, 9), (4, 7), (6, 8)}
+    g = WeightedGraph.build(10, [(i, j, rng.randint(1, 5)) for i, j, _ in complete_graph(10).edges
+                                 if (i, j) not in dropped])
+    masks, weights = matchgate._signed_matchings(g)
+    codes = [(1 << 40) - 1, 1 << 39, 1 << 32 | 1] + [rng.getrandbits(40) for _ in range(5)]
+    pfs = matchgate._block_pfaffians(np.array(codes, dtype=np.int64), masks, weights, RATIONAL)
+    for code, pf in zip(codes, pfs.tolist()):
+        signs = [-1 if code >> (39 - b) & 1 else 1 for b in range(40)]
+        assert pf == pfaffian(g.skew_matrix(signs))
 
 
 @pytest.mark.parametrize(
@@ -354,11 +418,30 @@ def test_coset_search_matches_exhaustive_search():
 )
 def test_coset_search_evaluates_one_pfaffian_per_coset(g, pfaffians, monkeypatch):
     # no hit, so every coset is tried: 2^(E - V + 1) for a connected graph
-    calls = []
-    monkeypatch.setattr(matchgate, "pfaffian", lambda a: calls.append(a) or pfaffian(a))
+    codes = []
+    block = matchgate._block_pfaffians
+    monkeypatch.setattr(matchgate, "_block_pfaffians", lambda c, *rest: codes.extend(c.tolist()) or block(c, *rest))
     res = pfaffian_orientation_search(g)
     assert not res.found and res.candidates_tried == 2 ** len(g.edges)
-    assert len(calls) == pfaffians == 2 ** (len(g.edges) - g.nodes + 1)
+    assert len(codes) == len(set(codes)) == pfaffians == 2 ** (len(g.edges) - g.nodes + 1)
+    assert codes == sorted(codes)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100, 1 << 14])
+def test_coset_search_blocks_keep_the_answer(entries, monkeypatch):
+    # blocks of one code up to every code at once give the same first hit
+    monkeypatch.setattr(matchgate, "BLOCK_ENTRIES", entries)
+    for g in (complete_bipartite(3, 3), CUBE, GRID):
+        assert pfaffian_orientation_search(g) == per_coset_search(g)
+
+
+def test_found_early_search_evaluates_one_block(monkeypatch):
+    blocks = []
+    block = matchgate._block_pfaffians
+    monkeypatch.setattr(matchgate, "_block_pfaffians", lambda c, *rest: blocks.append(len(c)) or block(c, *rest))
+    res = pfaffian_orientation_search(CUBE)  # 2^5 cosets x 9 matchings, found at code 78
+    assert res.found and res.candidates_tried == 79
+    assert blocks == [32]
 
 
 # --- matchgate identities --------------------------------------------------------------
@@ -434,33 +517,61 @@ def typed(values):
 
 
 def mgi_cases():
+    """(name, signature, the dtype mgi_residuals must return)."""
     rng = random.Random("mgi:differential")
     edge = math.isqrt((2**63 - 1) // 4)  # the largest entry of the 4-wire int64 path
-    yield "q-pfaffian", sub_pfaffian_vector(random_skew(6, rng, -5, 5))
-    yield "q-random", SignatureVector(5, tuple(rng.randint(-9, 9) for _ in range(32)))
-    yield "q-int64-edge", SignatureVector(4, tuple(rng.choice((edge, -edge, 1)) for _ in range(16)))
+    yield "q-pfaffian", sub_pfaffian_vector(random_skew(6, rng, -5, 5)), np.int64
+    yield "q-random", SignatureVector(5, tuple(rng.randint(-9, 9) for _ in range(32))), np.int64
+    yield "q-int64-edge", SignatureVector(4, tuple(rng.choice((edge, -edge, 1)) for _ in range(16))), np.int64
+    edge8 = math.isqrt((2**63 - 1) // 8)  # and of the 8-wire path
+    yield "q-int64-edge-8", SignatureVector(8, tuple(rng.choice((edge8, -edge8, 1)) for _ in range(256))), np.int64
+    yield "q-past-int64-8", SignatureVector(8, tuple(rng.choice((edge8 + 1, -1)) for _ in range(256))), object
     # 4 (2^31 + 1)^2 > 2^63: same-sign terms of these entries overflow int64
     past = 2**31 + 1
-    yield "q-past-int64", SignatureVector(4, tuple(rng.choice((past, -past, 3)) for _ in range(16)))
-    yield "q-huge", SignatureVector(4, tuple(rng.randint(-(2**70), 2**70) for _ in range(16)))
+    yield "q-past-int64", SignatureVector(4, tuple(rng.choice((past, -past, 3)) for _ in range(16))), object
+    yield "q-huge", SignatureVector(4, tuple(rng.randint(-(2**70), 2**70) for _ in range(16))), object
     frac_skew = SkewMatrix.from_upper(
         5, {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for i in range(5) for j in range(i + 1, 5)}
     )
-    yield "q-fraction-pfaffian", sub_pfaffian_vector(frac_skew)
+    yield "q-fraction-pfaffian", sub_pfaffian_vector(frac_skew), object
     yield "q-fraction-mixed", SignatureVector(
         4, tuple(rng.choice((Fraction(rng.randint(-4, 4), 3), rng.randint(-4, 4))) for _ in range(16))
-    )
+    ), object
     for p in (2, 7, 65521):
-        yield f"fp{p}", SignatureVector(5, tuple(rng.randrange(p) for _ in range(32)), fp(p))
+        yield f"fp{p}", SignatureVector(5, tuple(rng.randrange(p) for _ in range(32)), fp(p)), np.int64
     # the float ring's zero is 0.0, so even int entries give float residuals
     floats = (0.0, -0.0, 0.5, -1.25, 1e300, 2, 3)
-    yield "float", SignatureVector(5, tuple(rng.choice(floats) for _ in range(32)), FLOAT)
+    yield "float", SignatureVector(5, tuple(rng.choice(floats) for _ in range(32)), FLOAT), object
+    for wires in range(6, 9):
+        yield f"q-pfaffian-{wires}", sub_pfaffian_vector(random_skew(wires, rng, -5, 5)), np.int64
+    yield "q-fraction-7", SignatureVector(
+        7, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(128))
+    ), object
+    yield "float-6", SignatureVector(6, tuple(rng.choice(floats) for _ in range(64)), FLOAT), object
+
+
+MGI_CASES = [pytest.param(sv, dtype, id=name) for name, sv, dtype in mgi_cases()]
 
 
 @pytest.mark.filterwarnings("error")  # float overflow to inf is silent in the loop too
-@pytest.mark.parametrize("sv", [pytest.param(sv, id=name) for name, sv in mgi_cases()])
-def test_mgi_residuals_match_the_scalar_loop_value_and_type(sv):
-    assert typed(mgi_residuals(sv)) == typed(mgi_residuals_loop(sv))
+@pytest.mark.parametrize("sv, dtype", MGI_CASES)
+def test_mgi_residuals_match_the_scalar_loop_value_and_type(sv, dtype):
+    residuals = mgi_residuals(sv)
+    assert residuals.dtype == dtype
+    assert typed(residuals.tolist()) == typed(mgi_residuals_loop(sv))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries", [5, 64])
+@pytest.mark.parametrize("sv, dtype", MGI_CASES)
+def test_mgi_residuals_in_small_blocks_match_the_scalar_loop(sv, dtype, entries, monkeypatch):
+    # a block holds max(1, entries // 2^(w-1)) difference patterns: at 5 entries
+    # one pattern per block, at 64 entries 8 patterns for w = 4, 2 for w = 6,
+    # and one for w = 8, so every top bit from 3 up spans several blocks
+    monkeypatch.setattr(matchgate, "BLOCK_ENTRIES", entries)
+    residuals = mgi_residuals(sv)
+    assert residuals.dtype == dtype
+    assert typed(residuals.tolist()) == typed(mgi_residuals_loop(sv))
 
 
 def test_mgi_wire_cap():

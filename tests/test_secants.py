@@ -397,6 +397,28 @@ def test_exponent_enumeration_order():
     assert len(exponents(3, 4)) == 15
 
 
+def exponents_recursive(nvars, degree):
+    """The recursion, one level per variable, that `exponents` replaced."""
+    if nvars == 1:
+        return [(degree,)]
+    out = []
+    for e in range(degree, -1, -1):
+        out.extend((e,) + tail for tail in exponents_recursive(nvars - 1, degree - e))
+    return out
+
+
+def test_exponents_match_the_recursive_enumeration():
+    for n in range(1, 7):
+        for k in range(6):
+            assert exponents(n, k) == exponents_recursive(n, k), (n, k)
+
+
+def test_exponents_do_not_recurse_per_variable():
+    # past Python's default recursion limit of 1000
+    exps = exponents(1500, 1)
+    assert len(exps) == 1500 and exps[0][0] == 1 and exps[-1][-1] == 1
+
+
 def test_generic_rank_binary_forms_of_degree_30():
     # the old [-10, 10] sampler drew proportional points here and reported 17
     for seed in range(10):
