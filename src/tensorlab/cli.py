@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -256,8 +256,6 @@ def _run_terracini(config: ExperimentConfig) -> Iterable[dict]:
         ]
     if params.get("scan") or params.get("r_max") is not None:
         r_max = None if params.get("r_max") is None else _require(params, "r_max", int)
-        if r_max is not None and r_max < 1:
-            raise ValidationError("r_max must be >= 1")
         return _terracini_scan(config, spec, trials, r_max)
     r = _require(params, "r", int)
     return [secants.secant_dimension(spec, r, trials=trials, seed=config.seed).as_dict()]
@@ -266,46 +264,27 @@ def _run_terracini(config: ExperimentConfig) -> Iterable[dict]:
 def _terracini_scan(
     config: ExperimentConfig, spec, trials: int, r_max: Optional[int]
 ) -> Iterator[dict]:
-    """Yield the report of each cell r = 1, 2, ... as soon as it is computed,
-    skipping cells already in the output file, until saturation or r_max.
-    The cells share one state per trial, so each cell adds one point to it."""
-    done = _completed_scan_cells(config)
-    ambient = secants.ambient_affine_dim(spec)
-    states: dict = {}
-    r = 1
-    while r_max is None or r <= r_max:
-        key = (str(spec), r, config.seed, trials, __version__)
-        if key in done:
-            computed = done[key]
-        else:
-            rep = secants.secant_dimension(spec, r, trials=trials, seed=config.seed, states=states)
-            computed = rep.computed_affine_dim
-            yield rep.as_dict()
-        if computed == ambient:
-            break
-        r += 1
+    """Yield the report of each cell of secants.scan as soon as it is
+    computed; cells already in the output file under this config are known
+    to the scan, which skips them."""
+    known = _completed_scan_cells(config, (str(spec), config.seed, trials, __version__))
+    for report in secants.scan(spec, trials, config.seed, r_max, known):
+        yield report.as_dict()
 
 
-def _completed_scan_cells(config: ExperimentConfig) -> dict:
-    """(variety, r, seed, trials, version) -> computed dim for cells already
-    in the output file; a cell computed under another config is not reused."""
-    done: dict = {}
-    if not config.output:
+def _completed_scan_cells(config: ExperimentConfig, key: tuple) -> dict[int, int]:
+    """r -> computed dim for the cells already in the output file whose
+    (variety, seed, trials, version) is key; a cell computed under another
+    config is not reused."""
+    done: dict[int, int] = {}
+    if not config.output or not Path(config.output).exists():
         return done
-    path = Path(config.output)
-    if not path.exists():
-        return done
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in Path(config.output).read_text().splitlines():
         try:
             rec = json.loads(line)
-            if not isinstance(rec, dict):
-                continue
-            payload = rec.get("payload", {})
-            key = (payload["variety"], payload["r"], rec["seed"], payload["trials"], rec["version"])
-            done[key] = payload["computed_affine_dim"]
+            payload = rec["payload"]
+            if (payload["variety"], rec["seed"], payload["trials"], rec["version"]) == key:
+                done[payload["r"]] = payload["computed_affine_dim"]
         except (json.JSONDecodeError, KeyError, TypeError):
             continue
     return done
@@ -485,7 +464,7 @@ def _run_matchgate(config: ExperimentConfig) -> list[dict]:
                 "matchings": jsonable(orient.matchings),
                 "orientation": {
                     "found": orient.found,
-                    "signs": list(orient.signs) if orient.signs else None,
+                    "signs": list(orient.signs) if orient.signs is not None else None,
                     "candidates_tried": orient.candidates_tried,
                 },
             }
@@ -647,16 +626,7 @@ def _tabulate(records: list[ResultRecord]):
         payload = records[0].payload
         return payload["table"], payload.get("columns") or sorted(payload["table"][0])
     if records and all("variety" in r.payload and "r" in r.payload for r in records):
-        cols = [
-            "variety",
-            "r",
-            "ambient_affine_dim",
-            "computed_affine_dim",
-            "expected_affine_dim",
-            "defect",
-            "trials",
-        ]
-        return [r.payload for r in records], cols
+        return [r.payload for r in records], [f.name for f in fields(secants.SecantReport)]
     return [r.payload for r in records], None
 
 

@@ -214,17 +214,12 @@ def gross_check(t: DenseTensor, d: Decomposition) -> GrossReport:
             scalars.append(lam)
         proportional[(k, l)] = scalars
 
-    # normalize: express every factor against factor 0 of its summand
-    certificates = []
-    for i, summand in enumerate(d.summands):
-        lams = [rings.one(d.ring)]
-        for k in range(1, order):
-            lam = _proportionality_scalar(summand[0], summand[k], d.ring)
-            if lam is None:
-                raise TensorlabError("pairwise proportionality failed to chain")
-            lams.append(lam)
-        certificates.append(tuple(lams))
-    return GrossReport(independence, True, True, tuple(certificates))
+    # every factor against factor 0 of its summand: the pairs (0, k) above
+    certificates = tuple(
+        (rings.one(d.ring),) + tuple(proportional[(0, k)][i] for k in range(1, order))
+        for i in range(r)
+    )
+    return GrossReport(independence, True, True, certificates)
 
 
 def gross_minimality_check(t: DenseTensor, d: Decomposition) -> bool:

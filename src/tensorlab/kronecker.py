@@ -176,15 +176,13 @@ def _character_row(parts: tuple[int, ...]) -> tuple[int, ...]:
 # Kronecker coefficients
 # ---------------------------------------------------------------------------
 
-def kronecker_coefficient(
-    lam: Partition, mu: Partition, nu: Partition, max_n: int = KRONECKER_CAP
-) -> int:
+def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Class-weighted triple character sum, divided exactly by n!."""
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValidationError("partition sizes differ")
-    if n > min(max_n, CHARACTER_CAP):
-        raise CapExceeded(f"Kronecker coefficients capped at n <= {min(max_n, CHARACTER_CAP)}")
+    if n > KRONECKER_CAP:
+        raise CapExceeded(f"Kronecker coefficients capped at n <= {KRONECKER_CAP}")
     classes = zip(_class_sizes(n), *(_character_row(x.parts) for x in (lam, mu, nu)))
     return _coefficient(sum(w * a * b * c for w, a, b, c in classes), math.factorial(n))
 

@@ -35,6 +35,7 @@ from .rings import RATIONAL, Ring
 
 MATCHING_NODE_CAP = 16
 ORIENTATION_WORK_CAP = 10**8  # (coset, matching) pairs at ~42 ns each: about 4 s
+TRANSFORM_WORK_CAP = 3 * 10**7  # (entry, subset, wire) steps at ~300 ns each: about 9 s
 MGI_WIRE_CAP = 10
 BLOCK_ENTRIES = 1 << 14  # entries per block of the whole-array kernels
 
@@ -470,6 +471,9 @@ def transform_signature(s: SignatureVector, b: Sequence[Sequence], side: str) ->
     the k-fold tensor power of b; generators see the transposed action on
     columns, which lands on the same entries for this orientation, so the
     side tag is recorded but does not change the arithmetic.
+
+    The work, c^k entries x 2^k subsets x k wires, is checked against
+    TRANSFORM_WORK_CAP before any entry is computed.
     """
     if side not in ("generator", "recognizer"):
         raise ValidationError('side must be "generator" or "recognizer"')
@@ -481,8 +485,14 @@ def transform_signature(s: SignatureVector, b: Sequence[Sequence], side: str) ->
     c = len(rows[0])
     if c < 1:
         raise ValidationError("basis change needs at least one column")
-    bmat = [[rings.coerce(x, s.ring) for x in r] for r in rows]
     k = s.wires
+    work = c**k * 2**k * k
+    if work > TRANSFORM_WORK_CAP:
+        raise CapExceeded(
+            f"signature transform estimated at {work} steps "
+            f"({c}^{k} entries x 2^{k} subsets x {k} wires), over the cap of {TRANSFORM_WORK_CAP}"
+        )
+    bmat = [[rings.coerce(x, s.ring) for x in r] for r in rows]
     entries = []
     for idx in range(c**k):
         js = [(idx // c**i) % c for i in range(k)]  # little-endian wire values

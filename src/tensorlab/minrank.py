@@ -20,6 +20,7 @@ import numpy as np
 from . import rings
 from .errors import CapExceeded, ValidationError
 from .linalg import Matrix, kron, matrix_from_vectors, rank_exact, ranks_mod_p, to_float_array
+from .ranks import _normalized_vectors
 from .rings import RATIONAL, Ring
 
 FP_ENUMERATION_CAP = 10**6
@@ -134,11 +135,7 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
             f"p**dim = {p**s.dim} exceeds the enumeration cap {FP_ENUMERATION_CAP}"
         )
     basis = np.array([[x % p for x in b.entries] for b in s.basis], dtype=np.int64)
-    coeffs = (
-        (0,) * lead + (1,) + tail
-        for lead in range(s.dim)
-        for tail in itertools.product(range(p), repeat=s.dim - lead - 1)
-    )
+    coeffs = _normalized_vectors(s.dim, p)
     size = max(1, FP_CHUNK_ENTRIES // (s.rows * s.cols))
     best = min(s.rows, s.cols)
     while chunk := list(itertools.islice(coeffs, size)):

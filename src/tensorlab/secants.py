@@ -25,10 +25,12 @@ therefore a certified lower bound, exact when it reaches the expected
 dimension.
 
 Each trial's points are seeded on the variety, seed and trial but not on r,
-so the points for r + 1 extend those for r.  A trial keeps one echelon form
-of its tangent rows mod p and adds one point to it per cell, and a cell
-stops at the first trial that reaches the expected dimension: more trials
-cannot raise the maximum.  Supported varieties: Segre, Veronese,
+so the points for r + 1 extend those for r.  `scan` runs the cells r = 1,
+2, ... of a variety and owns the trial states: each keeps one echelon form
+of its trial's tangent rows mod p, and each cell adds one point to it.  A
+cell stops at the first trial that reaches the expected dimension: more
+trials cannot raise the maximum.  defect_scan, generic_rank and the CLI's
+scans all run through `scan`.  Supported varieties: Segre, Veronese,
 Segre-Veronese, subspace (Tucker) and symmetric subspace varieties.  Segre
 and Veronese varieties are treated as Segre-Veronese varieties: a Segre
 variety has every degree 1 and a Veronese variety has a single factor.
@@ -39,8 +41,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -410,32 +412,13 @@ class SecantReport:
     trials: int
 
     def as_dict(self) -> dict:
-        return {
-            "variety": self.variety,
-            "r": self.r,
-            "ambient_affine_dim": self.ambient_affine_dim,
-            "computed_affine_dim": self.computed_affine_dim,
-            "expected_affine_dim": self.expected_affine_dim,
-            "defect": self.defect,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class GenericRankResult:
     rank: int
     profile: tuple[SecantReport, ...] = field(default_factory=tuple)
-
-
-def _check_ambient(spec: VarietySpec) -> int:
-    # only one-variable factors reach such degrees: sym_dim(n, d) > d for n >= 2
-    degree = max(spec.degrees, default=0)
-    if degree > AMBIENT_CAP:
-        raise CapExceeded(f"degree {degree} exceeds the cap {AMBIENT_CAP}")
-    ambient = ambient_affine_dim(spec)
-    if ambient > AMBIENT_CAP:
-        raise CapExceeded(f"ambient dimension {ambient} exceeds the cap {AMBIENT_CAP}")
-    return ambient
 
 
 def _trial_rng(spec: VarietySpec, seed: int, trial: int) -> random.Random:
@@ -461,34 +444,12 @@ class _Trial:
         return self.ranks[r]
 
 
-def secant_dimension(
-    spec: VarietySpec, r: int, trials: int = 3, seed: int = 0, states: Optional[dict] = None
-) -> SecantReport:
-    """Dimension of the affine cone over the r-th secant variety of X.
-
-    Trial t ranks the tangent rows at its first r points modulo WORD_PRIME.
-    Each trial's rank is a certified lower bound on the secant dimension, so
-    the maximum over the trials is too, and it is exact when it equals
-    expected_affine_dim.  The trials run in order and stop at the first one
-    that reaches expected_affine_dim, which then is the maximum over all of
-    them; `trials` in the report is the number requested.  `states` keeps
-    each trial's points and echelon form between calls: a scan that passes
-    the same dict for every r adds one point per trial and cell instead of
-    starting over.
-    """
-    if r < 1:
-        raise ValidationError("r must be >= 1")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    ambient = _check_ambient(spec)
+def _cell(spec: VarietySpec, r: int, ambient: int, states: Sequence[_Trial]) -> SecantReport:
+    """The report of cell r from the ranks of the trials at their first r points."""
     expected = min(r * cone_dim(spec), ambient)
-    states = {} if states is None else states
     computed = 0
-    for trial in range(trials):
-        key = (spec, seed, trial)
-        if key not in states:
-            states[key] = _Trial(spec, seed, trial)
-        rank = states[key].rank(r)
+    for state in states:
+        rank = state.rank(r)
         if rank > expected:
             raise TensorlabError(
                 f"Terracini rank {rank} exceeds the expected dimension {expected};"
@@ -497,7 +458,73 @@ def secant_dimension(
         computed = max(computed, rank)
         if computed == expected:
             break
-    return SecantReport(str(spec), r, ambient, computed, expected, expected - computed, trials)
+    return SecantReport(str(spec), r, ambient, computed, expected, expected - computed, len(states))
+
+
+def _trials(spec: VarietySpec, trials: int, seed: int) -> tuple[int, list[_Trial]]:
+    """The ambient dimension, checked against the caps, and one fresh state per trial."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    # only one-variable factors reach such degrees: sym_dim(n, d) > d for n >= 2
+    degree = max(spec.degrees, default=0)
+    if degree > AMBIENT_CAP:
+        raise CapExceeded(f"degree {degree} exceeds the cap {AMBIENT_CAP}")
+    ambient = ambient_affine_dim(spec)
+    if ambient > AMBIENT_CAP:
+        raise CapExceeded(f"ambient dimension {ambient} exceeds the cap {AMBIENT_CAP}")
+    return ambient, [_Trial(spec, seed, trial) for trial in range(trials)]
+
+
+def secant_dimension(spec: VarietySpec, r: int, trials: int = 3, seed: int = 0) -> SecantReport:
+    """Dimension of the affine cone over the r-th secant variety of X.
+
+    Trial t ranks the tangent rows at its first r points modulo WORD_PRIME.
+    Each trial's rank is a certified lower bound on the secant dimension, so
+    the maximum over the trials is too, and it is exact when it equals
+    expected_affine_dim.  The trials run in order and stop at the first one
+    that reaches expected_affine_dim, which then is the maximum over all of
+    them; `trials` in the report is the number requested.
+    """
+    if r < 1:
+        raise ValidationError("r must be >= 1")
+    ambient, states = _trials(spec, trials, seed)
+    return _cell(spec, r, ambient, states)
+
+
+def scan(
+    spec: VarietySpec,
+    trials: int,
+    seed: int,
+    r_max: Optional[int] = None,
+    known: Optional[dict[int, int]] = None,
+) -> Iterator[SecantReport]:
+    """Yield the report of each cell r = 1, 2, ... as soon as it is computed,
+    through the first cell that fills the ambient space, or through r_max.
+
+    The scan owns one state per trial, so each cell adds one point to every
+    trial it runs instead of starting over; the reports are those of
+    secant_dimension.  `known` maps r to the computed dimension of a cell
+    already on record, such as a cell read back from an output file: that
+    cell is neither computed nor yielded, but its dimension still decides
+    whether the scan has saturated.
+    """
+    if r_max is not None and r_max < 1:
+        raise ValidationError("r_max must be >= 1")
+    ambient, states = _trials(spec, trials, seed)
+    known = known or {}
+    r = 1
+    while r_max is None or r <= r_max:
+        if r in known:
+            computed = known[r]
+        else:
+            report = _cell(spec, r, ambient, states)
+            computed = report.computed_affine_dim
+            yield report
+        if computed == ambient:
+            return
+        if r > ambient:
+            raise TensorlabError("secant dimensions failed to saturate; this is a bug")
+        r += 1
 
 
 def generic_rank(spec: VarietySpec, trials: int = 3, seed: int = 0) -> GenericRankResult:
@@ -506,8 +533,8 @@ def generic_rank(spec: VarietySpec, trials: int = 3, seed: int = 0) -> GenericRa
     The returned profile carries the full defect data for all r up to and
     including the generic rank.
     """
-    profile = defect_scan([spec], trials=trials, seed=seed)
-    return GenericRankResult(profile[-1].r, tuple(profile))
+    profile = tuple(scan(spec, trials, seed))
+    return GenericRankResult(profile[-1].r, profile)
 
 
 def defect_scan(
@@ -516,21 +543,6 @@ def defect_scan(
     trials: int = 3,
     seed: int = 0,
 ) -> list[SecantReport]:
-    """Secant reports for every (variety, r) cell of the family.
-
-    For each variety, r runs from 1 to saturation (or to r_max if given).
-    """
-    reports = []
-    for spec in specs:
-        ambient = _check_ambient(spec)
-        states: dict = {}
-        r = 1
-        while r_max is None or r <= r_max:
-            report = secant_dimension(spec, r, trials=trials, seed=seed, states=states)
-            reports.append(report)
-            if report.computed_affine_dim == ambient:
-                break
-            if r > ambient:
-                raise TensorlabError("secant dimensions failed to saturate; this is a bug")
-            r += 1
-    return reports
+    """Secant reports for every (variety, r) cell of the family: the scan of
+    each variety, from r = 1 to saturation (or to r_max if given)."""
+    return [report for spec in specs for report in scan(spec, trials, seed, r_max)]

@@ -343,6 +343,29 @@ def test_orientation_work_cap_admits_the_grid_and_refuses_before_any_pfaffian(tm
     assert work == []
 
 
+@pytest.mark.parametrize("nodes", [2, 0])
+def test_edgeless_graph_has_an_empty_orientation(nodes, tmp_path, capsys):
+    path = tmp_path / "edgeless.graph"
+    path.write_text(f"graph v1\n{nodes}\n")
+    assert cli.main(["matchgate", "--graph", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"orientation": {"candidates_tried": 1, "found": true, "signs": []}' in out
+
+
+def test_transform_work_cap_refuses_before_any_entry(tmp_path, monkeypatch, capsys):
+    read = []
+    monkeypatch.setattr(matchgate.SignatureVector, "__getitem__", lambda self, i: read.append(i))
+    sig = tmp_path / "sig9.json"
+    sig.write_text(json.dumps(["1"] * 2**9))
+    argv = ["matchgate", "--signature", str(sig), "--basis", "1,0,1;0,1,1", "--side", "generator"]
+    assert cli.main(argv) == 3
+    assert (
+        "estimated at 90699264 steps (3^9 entries x 2^9 subsets x 9 wires), over the cap of 30000000"
+        in capsys.readouterr().err
+    )
+    assert read == []
+
+
 def test_subpfaffian_checks_the_node_cap_before_any_pfaffian(tmp_path, monkeypatch, capsys):
     calls = []
     pfaffian_on = matchgate._pfaffian_on
@@ -588,17 +611,18 @@ def test_interrupted_scan_keeps_finished_cells_and_resumes(tmp_path, monkeypatch
     argv = ["terracini", "--variety", "segre:2,2,2,2", "--scan", "--output", str(out)]
     whole = [r.payload for r in run(parse_config(argv[:-2]))]
     assert [p["r"] for p in whole] == [1, 2, 3, 4]
-    secant_dimension = secants.secant_dimension
+    scan = secants.scan
 
-    def fails_at_3(spec, r, **kwargs):
-        if r == 3:
-            raise TensorlabError("interrupted")
-        return secant_dimension(spec, r, **kwargs)
+    def fails_at_3(*args):
+        for report in scan(*args):
+            if report.r == 3:
+                raise TensorlabError("interrupted")
+            yield report
 
-    monkeypatch.setattr(secants, "secant_dimension", fails_at_3)
+    monkeypatch.setattr(secants, "scan", fails_at_3)
     assert cli.main(argv) == 4
     assert [json.loads(l)["payload"]["r"] for l in out.read_text().splitlines()] == [1, 2]
-    monkeypatch.setattr(secants, "secant_dimension", secant_dimension)
+    monkeypatch.setattr(secants, "scan", scan)
     assert cli.main(argv) == 0
     lines = [json.loads(l)["payload"] for l in out.read_text().splitlines()]
     assert [p["r"] for p in lines] == [1, 2, 3, 4]  # the rerun appended r >= 3 only
@@ -621,6 +645,35 @@ def test_stopped_and_resumed_scan_writes_the_cells_of_one_run(variety, tmp_path)
         assert len(out.read_text().splitlines()) == k
         assert cli.main(argv + [str(out)]) == 0
         assert [json.loads(l)["payload"] for l in out.read_text().splitlines()] == expected
+
+
+# the varieties of the benchmark's Terracini cases; segre:9,9,9,9 saturates
+# near r = 199, out of a test's reach, so only its first cell is compared
+BENCHMARK_TERRACINI = [
+    ("segre:5,5,5", None),
+    ("veronese:5,4", None),
+    ("sub:4,4,4@2,2,2", None),
+    ("symsub:5@2,3", None),
+    ("segver:3,3@2,2", None),
+    ("segre:2,2,2,2", None),
+    ("segre:9,9,9,9", 1),
+]
+
+
+@pytest.mark.parametrize("variety,r_max", BENCHMARK_TERRACINI, ids=lambda x: str(x))
+def test_cli_scans_report_the_library_scan(variety, r_max):
+    spec = secants.parse_variety(variety)
+    reports = [rep.as_dict() for rep in secants.defect_scan([spec], r_max=r_max, seed=7)]
+    argv = ["terracini", "--variety", variety, "--seed", "7"]
+    if r_max is None:
+        scanned = [rec.payload for rec in run(parse_config(argv + ["--scan"]))]
+        (rec,) = run(parse_config(argv + ["--generic-rank"]))
+        assert rec.payload == {"mode": "generic_rank", "generic_rank": reports[-1]["r"], "profile": reports}
+    else:
+        scanned = [rec.payload for rec in run(parse_config(argv + ["--r-max", str(r_max)]))]
+        (rec,) = run(parse_config(argv + ["--r", str(r_max)]))
+        assert rec.payload == reports[-1]
+    assert scanned == reports
 
 
 # --- rational payloads that sum to integers ------------------------------------------------

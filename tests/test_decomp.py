@@ -85,6 +85,19 @@ def test_gross_scaled_factors_still_symmetric_up_to_scale():
         assert lams[2] == Fraction(1, 4)
 
 
+def test_gross_certificates_are_per_summand():
+    # summand i is (a v_i) x (b v_i) x (c v_i), with its own scalars
+    rng = random.Random(43)
+    vs = random_generic_vectors(rng, 3, 4)
+    scalars = [(1, 2, 3), (5, Fraction(1, 2), -1), (Fraction(2, 3), 7, 4)]
+    dec = Decomposition.from_vectors(
+        [[tuple(x * a for x in v) for a in abc] for v, abc in zip(vs, scalars)]
+    )
+    rep = gross_check(dec.reconstruct(), dec)
+    assert rep.verdict == "symmetric"
+    assert rep.certificates == tuple((1, Fraction(b, a), Fraction(c, a)) for a, b, c in scalars)
+
+
 def test_gross_dependent_projection_reports_hypothesis_not_met():
     v, w = (1, 2, 0, 0), (0, 1, 1, 0)
     vm = tuple(a - b for a, b in zip(v, w))

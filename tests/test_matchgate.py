@@ -634,6 +634,22 @@ def test_transform_validation():
         transform_signature(s, [[1, 0]], "generator")
 
 
+def test_transform_work_cap_admits_8_wires_and_refuses_9():
+    basis = [[1, 0, 1], [0, 1, 1]]
+    with pytest.raises(CapExceeded, match="estimated at 90699264 steps"):
+        transform_signature(SignatureVector(9, (1,) * 2**9), basis, "generator")
+
+    class Entered(Exception):
+        pass
+
+    class Probe(SignatureVector):
+        def __getitem__(self, idx):
+            raise Entered  # the first read of the loop: 3^8 x 2^8 x 8 = 13436928 steps pass the cap
+
+    with pytest.raises(Entered):
+        transform_signature(Probe(8, (1,) * 2**8), basis, "generator")
+
+
 # --- serialization -------------------------------------------------------------------------
 
 def test_graph_format_round_trip():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tangent_oracle import exact_tangent_rows
+from tensorlab import secants
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
     WORD_PRIME,
@@ -152,16 +153,24 @@ def test_incremental_trial_matches_from_scratch_rank_at_every_r(variety, r):
 
 
 @pytest.mark.parametrize("variety,r", TERRACINI_CELLS, ids=lambda x: str(x))
-def test_stopped_cell_is_the_maximum_over_full_trials(variety, r):
+def test_stopped_cell_is_the_maximum_over_full_trials(variety, r, monkeypatch):
     spec = parse_variety(variety)
-    states: dict = {}
-    report = secant_dimension(spec, r, trials=3, seed=0, states=states)
+    states = []
+
+    class Recorded(_Trial):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(secants, "_Trial", Recorded)
+    report = secant_dimension(spec, r, trials=3, seed=0)
+    monkeypatch.undo()
     full = [_Trial(spec, 0, t).rank(r) for t in range(3)]
     assert report.computed_affine_dim == max(full)
     assert report.trials == 3
     # trials after the first one that certifies the cell are never run
     first = next((t for t in range(3) if full[t] == report.expected_affine_dim), 2)
-    assert sorted(t for _, _, t in states) == list(range(first + 1))
+    assert [len(state.ranks) > 1 for state in states] == [t <= first for t in range(3)]
 
 
 def test_veronese_2_30_beyond_int64():

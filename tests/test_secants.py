@@ -7,7 +7,7 @@ import pytest
 
 from tangent_oracle import exact_tangent_rows, power_coeff_vector
 from tensorlab import secants
-from tensorlab.errors import CapExceeded, ValidationError
+from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
 from tensorlab.linalg import WORD_PRIME, Matrix, _fp_eliminate, det_exact, rank_exact
 from tensorlab.ranks import sylvester_symmetric_rank_binary
 from tensorlab.secants import (
@@ -303,6 +303,18 @@ def test_segre_matrix_case_matches_determinantal_dimension():
         for r in range(1, min(d1, d2) + 1):
             rep = secant_dimension(segre((d1, d2)), r)
             assert rep.computed_affine_dim == min(r * (d1 + d2 - r), d1 * d2)
+
+
+def test_scan_reports_known_cells_by_their_dimension_only():
+    spec = segre((2, 2, 2))  # ambient 8, saturated at r = 2
+    full = list(secants.scan(spec, 3, 0))
+    assert full == [secant_dimension(spec, r, trials=3, seed=0) for r in (1, 2)]
+    # a known cell is not yielded, and its dimension decides saturation
+    assert list(secants.scan(spec, 3, 0, known={1: full[0].computed_affine_dim})) == full[1:]
+    assert list(secants.scan(spec, 3, 0, known={1: 8})) == []
+    assert list(secants.scan(spec, 3, 0, r_max=1)) == full[:1]
+    with pytest.raises(TensorlabError, match="failed to saturate"):
+        list(secants.scan(spec, 3, 0, known={r: 0 for r in range(1, 10)}))
 
 
 def test_defect_scan_p1_families():
