@@ -231,10 +231,9 @@ def gurvits_construction(n: int) -> GurvitsRecord:
         r = rank_exact(space.element((a, b)))
         if r != 2 * n:
             raise ValidationError(f"pencil sample ({a},{b}) has rank {r}, expected {2*n}")
-    tensor_sq = kron(m_block, m_block)
-    big_identity = Matrix.identity(4 * n * n, RATIONAL)
-    rank_minus = rank_exact(tensor_sq - big_identity)
-    rank_plus = rank_exact(tensor_sq + big_identity)
+    minus, plus = _square_minus_plus_identity(m_block)
+    rank_minus = rank_exact(minus)
+    rank_plus = rank_exact(plus)
     return GurvitsRecord(
         n=n,
         space=space,
@@ -245,10 +244,24 @@ def gurvits_construction(n: int) -> GurvitsRecord:
     )
 
 
+def _square_minus_plus_identity(m: Matrix) -> tuple[Matrix, Matrix]:
+    """kron(m, m) - I and kron(m, m) + I for an integer matrix m.
+
+    Built with one int64 np.kron; the arrays are freed on return, before
+    the caller ranks the two matrices.
+    """
+    a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+    square = np.kron(a, a)
+    eye = np.eye(len(square), dtype=np.int64)
+    return tuple(
+        Matrix(*square.shape, tuple((square + sign * eye).ravel().tolist()), RATIONAL)
+        for sign in (-1, 1)
+    )
+
+
 def gurvits_witness_vector(n: int) -> BipartiteVector:
     """(M x I_n) tensor (M x I_n) minus the identity, as a bipartite vector."""
-    m_block = kron(rotation_block(), Matrix.identity(n, RATIONAL))
-    w = kron(m_block, m_block) - Matrix.identity(4 * n * n, RATIONAL)
+    w, _ = _square_minus_plus_identity(kron(rotation_block(), Matrix.identity(n, RATIONAL)))
     return BipartiteVector((4 * n * n, 4 * n * n), tuple(float(x) for x in w.entries))
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import rings
 from .errors import CapExceeded, ValidationError
 from .linalg import Matrix, nullspace_exact, rank_exact, rank_numeric
@@ -22,8 +24,6 @@ from .rings import RATIONAL
 from .tensors import Bipartition, DenseTensor, braid, flatten, rank_one
 
 BRUTE_FORCE_PRIMES = (2, 3, 5)
-BRUTE_FORCE_MAX_ENTRIES = 64
-BRUTE_FORCE_MAX_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,15 @@ def w_state_certificate(n: int) -> list[list[tuple[int, ...]]]:
 #
 # Rank-one summands are normalized so every factor except the last has its
 # first nonzero coordinate equal to 1; the last factor is then determined by
-# a linear solve, so the search runs over subsets of "prefix" candidates and
-# asks whether the slice span of the tensor lies inside their span.
+# a linear solve.  So t has rank <= r iff some r "prefix" candidates (the
+# normalized rank-one tensors of the other factors) span a space containing
+# the slice span S of t.  With s = dim S and k = r - s, that holds iff some
+# space V = S + <u_1, ..., u_k> spanned by S and k candidates is spanned by
+# the candidates inside it: a covering set spans such a V (extended by
+# outside candidates when its span is smaller), and a basis of V from its
+# inside candidates covers S.  The search enumerates u_1 < ... < u_(k-1) by
+# index and then every u_k at once, by grouping the candidates by their
+# line in F_p^n / (S + <u_1, ..., u_(k-1)>).
 # ---------------------------------------------------------------------------
 
 def _normalized_vectors(dim: int, p: int):
@@ -109,133 +116,332 @@ def _normalized_vectors(dim: int, p: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _reduce_mod_p(vec, basis: dict[int, tuple], p: int) -> Optional[tuple]:
-    """Reduce vec against an echelon basis {pivot: row}; None if it vanishes."""
-    v = list(vec)
-    for piv in sorted(basis):
-        c = v[piv] % p
-        if c:
-            row = basis[piv]
-            for i in range(piv, len(v)):
-                v[i] = (v[i] - c * row[i]) % p
-    for x in v:
-        if x % p:
-            inv = pow(x, -1, p)
-            return tuple((y * inv) % p for y in v)
-    return None
+class _PackedFp:
+    """Vectors of F_p^n packed in one int each, for p in BRUTE_FORCE_PRIMES.
+
+    - p = 2: coordinate i is bit i, and addition is XOR.
+    - p = 3: the pair of masks (ones, twos), ones in bits 0..n-1 and twos in
+      bits n..2n-1.  Negation swaps the halves; addition takes six bitwise
+      operations on the halves.
+    - p = 5: coordinate i is the 4-bit lane at bit 4i.  A lane sum is at
+      most 8, and it wraps by subtracting 5 where adding 3 reaches bit 3.
+
+    Every operation is a few bitwise and integer operations, so it acts
+    alike on one Python int and elementwise on a numpy array of them:
+    int64 while a packed vector fits in 62 bits, an object array beyond.
+    An echelon basis is a list of steps (pivot, multiples): adding
+    ``multiples[c]`` to a vector with c at the pivot clears it there.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
+        self.lane = 4 if p == 5 else 1
+        self.units = sum(1 << (self.lane * i) for i in range(n))  # 1 in every lane
+        self.dtype = np.int64 if _packed_bits(p, n) <= 62 else object
+
+    def pack(self, values) -> int:
+        out = 0
+        for i, x in enumerate(values):
+            x %= self.p
+            if self.p == 3 and x == 2:
+                out |= 1 << (self.n + i)
+            elif x:
+                out |= x << (self.lane * i)
+        return out
+
+    def pack_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Pack each row of an integer array with entries in [0, p)."""
+        if self.dtype is object:
+            return np.array([self.pack(row) for row in rows.tolist()], dtype=object)
+        shifts = np.arange(self.n, dtype=np.int64) * self.lane
+        if self.p == 3:
+            return ((rows == 1) << shifts).sum(axis=1) | ((rows == 2) << (shifts + self.n)).sum(axis=1)
+        return (rows << shifts).sum(axis=1)
+
+    def coef(self, v, i: int):
+        """The coordinate i of v, in [0, p)."""
+        if self.p == 3:
+            return (v >> i & 1) | (v >> (self.n + i) & 1) << 1
+        return v >> (self.lane * i) & (1 if self.p == 2 else 15)
+
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if self.p == 3:
+            mask = self.units
+            a1, a2, b1, b2 = a & mask, a >> self.n, b & mask, b >> self.n
+            t = (a1 | b2) ^ (a2 | b1)
+            return ((a2 | b2) ^ t) | ((a1 | b1) ^ t) << self.n
+        s = a + b
+        return s - 5 * ((s + 3 * self.units) >> 3 & self.units)
+
+    def neg(self, a):
+        if self.p == 2:
+            return a
+        if self.p == 3:
+            return (a & self.units) << self.n | a >> self.n
+        return 5 * ((a | a >> 1 | a >> 2) & self.units) - a
+
+    def times(self, a, c: int):
+        c %= self.p
+        if c == 0:
+            return a & 0
+        if c in (2, 3) and self.p == 5:
+            a, c = self.add(a, a), 5 - 2 * c  # 2a, or 3a = -(2a)
+        return a if c == 1 else self.neg(a)
+
+    def line_key(self, v):
+        """The least of the nonzero multiples of v: one key per line."""
+        least = np.minimum if isinstance(v, np.ndarray) else min
+        if self.p == 2:
+            return v
+        key = least(v, self.neg(v))
+        if self.p == 5:
+            d = self.add(v, v)
+            key = least(key, least(d, self.neg(d)))
+        return key
+
+    def step(self, g: int) -> tuple[int, list]:
+        """The echelon step of a nonzero g, pivoted at its first nonzero coordinate."""
+        if self.p == 2:
+            support = g
+        elif self.p == 3:
+            support = (g | g >> self.n) & self.units
+        else:
+            support = (g | g >> 1 | g >> 2) & self.units
+        pivot = ((support & -support).bit_length() - 1) // self.lane
+        g = self.times(g, pow(self.coef(g, pivot), -1, self.p))
+        return pivot, [self.times(g, -c) for c in range(self.p)]
+
+    def reduce(self, v, steps):
+        """v (an int or an array of them) reduced by the echelon steps in order."""
+        if isinstance(v, np.ndarray):
+            for pivot, multiples in steps:
+                table = np.array(multiples, dtype=self.dtype)
+                v = self.add(v, table[self.coef(v, pivot).astype(np.int64, copy=False)])
+            return v
+        for pivot, multiples in steps:
+            v = self.add(v, multiples[self.coef(v, pivot)])
+        return v
+
+    def insert(self, steps: list, v: int) -> bool:
+        """Add v to the echelon basis; True iff it enlarged the span."""
+        v = self.reduce(v, steps)
+        if v:
+            steps.append(self.step(v))
+        return bool(v)
 
 
-def _basis_insert(vec: tuple, basis: dict[int, tuple], p: int) -> bool:
-    """Insert vec into the echelon basis; True iff it enlarged the span."""
-    red = _reduce_mod_p(vec, basis, p)
-    if red is None:
-        return False
-    piv = next(i for i, x in enumerate(red) if x % p)
-    basis[piv] = red
-    return True
+def _prefix_candidates(dims: Sequence[int], p: int) -> np.ndarray:
+    """Flattened normalized rank-one tensors of the given shape, one per row.
+
+    Rows run over the factor tuples in itertools.product order of
+    `_normalized_vectors`; entries are in [0, p), row-major.
+    """
+    out = np.ones((1, 1), dtype=np.int64)
+    for d in dims:
+        vecs = np.array(list(_normalized_vectors(d, p)), dtype=np.int64)
+        out = (out[:, None, :, None] * vecs[None, :, None, :]).reshape(len(out) * len(vecs), -1) % p
+    return out
 
 
-COVER_SEARCH_NODE_CAP = 2_000_000
+# Work of the search in candidate steps.  Building the candidates costs a
+# step a coordinate.  A search node reduces every candidate by one basis
+# step (COVER_WIDE_STEPS each once packed vectors pass 62 bits and the
+# arrays hold Python ints) and costs about COVER_NODE_STEPS more in numpy
+# calls and rank tests.  At the cap the slowest family measured, F_3 on five
+# binary factors, takes about 10 s (2 logical cores, Python 3.11).
+COVER_NODE_STEPS = 2000
+COVER_WIDE_STEPS = 32
+COVER_SEARCH_WORK_CAP = 8 * 10**7
+
+
+def _packed_bits(p: int, n: int) -> int:
+    return n * {2: 1, 3: 2, 5: 4}[p]
+
+
+def _cover_nodes(n_cands: int, k: int) -> int:
+    """Search nodes at slack k: a rank test, or sum_(j<k) C(n_cands, j) at most."""
+    return 1 if k == 0 else sum(math.comb(n_cands, j) for j in range(k))
+
+
+def _cover_work(p: int, n_cands: int, n_coords: int, slacks) -> int:
+    """Estimated candidate steps to build the candidates and search at each
+    slack; the sum stops once it passes COVER_SEARCH_WORK_CAP."""
+    per_cand = 1 if _packed_bits(p, n_coords) <= 62 else COVER_WIDE_STEPS
+    work = n_cands * n_coords
+    for k in slacks:
+        if work > COVER_SEARCH_WORK_CAP:
+            break
+        work += _cover_nodes(n_cands, k) * (n_cands * per_cand + COVER_NODE_STEPS)
+    return work
+
+
+def _cover_search(field: _PackedFp, cands: np.ndarray, slice_steps: list, r: int,
+                  stats: Optional[dict] = None) -> Optional[list[int]]:
+    """Indices of at most r candidates whose span contains the slice span, or None.
+
+    cands holds the packed candidates, and slice_steps is an echelon basis of
+    the slice span S (see the section comment for the search).  With k = r -
+    dim S, k = 0 is one rank test of the candidates inside S.  Otherwise a
+    DFS picks u_1 < ... < u_(k-1) outside the span so far, keeping every
+    candidate reduced modulo it, and skips a pick on the line of an earlier
+    sibling (same span, fewer later picks).  At V' = S + <u_1, ..., u_(k-1)>,
+    of dimension r - 1, let R be the span of the candidates inside V'.  The
+    candidates outside V' fall into lines of F_p^n / V', and the line of u_k
+    holds what V' + <u_k> adds to them, so u_k passes iff that line's
+    candidates have rank r - dim R modulo R; a line with fewer members fails
+    at once.  stats["nodes"] counts the nodes, at most
+    `_cover_nodes(len(cands), k)`.
+    """
+    r = min(r, field.n)
+    k = r - len(slice_steps)
+    if k < 0:
+        return None
+    nodes = 0
+
+    def independent(indices: np.ndarray, values: np.ndarray, limit: int) -> tuple[list, list[int]]:
+        """Indices of up to limit values that each enlarge the span of those
+        before, and the echelon steps of their span: one array pass per pivot
+        for long lists, one scalar reduction per value for short ones."""
+        steps, chosen = [], []
+        while len(indices) > 64 and len(chosen) < limit:
+            nonzero = np.flatnonzero(values)
+            if not len(nonzero):
+                return steps, chosen
+            steps.append(field.step(int(values[nonzero[0]])))
+            chosen.append(int(indices[nonzero[0]]))
+            values, indices = field.reduce(values[nonzero[1:]], steps[-1:]), indices[nonzero[1:]]
+        for i, v in zip(indices.tolist(), values.tolist()):
+            if len(chosen) == limit:
+                break
+            if field.insert(steps, v):
+                chosen.append(i)
+        return steps, chosen
+
+    def runs(lines: np.ndarray, length: int) -> bool:
+        """Whether the sorted keys hold some line length times or more."""
+        if length > len(lines):
+            return False
+        return length <= 1 or bool((lines[length - 1:] == lines[: len(lines) - length + 1]).any())
+
+    def last_pick(res) -> Optional[list[int]]:
+        keys = field.line_key(res)  # 0 exactly inside V', positive outside
+        ordered = np.sort(keys)
+        n_inside = int(np.searchsorted(ordered, 0, side="right"))
+        lines = ordered[n_inside:]
+        if not runs(lines, r - n_inside):  # r - dim R >= r - n_inside
+            return None
+        inside, outside = np.flatnonzero(keys == 0), np.flatnonzero(keys)
+        steps, base = independent(inside, cands[inside], r - 1)
+        need = r - len(base)
+        if not runs(lines, need):
+            return None
+        line_of, rest = keys[outside], field.reduce(cands[outside], steps)
+        values, counts = np.unique(lines, return_counts=True)
+        for line in values[counts >= need].tolist():
+            members = np.flatnonzero(line_of == line)
+            _, chosen = independent(outside[members], rest[members], need)
+            if len(chosen) == need:
+                return base + chosen
+        return None
+
+    def descend(res, start: int, depth: int) -> Optional[list[int]]:
+        nonlocal nodes
+        nodes += 1
+        if depth == k - 1:
+            return last_pick(res)
+        seen = set()
+        values = res.tolist()
+        for i in np.flatnonzero(res[start:]).tolist():
+            v = values[start + i]
+            key = field.line_key(v)
+            if key in seen:
+                continue
+            seen.add(key)
+            found = descend(field.reduce(res, [field.step(v)]), start + i + 1, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    res = field.reduce(cands, slice_steps)
+    if k == 0:
+        nodes = 1
+        inside = np.flatnonzero(res == 0)
+        _, found = independent(inside, cands[inside], r)
+        found = found if len(found) == r else None
+    else:
+        found = descend(res, 0, 0)
+    if stats is not None:
+        stats["nodes"] = stats.get("nodes", 0) + nodes
+    return found
+
+
+def _solve_mode_last(t: DenseTensor) -> tuple[DenseTensor, int, int]:
+    """t with its solved-for factor moved last, that factor's mode rank, and
+    the number of prefix candidates.
+
+    The solved-for factor is the one with the largest mode rank, which
+    keeps the slack r - dim S as small as possible; ties go to the fewest
+    candidates.
+    """
+    p = t.ring.p
+    mode_ranks = [
+        rank_exact(flatten(t, Bipartition.of((i,), t.order))) for i in range(t.order)
+    ]
+    counts = [(p**d - 1) // (p - 1) for d in t.shape]
+    n_cands = [math.prod(counts) // counts[i] for i in range(t.order)]
+    mode = max(range(t.order), key=lambda i: (mode_ranks[i], -n_cands[i]))
+    if mode != t.order - 1:
+        t = braid(t, [i for i in range(t.order) if i != mode] + [mode])
+    return t, mode_ranks[mode], n_cands[mode]
+
+
+def _cover_problem(t: DenseTensor) -> tuple[_PackedFp, np.ndarray, list]:
+    """The packing, the packed prefix candidates and the slice-span steps of
+    t, whose last factor is the solved-for one."""
+    p = t.ring.p
+    m = flatten(t, Bipartition.of(tuple(range(t.order - 1)), t.order))
+    field = _PackedFp(p, m.rows)
+    slice_steps: list = []
+    for j in range(m.cols):
+        field.insert(slice_steps, field.pack(m.entries[j :: m.cols]))
+    return field, field.pack_rows(_prefix_candidates(t.shape[:-1], p)), slice_steps
 
 
 def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
     """Smallest r <= r_max with t a sum of r rank-one tensors over F_p.
 
-    Returns None when the rank exceeds r_max ("exceeds r_max").  Exact over
-    F_p; for characteristic-0 tensors this is a lower-bound heuristic only.
-    A rank-one summand is normalized so every factor but one has leading
-    coordinate 1; the free factor is then determined by a linear solve, so
-    the search covers the span of the tensor's slices by normalized prefix
-    candidates.  The solved-for factor is the one with the largest mode
-    rank, which keeps the search slack (r minus slice-span dimension) as
-    small as possible.
+    Returns None when the rank exceeds r_max ("exceeds r_max").  Exact; only
+    F_p with p in BRUTE_FORCE_PRIMES is accepted.  One factor is solved for
+    (see `_solve_mode_last`), and `_cover_search` decides each r from the
+    slice-span dimension s up.  Before any candidate is built, the work of
+    every level up to r_max is estimated in candidate steps (`_cover_work`);
+    an estimate over COVER_SEARCH_WORK_CAP raises CapExceeded.
     """
     if t.ring.kind != "fp" or t.ring.p not in BRUTE_FORCE_PRIMES:
         raise ValidationError(f"brute force needs F_p with p in {BRUTE_FORCE_PRIMES}")
-    if len(t.data) > BRUTE_FORCE_MAX_ENTRIES:
-        raise CapExceeded(
-            f"tensor has {len(t.data)} entries; brute-force cap is {BRUTE_FORCE_MAX_ENTRIES}"
-        )
-    if r_max > BRUTE_FORCE_MAX_RANK:
-        raise CapExceeded(f"r_max {r_max} exceeds the brute-force cap {BRUTE_FORCE_MAX_RANK}")
     if t.order < 2:
         raise ValidationError("rank search needs at least 2 factors")
-    p = t.ring.p
     if t.is_zero():
         return 0
-
-    mode_ranks = [
-        rank_exact(flatten(t, Bipartition.of((i,), t.order))) for i in range(t.order)
-    ]
-
-    def prefix_count(mode: int) -> int:
-        out = 1
-        for j, d in enumerate(t.shape):
-            if j != mode:
-                out *= (p**d - 1) // (p - 1)
-        return out
-
-    solve_mode = max(range(t.order), key=lambda i: (mode_ranks[i], -prefix_count(i)))
-    if solve_mode != t.order - 1:
-        perm = [i for i in range(t.order) if i != solve_mode] + [solve_mode]
-        t = braid(t, perm)
-
-    m = flatten(t, Bipartition.of(tuple(range(t.order - 1)), t.order))
-    # column space of the prefix flattening, as an echelon basis
-    slice_basis: dict[int, tuple] = {}
-    for j in range(m.cols):
-        col = tuple(m.entries[i * m.cols + j] % p for i in range(m.rows))
-        _basis_insert(col, slice_basis, p)
-    s_dim = len(slice_basis)
-
-    prefix_dims = t.shape[:-1]
-    candidates = []
-    for vecs in itertools.product(*(_normalized_vectors(d, p) for d in prefix_dims)):
-        w = rank_one(vecs, t.ring) if len(vecs) > 1 else None
-        flat = w.data if w is not None else vecs[0]
-        candidates.append(tuple(x % p for x in flat))
-
-    # slack-0 levels only ever pick candidates inside the slice span
-    inside = [w for w in candidates if _reduce_mod_p(w, slice_basis, p) is None]
-
-    for r in range(max(s_dim, 1), r_max + 1):
-        slack = r - s_dim
-        if slack == 0:
-            if _cover_search(inside, slice_basis, r, p):
-                return r
-            continue
-        work = math.comb(len(candidates), slack) * len(candidates)
-        if work > COVER_SEARCH_NODE_CAP:
-            raise CapExceeded(
-                f"cover search at r = {r} needs about {work} candidate scans, "
-                f"over the cap {COVER_SEARCH_NODE_CAP}"
-            )
-        if _cover_search(candidates, slice_basis, r, p):
+    t, s, n_cands = _solve_mode_last(t)
+    n_coords = len(t.data) // t.shape[-1]
+    # rank <= n_coords always: the coordinate tensors are candidates
+    levels = range(max(s, 1), min(r_max, n_coords) + 1)
+    if not levels:
+        return None
+    work = _cover_work(t.ring.p, n_cands, n_coords, (r - s for r in levels))
+    if work > COVER_SEARCH_WORK_CAP:
+        raise CapExceeded(
+            f"rank search up to r = {r_max} over {n_cands} candidates needs at least "
+            f"{work} candidate steps, over the limit of {COVER_SEARCH_WORK_CAP}"
+        )
+    field, cands, slice_steps = _cover_problem(t)
+    for r in levels:
+        if _cover_search(field, cands, slice_steps, r) is not None:
             return r
     return None
-
-
-def _cover_search(candidates, slice_basis, r, p) -> bool:
-    """DFS for r candidates whose span contains the slice span."""
-
-    def dfs(start: int, depth: int, span: dict[int, tuple], joint: dict[int, tuple]) -> bool:
-        deficiency = len(joint) - len(span)
-        if deficiency == 0:
-            return True
-        if depth == r or deficiency > r - depth:
-            return False
-        for i in range(start, len(candidates)):
-            w = candidates[i]
-            span2 = dict(span)
-            if not _basis_insert(w, span2, p):
-                continue  # already in the span: picking it cannot help
-            joint2 = dict(joint)
-            _basis_insert(w, joint2, p)
-            if dfs(i + 1, depth + 1, span2, joint2):
-                return True
-        return False
-
-    return dfs(0, 0, {}, dict(slice_basis))
 
 
 # ---------------------------------------------------------------------------

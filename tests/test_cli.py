@@ -701,3 +701,24 @@ def test_fractional_weights_summing_to_integers_keep_their_payload(case, tmp_pat
     template, expected = HALF_WEIGHT_CASES[case]
     argv = [a.format(graph=graph, signature=signature) for a in template]
     assert payload_bytes(run(parse_config(argv))) == [expected]
+
+
+# --- exhaustive F_p rank ----------------------------------------------------------
+
+def test_rank_bruteforce_matmul_222_and_the_work_cap(tmp_path, capsys):
+    # <2,2,2>: rank 7 over F_2 (Hopcroft-Kerr 1971), r = 6 refuted on the way
+    body = " ".join(
+        "1" if (a % 2 == b // 2 and b % 2 == c // 2 and c % 2 == a // 2) else "0"
+        for a in range(4) for b in range(4) for c in range(4)
+    )
+    path = tmp_path / "mm222.tensor"
+    path.write_text(f"tensor v1\n4 4 4\nrational\n{body}\n")
+    argv = ["rank", "--tensor", str(path), "--field", "2", "--bruteforce"]
+    assert cli.main(argv + ["7"]) == 0
+    bruteforce = json.loads(capsys.readouterr().out)["payload"]["bruteforce"]
+    assert bruteforce == {"exceeds_r_max": False, "field": "fp 2", "r_max": 7, "rank": 7}
+    # r_max 8 adds C(225, 3) search nodes: exit 3 before any candidate is built
+    started = time.perf_counter()
+    assert cli.main(argv + ["8"]) == 3
+    assert time.perf_counter() - started < 1
+    assert "over the limit of 80000000" in capsys.readouterr().err

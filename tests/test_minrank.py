@@ -249,6 +249,18 @@ def test_gurvits_decrement_grows():
         assert rec.decrement == (2 * n) ** 2 - 2 * n * n == 2 * n * n
 
 
+def test_gurvits_witnesses_are_the_tuple_kron_minus_and_plus_identity():
+    for n in range(1, 9):
+        m_block = gurvits_space(n).basis[0]
+        square = kron(m_block, m_block)
+        identity = Matrix.identity(4 * n * n, RATIONAL)
+        minus, plus = minrank._square_minus_plus_identity(m_block)
+        assert (minus, plus) == (square - identity, square + identity)
+        assert all(type(x) is int for x in minus.entries + plus.entries)
+        if n <= 3:
+            assert gurvits_witness_vector(n).data == tuple(float(x) for x in minus.entries)
+
+
 def test_gurvits_cap():
     with pytest.raises(CapExceeded):
         gurvits_construction(9)

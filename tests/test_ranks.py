@@ -1,12 +1,17 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cover_oracle import cover_search, oracle_rank, prefix_problem, reduce_mod_p
+from tensorlab import ranks
 from tensorlab.errors import CapExceeded, ValidationError
-from tensorlab.linalg import Matrix, det_exact, rank_exact
+from tensorlab.linalg import Matrix, det_exact, rank_exact, solve_exact
 from tensorlab.ranks import (
+    _normalized_vectors,
     all_bipartitions,
     border_rank_lower_bound,
     catalecticant,
@@ -21,6 +26,7 @@ from tensorlab.ranks import (
 from tensorlab.rings import fp
 from tensorlab.tensors import (
     Bipartition,
+    DenseTensor,
     flatten,
     is_symmetric,
     mode_apply,
@@ -210,15 +216,170 @@ def test_bruteforce_agrees_with_known_decompositions():
             assert found is not None and found <= r
 
 
-def test_bruteforce_caps():
-    big = to_ring(zeros((3, 3, 8)), fp(2))
-    with pytest.raises(CapExceeded):
-        exact_rank_bruteforce(big, 2)
-    small = to_ring(zeros((2, 2)), fp(2))
-    with pytest.raises(CapExceeded):
-        exact_rank_bruteforce(small, 5)
+def matmul_tensor(n, ring):
+    """<n,n,n>: the coefficient of a_ij (x) b_jk (x) c_ki is 1."""
+    data = [0] * n**6
+    for i, j, k in itertools.product(range(n), repeat=3):
+        data[((i * n + j) * n * n + j * n + k) * n * n + k * n + i] = 1
+    return DenseTensor((n * n,) * 3, tuple(data), ring)
+
+
+def test_bruteforce_caps(monkeypatch):
+    mm = matmul_tensor(2, fp(2))
+
+    def no_candidates(*args):
+        raise AssertionError("candidates built before the cap check")
+
+    # <2,2,2> at r_max 8 needs C(225, 3) nodes at r = 8: refused before any candidate
+    monkeypatch.setattr(ranks, "_prefix_candidates", no_candidates)
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"needs at least \d+ candidate steps, over the limit of "
+                       + str(ranks.COVER_SEARCH_WORK_CAP)):
+        exact_rank_bruteforce(mm, 8)
+    assert time.perf_counter() - started < 1
+    monkeypatch.undo()
+    # the estimate at r_max 7: 225 candidates of 16 coordinates, then 1, 1,
+    # 1 + 225 and 1 + 225 + C(225, 2) nodes at slacks 0..3
+    nodes = 1 + 1 + 226 + 25426
+    assert ranks._cover_work(2, 225, 16, range(4)) == 225 * 16 + nodes * (225 + ranks.COVER_NODE_STEPS)
+    assert ranks._cover_work(2, 225, 16, range(4)) <= ranks.COVER_SEARCH_WORK_CAP
+    # past the old size caps (r_max <= 4, 64 entries): r_max 9 on 72 entries
+    big = to_ring(random_tensor((3, 3, 8), seed=1), fp(2))
+    assert exact_rank_bruteforce(big, 9) == oracle_rank(big, 9)
     with pytest.raises(ValidationError):
         exact_rank_bruteforce(zeros((2, 2)), 2)  # rational ring rejected
+
+
+def test_matmul_222_has_rank_7_over_f2():
+    # Hopcroft-Kerr 1971: r <= 6 refuted, r = 7 found, under the work cap
+    mm = matmul_tensor(2, fp(2))
+    assert exact_rank_bruteforce(mm, 6) is None
+    assert exact_rank_bruteforce(mm, 7) == 7
+
+
+# --- the packed F_p cover search against the old dict-basis DFS ----------------------
+
+def test_packed_arithmetic_is_arithmetic_mod_p():
+    rng = random.Random(5)
+    # small n exhaustively; wide n (past 62 packed bits, object arrays) at random
+    for p, wide in ((2, 70), (3, 40), (5, 20)):
+        for n in (1, 2, 3, wide):
+            field = ranks._PackedFp(p, n)
+            assert (field.dtype is object) == (n == wide)
+            if n < wide:
+                vecs = list(itertools.product(range(p), repeat=n))
+            else:
+                vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(40)]
+            packed = [field.pack(v) for v in vecs]
+            arr = field.pack_rows(np.array(vecs, dtype=np.int64))
+            assert arr.tolist() == packed
+            for v, x in zip(vecs, packed):
+                assert [field.coef(x, i) for i in range(n)] == list(v)
+                assert field.neg(x) == field.pack([-a for a in v])
+                for c in range(p):
+                    assert field.times(x, c) == field.pack([c * a for a in v])
+                if any(v):
+                    pivot, multiples = field.step(x)
+                    assert pivot == next(i for i, a in enumerate(v) if a)
+                    assert field.reduce(x, [(pivot, multiples)]) == 0
+                    line = {field.pack([c * a for a in v]) for c in range(1, p)}
+                    assert field.line_key(x) == min(line)
+            pairs = list(zip(vecs, packed))
+            others = itertools.product(pairs, repeat=2) if n < wide else zip(pairs, pairs[1:] + pairs[:1])
+            for (v, x), (w, y) in others:
+                assert field.add(x, y) == field.pack([a + b for a, b in zip(v, w)])
+            # the array operations agree with the scalar ones entry by entry
+            rolled = np.roll(arr, 1)
+            assert field.add(arr, rolled).tolist() == [field.add(x, y) for x, y in zip(packed, rolled.tolist())]
+            assert field.line_key(arr).tolist() == [field.line_key(x) for x in packed]
+            assert field.coef(arr, n - 1).tolist() == [field.coef(x, n - 1) for x in packed]
+
+
+def random_cases():
+    rng = random.Random(15)
+    out = []
+    for p in (2, 3, 5):
+        for shape in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 2, 2)):
+            r_max = 5 if p < 5 and len(shape) == 3 else 4
+            for _ in range(2):
+                out.append((p, shape, rng.randint(0, 10**6), r_max))
+    return out
+
+
+RANDOM_CASES = random_cases()
+
+
+def packed_problem(candidates, slice_basis, p):
+    """The oracle's candidates and slice basis, packed for the new search."""
+    field = ranks._PackedFp(p, len(candidates[0]))
+    steps = []
+    for row in slice_basis.values():
+        assert field.insert(steps, field.pack(row))
+    return field, field.pack_rows(np.array(candidates, dtype=np.int64)), steps
+
+
+@pytest.mark.parametrize("case", RANDOM_CASES, ids=lambda c: f"p{c[0]}-{c[1]}-{c[2]}")
+def test_cover_search_matches_the_old_dfs(case):
+    p, shape, seed, r_max = case
+    t = to_ring(random_tensor(shape, seed=seed), fp(p))
+    t2, slice_basis, factors, candidates = prefix_problem(t)
+    assert ranks._prefix_candidates(t2.shape[:-1], p).tolist() == [list(c) for c in candidates]
+    field, cands, steps = packed_problem(candidates, slice_basis, p)
+    s = len(slice_basis)
+    inside = [w for w in candidates if reduce_mod_p(w, slice_basis, p) is None]
+    for r in range(max(s, 1), r_max + 1):
+        stats = {}
+        found = ranks._cover_search(field, cands, steps, r, stats)
+        old = cover_search(inside if r == s else candidates, slice_basis, r, p)
+        assert (found is not None) == old, r
+        assert stats["nodes"] <= ranks._cover_nodes(len(candidates), r - s)
+    assert exact_rank_bruteforce(t, r_max) == oracle_rank(t, r_max)
+
+
+def check_witness(t, witness, r):
+    """Solve for the last factors over F_p; the r-term expansion must be t."""
+    p = t.ring.p
+    factors = list(itertools.product(*(_normalized_vectors(d, p) for d in t.shape[:-1])))
+    assert len(set(witness)) == len(witness) <= r
+    chosen = [factors[i] for i in witness]
+    cols = [rank_one(f, t.ring).data if len(f) > 1 else f[0] for f in chosen]
+    a = Matrix.from_rows([list(row) for row in zip(*cols)], t.ring)
+    slices = flatten(t, Bipartition.of(tuple(range(t.order - 1)), t.order))
+    last = solve_exact(a, slices)
+    assert last is not None
+    # past the rank some solved factors can be zero; those terms vanish
+    summands = [list(f) + [c] for f, c in zip(chosen, last.to_lists()) if any(c)]
+    assert reconstruct(summands, t.ring).data == t.data
+
+
+# (3, 3, 9) over F_3: a full slice span, so the slack-0 level ranks all 169
+# candidates at once
+WITNESS_CASES = [("mm222", 2), (3, (3, 3, 9), 4, 9)] + RANDOM_CASES
+
+
+@pytest.mark.parametrize(
+    "case", WITNESS_CASES, ids=lambda c: "mm222" if c[0] == "mm222" else f"p{c[0]}-{c[1]}-{c[2]}"
+)
+def test_cover_search_witness_expands_to_the_tensor(case):
+    if case[0] == "mm222":
+        t, r_max = matmul_tensor(2, fp(2)), 7
+    else:
+        p, shape, seed, r_max = case
+        t = to_ring(random_tensor(shape, seed=seed), fp(p))
+    if t.is_zero():
+        return
+    t2, s, n_cands = ranks._solve_mode_last(t)
+    field, cands, steps = ranks._cover_problem(t2)
+    for r in range(max(s, 1), r_max + 1):
+        stats = {}
+        witness = ranks._cover_search(field, cands, steps, r, stats)
+        assert stats["nodes"] <= ranks._cover_nodes(n_cands, r - s)
+        if witness is not None:
+            assert r == exact_rank_bruteforce(t, r_max)
+            check_witness(t2, witness, r)
+            break
+    else:
+        assert exact_rank_bruteforce(t, r_max) is None
 
 
 # --- binary-form ranks ------------------------------------------------------------
@@ -295,3 +456,31 @@ def test_squarefree_test():
 def test_sylvester_rejects_zero_form():
     with pytest.raises(ValidationError):
         sylvester_symmetric_rank_binary([0, 0, 0])
+
+
+def test_cover_search_finds_a_witness_at_every_r_from_the_rank_up():
+    # past the rank, the last level meets spaces already spanned by the
+    # candidates inside them, and every larger r must still succeed
+    rng = random.Random(21)
+    for p in (2, 3, 5):
+        for shape in ((2, 2, 2), (2, 3, 3), (2, 2, 2, 2)):
+            summand = [[rng.randint(0, p - 1) or 1 for _ in range(d)] for d in shape]
+            for t, rank in ((to_ring(rank_one(summand), fp(p)), 1), (to_ring(w_state(3), fp(p)), 3)):
+                t2, s, _ = ranks._solve_mode_last(t)
+                field, cands, steps = ranks._cover_problem(t2)
+                for r in range(rank, field.n + 1):
+                    witness = ranks._cover_search(field, cands, steps, r)
+                    assert witness is not None, (p, shape, r)
+                    check_witness(t2, witness, r)
+
+
+def test_cover_search_visits_one_node_per_line():
+    # <2,2,2> over F_3 at r = 6 (slack 2) is refuted: the root, then one
+    # child per line of F_3^16 / S that holds a candidate
+    t2, s, _ = ranks._solve_mode_last(matmul_tensor(2, fp(3)))
+    _, slice_basis, _, candidates = prefix_problem(t2)
+    lines = {reduce_mod_p(w, slice_basis, 3) for w in candidates} - {None}
+    field, cands, steps = ranks._cover_problem(t2)
+    stats = {}
+    assert ranks._cover_search(field, cands, steps, 6, stats) is None
+    assert stats["nodes"] == 1 + len(lines) < 1 + len(candidates)
