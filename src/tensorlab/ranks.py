@@ -21,7 +21,7 @@ from . import rings
 from .errors import CapExceeded, ValidationError
 from .linalg import Matrix, nullspace_exact, rank_exact, rank_numeric
 from .rings import RATIONAL
-from .tensors import Bipartition, DenseTensor, braid, flatten, rank_one
+from .tensors import Bipartition, DenseTensor, braid, flatten
 
 BRUTE_FORCE_PRIMES = (2, 3, 5)
 
@@ -105,7 +105,8 @@ def w_state_certificate(n: int) -> list[list[tuple[int, ...]]]:
 # outside candidates when its span is smaller), and a basis of V from its
 # inside candidates covers S.  The search enumerates u_1 < ... < u_(k-1) by
 # index and then every u_k at once, by grouping the candidates by their
-# line in F_p^n / (S + <u_1, ..., u_(k-1)>).
+# line in F_p^n / (S + <u_1, ..., u_(k-1)>); the choices of u_(k-1) below
+# one node are decided together, as the rows of one array.
 # ---------------------------------------------------------------------------
 
 def _normalized_vectors(dim: int, p: int):
@@ -129,8 +130,6 @@ class _PackedFp:
     Every operation is a few bitwise and integer operations, so it acts
     alike on one Python int and elementwise on a numpy array of them:
     int64 while a packed vector fits in 62 bits, an object array beyond.
-    An echelon basis is a list of steps (pivot, multiples): adding
-    ``multiples[c]`` to a vector with c at the pivot clears it there.
     """
 
     def __init__(self, p: int, n: int):
@@ -149,17 +148,8 @@ class _PackedFp:
                 out |= x << (self.lane * i)
         return out
 
-    def pack_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Pack each row of an integer array with entries in [0, p)."""
-        if self.dtype is object:
-            return np.array([self.pack(row) for row in rows.tolist()], dtype=object)
-        shifts = np.arange(self.n, dtype=np.int64) * self.lane
-        if self.p == 3:
-            return ((rows == 1) << shifts).sum(axis=1) | ((rows == 2) << (shifts + self.n)).sum(axis=1)
-        return (rows << shifts).sum(axis=1)
-
-    def coef(self, v, i: int):
-        """The coordinate i of v, in [0, p)."""
+    def coef(self, v, i):
+        """The coordinate i of v, in [0, p); v and i may be arrays."""
         if self.p == 3:
             return (v >> i & 1) | (v >> (self.n + i) & 1) << 1
         return v >> (self.lane * i) & (1 if self.p == 2 else 15)
@@ -201,59 +191,98 @@ class _PackedFp:
             key = least(key, least(d, self.neg(d)))
         return key
 
-    def step(self, g: int) -> tuple[int, list]:
-        """The echelon step of a nonzero g, pivoted at its first nonzero coordinate."""
-        if self.p == 2:
-            support = g
-        elif self.p == 3:
-            support = (g | g >> self.n) & self.units
-        else:
-            support = (g | g >> 1 | g >> 2) & self.units
-        pivot = ((support & -support).bit_length() - 1) // self.lane
-        g = self.times(g, pow(self.coef(g, pivot), -1, self.p))
-        return pivot, [self.times(g, -c) for c in range(self.p)]
+    def pivots(self, v: np.ndarray) -> np.ndarray:
+        """The first nonzero coordinate of each (nonzero) entry of v."""
+        if self.p == 3:
+            v = (v | v >> self.n) & self.units
+        elif self.p == 5:
+            v = (v | v >> 1 | v >> 2) & self.units
+        low = v & -v  # a power of two, so exact as a float
+        return (np.frexp(np.asarray(low, dtype=float))[1] - 1) // self.lane
 
-    def reduce(self, v, steps):
-        """v (an int or an array of them) reduced by the echelon steps in order."""
-        if isinstance(v, np.ndarray):
-            for pivot, multiples in steps:
-                table = np.array(multiples, dtype=self.dtype)
-                v = self.add(v, table[self.coef(v, pivot).astype(np.int64, copy=False)])
-            return v
-        for pivot, multiples in steps:
-            v = self.add(v, multiples[self.coef(v, pivot)])
-        return v
-
-    def insert(self, steps: list, v: int) -> bool:
-        """Add v to the echelon basis; True iff it enlarged the span."""
-        v = self.reduce(v, steps)
-        if v:
-            steps.append(self.step(v))
-        return bool(v)
+    def clear(self, v: np.ndarray, heads: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """v[j] minus the multiple of heads[slot[j]] that clears it at the
+        pivot of that head; v and slot broadcast together."""
+        pivots = self.pivots(heads)
+        inverse = np.array([0] + [pow(c, -1, self.p) for c in range(1, self.p)])
+        scale = inverse[self.coef(heads, pivots).astype(np.int64, copy=False)]
+        c = self.coef(v, pivots[slot]).astype(np.int64, copy=False) * scale[slot]
+        multiples = np.stack([self.times(heads, x) for x in range(self.p)])
+        return self.add(v, multiples[-c % self.p, slot])
 
 
-def _prefix_candidates(dims: Sequence[int], p: int) -> np.ndarray:
-    """Flattened normalized rank-one tensors of the given shape, one per row.
+def _prefix_candidates(field: _PackedFp, dims: Sequence[int]) -> np.ndarray:
+    """The normalized rank-one tensors of the given shape, flattened
+    row-major and packed, in itertools.product order of `_normalized_vectors`.
 
-    Rows run over the factor tuples in itertools.product order of
-    `_normalized_vectors`; entries are in [0, p), row-major.
+    Built from the last factor back: with T the packed tensors of the later
+    factors (m coordinates), u (x) T is the sum over i of u_i T shifted to
+    coordinates i*m and on, one array pass per coordinate of u.
     """
-    out = np.ones((1, 1), dtype=np.int64)
-    for d in dims:
-        vecs = np.array(list(_normalized_vectors(d, p)), dtype=np.int64)
-        out = (out[:, None, :, None] * vecs[None, :, None, :]).reshape(len(out) * len(vecs), -1) % p
+    out, m = np.ones(1, dtype=field.dtype), 1
+    for d in reversed(dims):
+        count = (field.p**d - 1) // (field.p - 1)
+        flat = itertools.chain.from_iterable(_normalized_vectors(d, field.p))
+        vecs = np.fromiter(flat, dtype=np.int8, count=count * d).reshape(count, d)
+        multiples = np.stack([field.times(out, c) for c in range(field.p)])
+        new = np.zeros((len(vecs), len(out)), dtype=field.dtype)
+        for i in range(d):
+            new |= multiples[vecs[:, i]] << (field.lane * i * m)
+        out, m = new.reshape(-1), m * d
     return out
 
 
-# Work of the search in candidate steps.  Building the candidates costs a
-# step a coordinate.  A search node reduces every candidate by one basis
-# step (COVER_WIDE_STEPS each once packed vectors pass 62 bits and the
-# arrays hold Python ints) and costs about COVER_NODE_STEPS more in numpy
-# calls and rank tests.  At the cap the slowest family measured, F_3 on five
-# binary factors, takes about 10 s (2 logical cores, Python 3.11).
-COVER_NODE_STEPS = 2000
+def _independent(field: _PackedFp, values: np.ndarray, group: np.ndarray, groups: int,
+                 limit: int, pickable: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian elimination in every group of rows at once.
+
+    group[j] in range(groups) is the group of row j, nondecreasing in j.
+    Each step picks, in every group, its first pickable row not yet in the
+    span of the group's picks, and clears each row of the group at that
+    row's pivot, a few array passes over the rows not yet cleared.  Returns
+    the picks, a (limit, groups) array of row indices with -1 once a group
+    has no more, and the rows reduced modulo their group's picks.
+    """
+    values = values.copy()
+    picks = np.full((limit, groups), -1)
+    slot_of = np.full(groups, -1)
+    for j in range(limit):
+        live = np.flatnonzero(values)
+        heads = live if pickable is None else live[pickable[live]]
+        if not len(heads):
+            break
+        g = group[heads]
+        first = np.empty(len(g), dtype=bool)  # the first pickable live row of each group
+        first[0] = True
+        np.not_equal(g[1:], g[:-1], out=first[1:])
+        heads = heads[first]
+        picks[j, group[heads]] = heads
+        slot_of[:] = -1
+        slot_of[group[heads]] = np.arange(len(heads))
+        slot = slot_of[group[live]]
+        live, slot = live[slot >= 0], slot[slot >= 0]
+        values[live] = field.clear(values[live], values[heads], slot)
+    return picks, values
+
+
+# Work of the search in candidate steps, a step being about one array
+# operation on one packed candidate.  Building the candidates costs a step
+# a candidate and factor coordinate.  A search node at level r costs r steps
+# a candidate (a leaf eliminates up to r times over the candidates, an
+# inner node reduces them once) and COVER_NODE_STEPS more for the Python
+# and numpy call overhead, most of it shared by the leaves of one batch.
+# A candidate counts COVER_WIDE_STEPS once packed vectors pass 62 bits and
+# the arrays hold Python ints.  Calibrated on random tensors admitted just
+# under the cap (2 logical cores, Python 3.11; see CHANGES.md).
+# COVER_MAX_BYTES bounds memory: the search holds about ten arrays of the
+# candidates at once, and each takes 8 bytes a candidate in int64 and about
+# 64 in an object array.  A batch of leaves holds arrays of LEAF_BATCH
+# entries.
+COVER_NODE_STEPS = 1000
 COVER_WIDE_STEPS = 32
-COVER_SEARCH_WORK_CAP = 8 * 10**7
+COVER_SEARCH_WORK_CAP = 4 * 10**8
+COVER_MAX_BYTES = 2**23
+LEAF_BATCH = 2**15
 
 
 def _packed_bits(p: int, n: int) -> int:
@@ -265,23 +294,25 @@ def _cover_nodes(n_cands: int, k: int) -> int:
     return 1 if k == 0 else sum(math.comb(n_cands, j) for j in range(k))
 
 
-def _cover_work(p: int, n_cands: int, n_coords: int, slacks) -> int:
-    """Estimated candidate steps to build the candidates and search at each
-    slack; the sum stops once it passes COVER_SEARCH_WORK_CAP."""
-    per_cand = 1 if _packed_bits(p, n_coords) <= 62 else COVER_WIDE_STEPS
-    work = n_cands * n_coords
-    for k in slacks:
+def _cover_work(p: int, dims: Sequence[int], s: int, levels) -> int:
+    """Estimated candidate steps to build the candidates of the factor
+    dimensions dims and search each level r (slice-span dimension s); the
+    sum stops once it passes COVER_SEARCH_WORK_CAP."""
+    n_cands = math.prod((p**d - 1) // (p - 1) for d in dims)
+    per_cand = 1 if _packed_bits(p, math.prod(dims)) <= 62 else COVER_WIDE_STEPS
+    work = n_cands * sum(dims) * per_cand
+    for r in levels:
         if work > COVER_SEARCH_WORK_CAP:
             break
-        work += _cover_nodes(n_cands, k) * (n_cands * per_cand + COVER_NODE_STEPS)
+        work += _cover_nodes(n_cands, r - s) * (r * n_cands * per_cand + COVER_NODE_STEPS)
     return work
 
 
-def _cover_search(field: _PackedFp, cands: np.ndarray, slice_steps: list, r: int,
+def _cover_search(field: _PackedFp, cands: np.ndarray, slices: np.ndarray, r: int,
                   stats: Optional[dict] = None) -> Optional[list[int]]:
     """Indices of at most r candidates whose span contains the slice span, or None.
 
-    cands holds the packed candidates, and slice_steps is an echelon basis of
+    cands holds the packed candidates, and slices packed vectors spanning
     the slice span S (see the section comment for the search).  With k = r -
     dim S, k = 0 is one rank test of the candidates inside S.  Otherwise a
     DFS picks u_1 < ... < u_(k-1) outside the span so far, keeping every
@@ -291,85 +322,90 @@ def _cover_search(field: _PackedFp, cands: np.ndarray, slice_steps: list, r: int
     candidates outside V' fall into lines of F_p^n / V', and the line of u_k
     holds what V' + <u_k> adds to them, so u_k passes iff that line's
     candidates have rank r - dim R modulo R; a line with fewer members fails
-    at once.  stats["nodes"] counts the nodes, at most
-    `_cover_nodes(len(cands), k)`.
+    at once.  The leaves below one node, one per choice of u_(k-1), are
+    decided together: R and the line ranks come from one elimination over
+    all of them (`_independent`), LEAF_BATCH candidate rows at a time.
+    stats["nodes"] counts the nodes, at most `_cover_nodes(len(cands), k)`.
     """
     r = min(r, field.n)
-    k = r - len(slice_steps)
+    rows = np.concatenate([slices, cands])
+    basis, rows = _independent(field, rows, np.zeros(len(rows), dtype=np.int64), 1, len(slices),
+                               np.arange(len(rows)) < len(slices))
+    res = rows[len(slices):]  # the candidates modulo S
+    k = r - int((basis >= 0).sum())
     if k < 0:
         return None
     nodes = 0
 
-    def independent(indices: np.ndarray, values: np.ndarray, limit: int) -> tuple[list, list[int]]:
-        """Indices of up to limit values that each enlarge the span of those
-        before, and the echelon steps of their span: one array pass per pivot
-        for long lists, one scalar reduction per value for short ones."""
-        steps, chosen = [], []
-        while len(indices) > 64 and len(chosen) < limit:
-            nonzero = np.flatnonzero(values)
-            if not len(nonzero):
-                return steps, chosen
-            steps.append(field.step(int(values[nonzero[0]])))
-            chosen.append(int(indices[nonzero[0]]))
-            values, indices = field.reduce(values[nonzero[1:]], steps[-1:]), indices[nonzero[1:]]
-        for i, v in zip(indices.tolist(), values.tolist()):
-            if len(chosen) == limit:
-                break
-            if field.insert(steps, v):
-                chosen.append(i)
-        return steps, chosen
-
-    def runs(lines: np.ndarray, length: int) -> bool:
-        """Whether the sorted keys hold some line length times or more."""
-        if length > len(lines):
-            return False
-        return length <= 1 or bool((lines[length - 1:] == lines[: len(lines) - length + 1]).any())
-
-    def last_pick(res) -> Optional[list[int]]:
-        keys = field.line_key(res)  # 0 exactly inside V', positive outside
-        ordered = np.sort(keys)
-        n_inside = int(np.searchsorted(ordered, 0, side="right"))
-        lines = ordered[n_inside:]
-        if not runs(lines, r - n_inside):  # r - dim R >= r - n_inside
+    def last_picks(rows: np.ndarray) -> Optional[list[int]]:
+        """Row a holds the candidates reduced modulo a space V'_a of
+        dimension r - 1: the witness for the first V'_a that some u_k
+        completes, or None."""
+        m, n_cands = rows.shape
+        keys = field.line_key(rows)  # 0 exactly inside V'_a
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        inside = keys == 0
+        starts = np.ones((m, n_cands), dtype=bool)
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
+        run = np.cumsum(starts) - 1  # runs of one line, never across rows
+        run_len = np.bincount(run)[run].reshape(m, n_cands)
+        # a line passes only with r - dim R members or more, where dim R of
+        # the span R of the candidates inside is at most their count
+        least = np.maximum(r - inside.sum(axis=1), 1)
+        lines = ~inside & (run_len >= least[:, None])
+        kept = (inside | lines) & lines.any(axis=1)[:, None]
+        a, j = np.nonzero(kept)
+        if not len(a):
             return None
-        inside, outside = np.flatnonzero(keys == 0), np.flatnonzero(keys)
-        steps, base = independent(inside, cands[inside], r - 1)
-        need = r - len(base)
-        if not runs(lines, need):
+        index, run, run_len = order[a, j], run.reshape(m, n_cands)[a, j], run_len[a, j]
+        _, child = np.unique(a, return_inverse=True)
+        # R_a, the span of the candidates inside V'_a, and every candidate
+        # reduced modulo it
+        base, rest = _independent(field, cands[index], child, child[-1] + 1, r - 1, inside[a, j])
+        need = r - (base >= 0).sum(axis=0)
+        out = ~inside[a, j] & (run_len >= need[child])
+        if not out.any():
             return None
-        line_of, rest = keys[outside], field.reduce(cands[outside], steps)
-        values, counts = np.unique(lines, return_counts=True)
-        for line in values[counts >= need].tolist():
-            members = np.flatnonzero(line_of == line)
-            _, chosen = independent(outside[members], rest[members], need)
-            if len(chosen) == need:
-                return base + chosen
-        return None
+        _, line = np.unique(run[out], return_inverse=True)
+        line_child = np.empty(line[-1] + 1, dtype=np.int64)
+        line_child[line] = child[out]
+        picks, _ = _independent(field, rest[out], line, len(line_child), int(need.max()))
+        full = np.flatnonzero((picks >= 0).sum(axis=0) >= need[line_child])
+        if not len(full):
+            return None
+        g = full[0]
+        chosen = base[:, line_child[g]]
+        return index[chosen[chosen >= 0]].tolist() + index[out][picks[:need[line_child[g]], g]].tolist()
 
     def descend(res, start: int, depth: int) -> Optional[list[int]]:
         nonlocal nodes
         nodes += 1
-        if depth == k - 1:
-            return last_pick(res)
-        seen = set()
-        values = res.tolist()
-        for i in np.flatnonzero(res[start:]).tolist():
-            v = values[start + i]
-            key = field.line_key(v)
-            if key in seen:
-                continue
-            seen.add(key)
-            found = descend(field.reduce(res, [field.step(v)]), start + i + 1, depth + 1)
+        lines, first = np.unique(field.line_key(res[start:]), return_index=True)
+        picks = start + np.sort(first[lines != 0])  # the first pick on each line
+        if depth == k - 2:
+            step = max(1, LEAF_BATCH // len(res))
+            for i in range(0, len(picks), step):
+                chunk = picks[i : i + step]
+                nodes += len(chunk)
+                found = last_picks(field.clear(res[None, :], res[chunk], np.arange(len(chunk))[:, None]))
+                if found is not None:
+                    return found
+            return None
+        for i in picks.tolist():
+            found = descend(field.clear(res, res[i : i + 1], 0), i + 1, depth + 1)
             if found is not None:
                 return found
         return None
 
-    res = field.reduce(cands, slice_steps)
     if k == 0:
         nodes = 1
         inside = np.flatnonzero(res == 0)
-        _, found = independent(inside, cands[inside], r)
-        found = found if len(found) == r else None
+        picks, _ = _independent(field, cands[inside], np.zeros(len(inside), dtype=np.int64), 1, r)
+        found = inside[picks[:, 0]].tolist() if picks[-1, 0] >= 0 else None
+    elif k == 1:
+        nodes = 1
+        found = last_picks(res[None, :])
     else:
         found = descend(res, 0, 0)
     if stats is not None:
@@ -397,16 +433,13 @@ def _solve_mode_last(t: DenseTensor) -> tuple[DenseTensor, int, int]:
     return t, mode_ranks[mode], n_cands[mode]
 
 
-def _cover_problem(t: DenseTensor) -> tuple[_PackedFp, np.ndarray, list]:
-    """The packing, the packed prefix candidates and the slice-span steps of
-    t, whose last factor is the solved-for one."""
-    p = t.ring.p
+def _cover_problem(t: DenseTensor) -> tuple[_PackedFp, np.ndarray, np.ndarray]:
+    """The packing, the packed prefix candidates and the packed slices of t,
+    whose last factor is the solved-for one."""
     m = flatten(t, Bipartition.of(tuple(range(t.order - 1)), t.order))
-    field = _PackedFp(p, m.rows)
-    slice_steps: list = []
-    for j in range(m.cols):
-        field.insert(slice_steps, field.pack(m.entries[j :: m.cols]))
-    return field, field.pack_rows(_prefix_candidates(t.shape[:-1], p)), slice_steps
+    field = _PackedFp(t.ring.p, m.rows)
+    slices = [field.pack(m.entries[j :: m.cols]) for j in range(m.cols)]
+    return field, _prefix_candidates(field, t.shape[:-1]), np.array(slices, dtype=field.dtype)
 
 
 def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
@@ -415,9 +448,11 @@ def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
     Returns None when the rank exceeds r_max ("exceeds r_max").  Exact; only
     F_p with p in BRUTE_FORCE_PRIMES is accepted.  One factor is solved for
     (see `_solve_mode_last`), and `_cover_search` decides each r from the
-    slice-span dimension s up.  Before any candidate is built, the work of
-    every level up to r_max is estimated in candidate steps (`_cover_work`);
-    an estimate over COVER_SEARCH_WORK_CAP raises CapExceeded.
+    slice-span dimension s up to n - 1, where n, the coordinate count of
+    the other factors, bounds the rank.  Before any candidate is built, the
+    bytes of one candidate array and the work of every level up to r_max in
+    candidate steps (`_cover_work`) are estimated; an estimate over
+    COVER_MAX_BYTES or COVER_SEARCH_WORK_CAP raises CapExceeded.
     """
     if t.ring.kind != "fp" or t.ring.p not in BRUTE_FORCE_PRIMES:
         raise ValidationError(f"brute force needs F_p with p in {BRUTE_FORCE_PRIMES}")
@@ -426,22 +461,30 @@ def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
     if t.is_zero():
         return 0
     t, s, n_cands = _solve_mode_last(t)
-    n_coords = len(t.data) // t.shape[-1]
-    # rank <= n_coords always: the coordinate tensors are candidates
-    levels = range(max(s, 1), min(r_max, n_coords) + 1)
+    dims = t.shape[:-1]
+    n_coords = math.prod(dims)
+    # s <= rank <= n_coords, the coordinate tensors being candidates: only
+    # the levels in between are searched
+    levels = range(s, min(r_max, n_coords - 1) + 1)
     if not levels:
-        return None
-    work = _cover_work(t.ring.p, n_cands, n_coords, (r - s for r in levels))
+        return n_coords if r_max >= n_coords else None
+    size = n_cands * (8 if _packed_bits(t.ring.p, n_coords) <= 62 else 64)
+    if size > COVER_MAX_BYTES:
+        raise CapExceeded(
+            f"rank search over {n_cands} candidates needs {size} bytes an array, "
+            f"over the limit of {COVER_MAX_BYTES}"
+        )
+    work = _cover_work(t.ring.p, dims, s, levels)
     if work > COVER_SEARCH_WORK_CAP:
         raise CapExceeded(
             f"rank search up to r = {r_max} over {n_cands} candidates needs at least "
             f"{work} candidate steps, over the limit of {COVER_SEARCH_WORK_CAP}"
         )
-    field, cands, slice_steps = _cover_problem(t)
+    field, cands, slices = _cover_problem(t)
     for r in levels:
-        if _cover_search(field, cands, slice_steps, r) is not None:
+        if _cover_search(field, cands, slices, r) is not None:
             return r
-    return None
+    return n_coords if r_max >= n_coords else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from tensorlab import cli
 from tensorlab.cli import ExperimentConfig, emit, parse_config, run
-from tensorlab import decomp, matchgate, secants
+from tensorlab import decomp, matchgate, ranks, secants
 from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
@@ -721,4 +721,4 @@ def test_rank_bruteforce_matmul_222_and_the_work_cap(tmp_path, capsys):
     started = time.perf_counter()
     assert cli.main(argv + ["8"]) == 3
     assert time.perf_counter() - started < 1
-    assert "over the limit of 80000000" in capsys.readouterr().err
+    assert f"over the limit of {ranks.COVER_SEARCH_WORK_CAP}" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cover_oracle import cover_search, oracle_rank, prefix_problem, reduce_mod_p
+from cover_oracle import basis_insert, cover_search, oracle_rank, prefix_problem, reduce_mod_p
 from tensorlab import ranks
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact, rank_exact, solve_exact
@@ -224,30 +224,74 @@ def matmul_tensor(n, ring):
     return DenseTensor((n * n,) * 3, tuple(data), ring)
 
 
+def no_candidates(*args):
+    raise AssertionError("candidates built")
+
+
 def test_bruteforce_caps(monkeypatch):
     mm = matmul_tensor(2, fp(2))
-
-    def no_candidates(*args):
-        raise AssertionError("candidates built before the cap check")
-
-    # <2,2,2> at r_max 8 needs C(225, 3) nodes at r = 8: refused before any candidate
     monkeypatch.setattr(ranks, "_prefix_candidates", no_candidates)
+    # <2,2,2> at r_max 8 needs C(225, 3) nodes at r = 8: refused before any candidate
     started = time.perf_counter()
     with pytest.raises(CapExceeded, match=r"needs at least \d+ candidate steps, over the limit of "
                        + str(ranks.COVER_SEARCH_WORK_CAP)):
         exact_rank_bruteforce(mm, 8)
+    # (2^21 - 1)^2 candidates, and 397852 of 98 packed bits (object arrays):
+    # over the memory bound
+    for shape, p in (((21, 21, 21), 2), ((6, 7, 7), 3)):
+        with pytest.raises(CapExceeded, match="bytes an array, over the limit of " + str(ranks.COVER_MAX_BYTES)):
+            exact_rank_bruteforce(to_ring(random_tensor(shape, seed=3), fp(p)), 30)
     assert time.perf_counter() - started < 1
+    # a full slice span (s = 90 coordinates) decides the rank without a search
+    full = [0] * 8100
+    for c in range(90):
+        full[c * 91] = 1  # T[i, j, 10 i + j] = 1
+    full = DenseTensor((9, 10, 90), tuple(full), fp(2))
+    assert exact_rank_bruteforce(full, 90) == 90
+    assert exact_rank_bruteforce(full, 89) is None
     monkeypatch.undo()
-    # the estimate at r_max 7: 225 candidates of 16 coordinates, then 1, 1,
-    # 1 + 225 and 1 + 225 + C(225, 2) nodes at slacks 0..3
-    nodes = 1 + 1 + 226 + 25426
-    assert ranks._cover_work(2, 225, 16, range(4)) == 225 * 16 + nodes * (225 + ranks.COVER_NODE_STEPS)
-    assert ranks._cover_work(2, 225, 16, range(4)) <= ranks.COVER_SEARCH_WORK_CAP
+    # the estimate at r_max 7: 225 candidates of 4 + 4 factor coordinates,
+    # then 1, 1, 1 + 225 and 1 + 225 + C(225, 2) nodes at r = 4..7
+    nodes = {4: 1, 5: 1, 6: 226, 7: 25426}
+    estimate = 225 * 8 + sum(c * (r * 225 + ranks.COVER_NODE_STEPS) for r, c in nodes.items())
+    assert ranks._cover_work(2, (4, 4), 4, range(4, 8)) == estimate <= ranks.COVER_SEARCH_WORK_CAP
+    # past 62 packed bits every candidate counts COVER_WIDE_STEPS
+    wide = ranks._cover_work(2, (2, 2, 2, 2, 2, 2), 2, [2])
+    assert wide == 729 * 12 * ranks.COVER_WIDE_STEPS + 2 * 729 * ranks.COVER_WIDE_STEPS + ranks.COVER_NODE_STEPS
     # past the old size caps (r_max <= 4, 64 entries): r_max 9 on 72 entries
     big = to_ring(random_tensor((3, 3, 8), seed=1), fp(2))
     assert exact_rank_bruteforce(big, 9) == oracle_rank(big, 9)
     with pytest.raises(ValidationError):
         exact_rank_bruteforce(zeros((2, 2)), 2)  # rational ring rejected
+
+
+def test_bruteforce_takes_rank_n_from_refuted_levels(monkeypatch):
+    # rank <= n, the coordinate count of the other factors: with every level
+    # below n refuted, the rank is n, and level n is never searched
+    levels = []
+    monkeypatch.setattr(ranks, "_cover_search", lambda field, cands, slices, r: levels.append(r))
+    t = to_ring(w_state(3), fp(2))
+    assert exact_rank_bruteforce(t, 4) == 4 and levels == [2, 3]
+    assert exact_rank_bruteforce(t, 3) is None
+
+
+def test_bruteforce_many_candidates():
+    # 12285 candidates of 24 coordinates: a sum of 14 random rank-one terms
+    # in F_2^2 x F_2^12 x F_2^12 with slice span 12 and rank 13, where r = 12
+    # is a rank test of all the candidates and r = 13 ends in one batch of leaves
+    rng = random.Random(12)
+    summands = [[[rng.randint(0, 1) for _ in range(d - 1)] + [1] for d in (2, 12, 12)] for _ in range(14)]
+    t = reconstruct(summands, fp(2))
+    t2, s, n_cands = ranks._solve_mode_last(t)
+    assert (s, n_cands) == (12, 12285)
+    started = time.perf_counter()
+    assert exact_rank_bruteforce(t, 13) == 13
+    assert time.perf_counter() - started < 5
+    field, cands, slices = ranks._cover_problem(t2)
+    assert ranks._cover_search(field, cands, slices, 12) is None
+    stats = {}
+    check_witness(t2, ranks._cover_search(field, cands, slices, 13, stats), 13)
+    assert stats["nodes"] == ranks._cover_nodes(n_cands, 1) == 1
 
 
 def test_matmul_222_has_rank_7_over_f2():
@@ -271,17 +315,13 @@ def test_packed_arithmetic_is_arithmetic_mod_p():
             else:
                 vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(40)]
             packed = [field.pack(v) for v in vecs]
-            arr = field.pack_rows(np.array(vecs, dtype=np.int64))
-            assert arr.tolist() == packed
+            arr = np.array(packed, dtype=field.dtype)
             for v, x in zip(vecs, packed):
                 assert [field.coef(x, i) for i in range(n)] == list(v)
                 assert field.neg(x) == field.pack([-a for a in v])
                 for c in range(p):
                     assert field.times(x, c) == field.pack([c * a for a in v])
                 if any(v):
-                    pivot, multiples = field.step(x)
-                    assert pivot == next(i for i, a in enumerate(v) if a)
-                    assert field.reduce(x, [(pivot, multiples)]) == 0
                     line = {field.pack([c * a for a in v]) for c in range(1, p)}
                     assert field.line_key(x) == min(line)
             pairs = list(zip(vecs, packed))
@@ -293,6 +333,43 @@ def test_packed_arithmetic_is_arithmetic_mod_p():
             assert field.add(arr, rolled).tolist() == [field.add(x, y) for x, y in zip(packed, rolled.tolist())]
             assert field.line_key(arr).tolist() == [field.line_key(x) for x in packed]
             assert field.coef(arr, n - 1).tolist() == [field.coef(x, n - 1) for x in packed]
+            heads = [(v, x) for v, x in zip(vecs, packed) if any(v)]
+            pivots = [next(i for i, a in enumerate(v) if a) for v, _ in heads]
+            head_arr = np.array([x for _, x in heads], dtype=field.dtype)
+            assert field.pivots(head_arr).tolist() == pivots
+            # clearing v at the pivot i of a head h: v - (v_i / h_i) h
+            slot = np.arange(len(vecs)) % len(heads)
+            expected = []
+            for v, j in zip(vecs, slot.tolist()):
+                h, i = heads[j][0], pivots[j]
+                c = v[i] * pow(h[i], -1, p)
+                expected.append(field.pack([a - c * b for a, b in zip(v, h)]))
+            assert field.clear(arr, head_arr, slot).tolist() == expected
+            assert field.clear(arr[:1], head_arr, 0).tolist() == expected[:1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_independent_picks_greedy_bases_in_every_group(p):
+    rng = random.Random(p)
+    for n in (3, 6, 40):
+        field = ranks._PackedFp(p, n)
+        rows = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(60)]
+        group = np.sort(np.array([rng.randrange(7) for _ in rows]))
+        group = np.unique(group, return_inverse=True)[1]
+        pickable = np.array([rng.random() < 0.7 for _ in rows])
+        values = np.array([field.pack(v) for v in rows], dtype=field.dtype)
+        for mask in (None, pickable):
+            picks, rest = ranks._independent(field, values, group, group[-1] + 1, 4, mask)
+            for g in range(group[-1] + 1):
+                basis, expected = {}, []
+                for j in np.flatnonzero(group == g).tolist():
+                    if (mask is None or mask[j]) and len(expected) < 4 and basis_insert(rows[j], basis, p):
+                        expected.append(j)
+                assert picks[: len(expected), g].tolist() == expected
+                assert (picks[len(expected):, g] == -1).all()
+                # every row of the group is reduced modulo the span of its picks
+                for j in np.flatnonzero(group == g).tolist():
+                    assert (rest[j] == 0) == (reduce_mod_p(rows[j], basis, p) is None)
 
 
 def random_cases():
@@ -312,10 +389,8 @@ RANDOM_CASES = random_cases()
 def packed_problem(candidates, slice_basis, p):
     """The oracle's candidates and slice basis, packed for the new search."""
     field = ranks._PackedFp(p, len(candidates[0]))
-    steps = []
-    for row in slice_basis.values():
-        assert field.insert(steps, field.pack(row))
-    return field, field.pack_rows(np.array(candidates, dtype=np.int64)), steps
+    pack = lambda rows: np.array([field.pack(w) for w in rows], dtype=field.dtype)
+    return field, pack(candidates), pack(slice_basis.values())
 
 
 @pytest.mark.parametrize("case", RANDOM_CASES, ids=lambda c: f"p{c[0]}-{c[1]}-{c[2]}")
@@ -323,13 +398,13 @@ def test_cover_search_matches_the_old_dfs(case):
     p, shape, seed, r_max = case
     t = to_ring(random_tensor(shape, seed=seed), fp(p))
     t2, slice_basis, factors, candidates = prefix_problem(t)
-    assert ranks._prefix_candidates(t2.shape[:-1], p).tolist() == [list(c) for c in candidates]
-    field, cands, steps = packed_problem(candidates, slice_basis, p)
+    field, cands, slices = packed_problem(candidates, slice_basis, p)
+    assert ranks._prefix_candidates(field, t2.shape[:-1]).tolist() == cands.tolist()
     s = len(slice_basis)
     inside = [w for w in candidates if reduce_mod_p(w, slice_basis, p) is None]
     for r in range(max(s, 1), r_max + 1):
         stats = {}
-        found = ranks._cover_search(field, cands, steps, r, stats)
+        found = ranks._cover_search(field, cands, slices, r, stats)
         old = cover_search(inside if r == s else candidates, slice_basis, r, p)
         assert (found is not None) == old, r
         assert stats["nodes"] <= ranks._cover_nodes(len(candidates), r - s)
@@ -369,10 +444,10 @@ def test_cover_search_witness_expands_to_the_tensor(case):
     if t.is_zero():
         return
     t2, s, n_cands = ranks._solve_mode_last(t)
-    field, cands, steps = ranks._cover_problem(t2)
+    field, cands, slices = ranks._cover_problem(t2)
     for r in range(max(s, 1), r_max + 1):
         stats = {}
-        witness = ranks._cover_search(field, cands, steps, r, stats)
+        witness = ranks._cover_search(field, cands, slices, r, stats)
         assert stats["nodes"] <= ranks._cover_nodes(n_cands, r - s)
         if witness is not None:
             assert r == exact_rank_bruteforce(t, r_max)
@@ -467,11 +542,21 @@ def test_cover_search_finds_a_witness_at_every_r_from_the_rank_up():
             summand = [[rng.randint(0, p - 1) or 1 for _ in range(d)] for d in shape]
             for t, rank in ((to_ring(rank_one(summand), fp(p)), 1), (to_ring(w_state(3), fp(p)), 3)):
                 t2, s, _ = ranks._solve_mode_last(t)
-                field, cands, steps = ranks._cover_problem(t2)
+                field, cands, slices = ranks._cover_problem(t2)
                 for r in range(rank, field.n + 1):
-                    witness = ranks._cover_search(field, cands, steps, r)
+                    witness = ranks._cover_search(field, cands, slices, r)
                     assert witness is not None, (p, shape, r)
                     check_witness(t2, witness, r)
+
+
+def test_cover_search_completes_a_space_its_inside_candidates_span():
+    # S = <e1> and the candidates e1, e2, e3 of F_2^3: at r = 3 the leaf
+    # V' = <e1, e2> is spanned by the candidates inside it, so e3, alone
+    # on its line, completes it
+    field = ranks._PackedFp(2, 3)
+    cands = np.array([1, 2, 4], dtype=np.int64)
+    for r in (1, 2, 3):
+        assert sorted(ranks._cover_search(field, cands, np.array([1]), r)) == list(range(r))
 
 
 def test_cover_search_visits_one_node_per_line():
@@ -480,7 +565,7 @@ def test_cover_search_visits_one_node_per_line():
     t2, s, _ = ranks._solve_mode_last(matmul_tensor(2, fp(3)))
     _, slice_basis, _, candidates = prefix_problem(t2)
     lines = {reduce_mod_p(w, slice_basis, 3) for w in candidates} - {None}
-    field, cands, steps = ranks._cover_problem(t2)
+    field, cands, slices = ranks._cover_problem(t2)
     stats = {}
-    assert ranks._cover_search(field, cands, steps, 6, stats) is None
+    assert ranks._cover_search(field, cands, slices, 6, stats) is None
     assert stats["nodes"] == 1 + len(lines) < 1 + len(candidates)
