@@ -415,17 +415,13 @@ def _run_kron(config: ExperimentConfig) -> list[dict]:
             p, q, r, n_max = (int(x) for x in raw.split(","))
         except ValueError as exc:
             raise ValidationError(f"malformed value for parameter 'cone': {raw!r}") from exc
-        rows = kronecker.cone_sample(p, q, r, n_max)
         return [
             {
                 "mode": "cone",
                 "bounds": [p, q, r],
                 "n_max": n_max,
                 "columns": ["lambda", "mu", "nu", "K"],
-                "table": [
-                    {"lambda": str(l), "mu": str(m), "nu": str(nu), "K": k}
-                    for (l, m, nu, k) in rows
-                ],
+                "table": kronecker.cone_sample(p, q, r, n_max),  # per-size blocks, see _labelled
             }
         ]
     if "weyl" in params:
@@ -592,7 +588,7 @@ def emit(records: list[ResultRecord], fmt: str) -> str:
     """Render records: canonical JSON lines, CSV for tabular payloads, or
     aligned text columns."""
     if fmt == "json":
-        return "\n".join(json.dumps(r.as_dict(), sort_keys=True) for r in records) + "\n"
+        return "\n".join(_record_json(r) for r in records) + "\n"
     rows, columns = _tabulate(records)
     if fmt == "csv":
         if columns is None:
@@ -600,8 +596,7 @@ def emit(records: list[ResultRecord], fmt: str) -> str:
         buf = io.StringIO()
         writer = csv_module.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
+        writer.writerows(rows)
         return buf.getvalue()
     if fmt == "text":
         if columns is None:
@@ -611,23 +606,58 @@ def emit(records: list[ResultRecord], fmt: str) -> str:
                     out.append(f"{k}: {json.dumps(jsonable(v), sort_keys=True)}")
                 out.append("")
             return "\n".join(out)
-        widths = {c: max(len(c), *(len(str(row.get(c, ""))) for row in rows)) for c in columns}
-        header = "  ".join(c.ljust(widths[c]) for c in columns)
-        body = [
-            "  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns) for row in rows
-        ]
-        return "\n".join([header] + body) + "\n"
+        cells = [columns] + [[str(v) for v in row] for row in rows]
+        widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
+        return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells) + "\n"
     raise ValidationError(f"unsupported format {fmt!r}")
 
 
+def _record_json(record: ResultRecord) -> str:
+    """One record as a canonical JSON line, keys sorted at every level.
+
+    A cone table is dumped as "table": [] and its rows, rendered as text,
+    are put in its place.  That is the last unescaped `"table": []` of the
+    line: quotes inside JSON strings are escaped, "table" is the last key of
+    the payload, and only scalars follow the payload.  It need not be the
+    only one, since a config file may give a parameter an object value.
+    """
+    blocks = record.payload.get("table")
+    if blocks is None:
+        return json.dumps(record.as_dict(), sort_keys=True)
+    line = json.dumps({**record.as_dict(), "payload": {**record.payload, "table": []}}, sort_keys=True)
+    head, _, tail = line.rpartition('"table": []')
+    rows = ", ".join(  # one block's row strings at a time
+        ", ".join(
+            f'{{"K": {v}, "lambda": "{ls[i]}", "mu": "{ms[j]}", "nu": "{ns[k]}"}}'
+            for (i, j, k), v in zip(ijk, ks)
+        )
+        for ls, ms, ns, ijk, ks in _labelled(blocks)
+    )
+    return f'{head}"table": [{rows}]{tail}'
+
+
+def _labelled(blocks) -> Iterator[tuple]:
+    """cone_sample's blocks with their partitions formatted as labels, once
+    per block: row t of a block is (ls[i], ms[j], ns[k], ks[t]) with
+    (i, j, k) = ijk[t]."""
+    for lams, mus, nus, ijk, ks in blocks:
+        yield [str(x) for x in lams], [str(x) for x in mus], [str(x) for x in nus], ijk, ks
+
+
 def _tabulate(records: list[ResultRecord]):
-    """Extract (rows, columns) when the records form a table, else (_, None)."""
+    """(rows, columns) when the records form a table, each row its values in
+    column order, else (None, None)."""
     if len(records) == 1 and "table" in records[0].payload:
-        payload = records[0].payload
-        return payload["table"], payload.get("columns") or sorted(payload["table"][0])
+        rows = (
+            [ls[i], ms[j], ns[k], v]
+            for ls, ms, ns, ijk, ks in _labelled(records[0].payload["table"])
+            for (i, j, k), v in zip(ijk, ks)
+        )
+        return rows, records[0].payload["columns"]
     if records and all("variety" in r.payload and "r" in r.payload for r in records):
-        return [r.payload for r in records], [f.name for f in fields(secants.SecantReport)]
-    return [r.payload for r in records], None
+        columns = [f.name for f in fields(secants.SecantReport)]
+        return [[r.payload.get(c, "") for c in columns] for r in records], columns
+    return None, None
 
 
 def _check_output_path(path: str) -> None:
@@ -652,7 +682,7 @@ def _append_record(path: str, record: ResultRecord) -> None:
             fh.seek(-1, io.SEEK_END)
             if fh.read(1) != b"\n":
                 fh.write(b"\n")
-        fh.write(json.dumps(record.as_dict(), sort_keys=True).encode() + b"\n")
+        fh.write(_record_json(record).encode() + b"\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -9,8 +9,9 @@ built for a partition that is asked about.  Kronecker coefficients are the
 plain class-weighted character sums over three rows, divided exactly by n!,
 which is the simplest exact route at the sizes this package cares about
 (n <= 14).  The cone table contracts all its rows of one size n in a single
-int64 product, exact by a bound stated in `cone_sample`; the zero-weight
-Weyl test counts plethysm weights over numpy index arrays.
+int64 product, exact by a bound stated in `cone_sample`, and returns them as
+one block per size, from which the CLI renders the rows per size; the
+zero-weight Weyl test counts plethysm weights over numpy index arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .secants import exponents
 PARTITIONS_CAP = 20
 CHARACTER_CAP = 16
 KRONECKER_CAP = 14
-# cone_sample's work cap, in triples enumerated: at (6,6,6,14), 1.44M triples,
-# the CLI takes ~6.5 s and ~550 MB on a 2-core x86_64 machine
+# cone_sample's work cap, in triples enumerated: at (6,6,6,14), 1.44M triples
+# and 1.12M rows, the CLI takes ~2.2 s and ~330 MB on a 2-core x86_64 machine
 CONE_TRIPLE_CAP = 1_500_000
 WEYL_SIZE_CAP = 12
 WEYL_DIM_CAP = 4
@@ -220,13 +221,15 @@ def rectangular_kronecker(lam: Partition, d: int, n: int) -> RectangularKronecke
     return RectangularKronecker(value, conj, len(lam) > n * n)
 
 
-def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Partition, Partition, int]]:
+def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple]:
     """Positivity table of Kronecker coefficients under length bounds.
 
     Enumerates triples (lambda, mu, nu) of equal size <= n_max with
     len(lambda) <= p, len(mu) <= q, len(nu) <= r and keeps those with a
     positive coefficient, in lambda, mu, nu order.  Experimental substrate
-    only: no facet claims.
+    only: no facet claims.  The table comes as one block per size n that has
+    rows, (lams, mus, nus, ijk, K): row t is (lams[i], mus[j], nus[k], K[t])
+    with (i, j, k) = ijk[t].
 
     For each n the bounded character rows form int64 tables L, M, N, and one
     product contracts w*chi_lambda*chi_mu against chi_nu over the classes.
@@ -236,6 +239,8 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
     The cost is bounded by the triples enumerated, sum_n |L_n||M_n||N_n|,
     which is checked against CONE_TRIPLE_CAP before any row is built.
     """
+    if min(p, q, r, n_max) < 0:
+        raise ValidationError("cone bounds must be non-negative")
     if n_max > KRONECKER_CAP:
         raise CapExceeded(
             f"cone sampling capped at n_max <= {KRONECKER_CAP}, where int64 character sums are exact"
@@ -249,7 +254,7 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
         raise CapExceeded(
             f"cone sampling would enumerate {triples} triples, over the limit of {CONE_TRIPLE_CAP}"
         )
-    rows = []
+    blocks = []
     for n in sizes:
         parts = partitions_of(n)
         lams, mus, nus = ([x for x in parts if len(x) <= b] for b in (p, q, r))
@@ -262,9 +267,8 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple[Partition, Par
         sums = (w_lam[:, None, :] * chi_mu[None, :, :]).reshape(-1, chi_nu.shape[1]) @ chi_nu.T
         table = _coefficient(sums.reshape(len(lams), len(mus), len(nus)), math.factorial(n))
         positive = table > 0
-        for (i, j, k), value in zip(np.argwhere(positive).tolist(), table[positive].tolist()):
-            rows.append((lams[i], mus[j], nus[k], value))
-    return rows
+        blocks.append((lams, mus, nus, np.argwhere(positive).tolist(), table[positive].tolist()))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

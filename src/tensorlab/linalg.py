@@ -581,15 +581,6 @@ def solve_exact(a: Matrix, rhs_cols: Matrix) -> Matrix | None:
     return Matrix.from_rows(out, a.ring)
 
 
-def invert_exact(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValidationError("inverse of a non-square matrix")
-    inv = solve_exact(m, Matrix.identity(m.rows, m.ring))
-    if inv is None:
-        raise ValidationError("matrix is singular")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # Kronecker product and the float lane
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense tensors, flattenings, symmetrization, and rank-one constructions.
+"""Dense tensors, flattenings, and rank-one constructions.
 
 Index order is row-major with the last factor index fastest; every file
 format and flattening in the package uses this order, so results are
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -143,20 +142,6 @@ def veronese_point(v: Sequence, d: int, ring: Ring = RATIONAL) -> DenseTensor:
     return rank_one([v] * d, ring)
 
 
-def segre_veronese_point(
-    vectors: Sequence[Sequence], degrees: Sequence[int], ring: Ring = RATIONAL
-) -> DenseTensor:
-    """Tensor power of each factor to its degree, then the outer product."""
-    if len(vectors) != len(degrees):
-        raise ValidationError("one degree per factor vector is required")
-    if any(d < 1 for d in degrees):
-        raise ValidationError("degrees must be >= 1")
-    factors = []
-    for v, d in zip(vectors, degrees):
-        factors.extend([v] * d)
-    return rank_one(factors, ring)
-
-
 def flatten(t: DenseTensor, b: Bipartition) -> Matrix:
     """Matrix of the tensor regrouped by the bipartition.
 
@@ -192,25 +177,6 @@ def is_symmetric(t: DenseTensor) -> bool:
                 if t[idx] != t[tuple(swapped)]:
                     return False
     return True
-
-
-def symmetrize(t: DenseTensor) -> DenseTensor:
-    """Average over all factor permutations; idempotent."""
-    if len(set(t.shape)) != 1:
-        raise ValidationError("symmetrize needs equal factor dimensions")
-    d = t.order
-    if t.ring.kind == "fp" and math.factorial(d) % t.ring.p == 0:
-        raise ValidationError(f"{d}! is not invertible in F_{t.ring.p}")
-    perms = list(itertools.permutations(range(d)))
-    sums = [
-        sum((t[tuple(idx[p] for p in perm)] for perm in perms), rings.zero(t.ring))
-        for idx in multi_indices(t.shape)
-    ]
-    if t.ring.kind == "float":
-        return DenseTensor(t.shape, tuple(x / len(perms) for x in sums), t.ring)
-    inv = pow(len(perms), -1, t.ring.p) if t.ring.kind == "fp" else Fraction(1, len(perms))
-    # coerce, not reduce: the average of integers is an int again when it can be
-    return DenseTensor(t.shape, tuple(rings.coerce(x * inv, t.ring) for x in sums), t.ring)
 
 
 def braid(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
@@ -249,15 +215,6 @@ def mode_apply(t: DenseTensor, pos: int, m: Matrix) -> DenseTensor:
                 j = base + strides_new[pos] * r
                 data[j] += coef * v
     return DenseTensor(new_shape, tuple(rings.reduce(x, t.ring) for x in data), t.ring)
-
-
-def random_tensor(shape: Sequence[int], ring: Ring = RATIONAL, seed: int = 0) -> DenseTensor:
-    """Tensor with integer entries drawn uniformly from [-10, 10] (seeded)."""
-    _check_shape(shape)
-    rng = random.Random(seed)
-    raw = [rng.randint(-10, 10) for _ in range(math.prod(shape))]
-    data = tuple(rings.coerce(x, ring) for x in raw)
-    return DenseTensor(tuple(shape), data, ring)
 
 
 def to_ring(t: DenseTensor, ring: Ring) -> DenseTensor:

@@ -1,0 +1,78 @@
+"""Tensor and matrix constructions that only the tests use.
+
+Each was once part of the package and had no caller in it; the tests keep
+them here with their behaviour unchanged.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+from typing import Sequence
+
+from tensorlab import rings
+from tensorlab.errors import ValidationError
+from tensorlab.linalg import Matrix, solve_exact
+from tensorlab.rings import RATIONAL, Ring
+from tensorlab.tensors import DenseTensor, _check_shape, multi_indices, rank_one
+
+
+def segre_veronese_point(
+    vectors: Sequence[Sequence], degrees: Sequence[int], ring: Ring = RATIONAL
+) -> DenseTensor:
+    """Tensor power of each factor to its degree, then the outer product."""
+    if len(vectors) != len(degrees):
+        raise ValidationError("one degree per factor vector is required")
+    if any(d < 1 for d in degrees):
+        raise ValidationError("degrees must be >= 1")
+    factors = []
+    for v, d in zip(vectors, degrees):
+        factors.extend([v] * d)
+    return rank_one(factors, ring)
+
+
+def symmetrize(t: DenseTensor) -> DenseTensor:
+    """Average over all factor permutations; idempotent."""
+    if len(set(t.shape)) != 1:
+        raise ValidationError("symmetrize needs equal factor dimensions")
+    d = t.order
+    if t.ring.kind == "fp" and math.factorial(d) % t.ring.p == 0:
+        raise ValidationError(f"{d}! is not invertible in F_{t.ring.p}")
+    perms = list(itertools.permutations(range(d)))
+    sums = [
+        sum((t[tuple(idx[p] for p in perm)] for perm in perms), rings.zero(t.ring))
+        for idx in multi_indices(t.shape)
+    ]
+    if t.ring.kind == "float":
+        return DenseTensor(t.shape, tuple(x / len(perms) for x in sums), t.ring)
+    inv = pow(len(perms), -1, t.ring.p) if t.ring.kind == "fp" else Fraction(1, len(perms))
+    # coerce, not reduce: the average of integers is an int again when it can be
+    return DenseTensor(t.shape, tuple(rings.coerce(x * inv, t.ring) for x in sums), t.ring)
+
+
+def random_tensor(shape: Sequence[int], ring: Ring = RATIONAL, seed: int = 0) -> DenseTensor:
+    """Tensor with integer entries drawn uniformly from [-10, 10] (seeded)."""
+    _check_shape(shape)
+    rng = random.Random(seed)
+    raw = [rng.randint(-10, 10) for _ in range(math.prod(shape))]
+    data = tuple(rings.coerce(x, ring) for x in raw)
+    return DenseTensor(tuple(shape), data, ring)
+
+
+def invert_exact(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise ValidationError("inverse of a non-square matrix")
+    inv = solve_exact(m, Matrix.identity(m.rows, m.ring))
+    if inv is None:
+        raise ValidationError("matrix is singular")
+    return inv
+
+
+def cone_rows(blocks) -> list[tuple]:
+    """kronecker.cone_sample's per-size blocks flattened to its rows,
+    (lambda, mu, nu, K), in table order."""
+    return [
+        (lams[i], mus[j], nus[k], value)
+        for lams, mus, nus, ijk, ks in blocks
+        for (i, j, k), value in zip(ijk, ks)
+    ]

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import time
@@ -7,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cone_rows
 from tensorlab import cli
 from tensorlab.cli import ExperimentConfig, emit, parse_config, run
-from tensorlab import decomp, matchgate, ranks, secants
+from tensorlab import decomp, kronecker, matchgate, ranks, secants
 from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
@@ -431,7 +434,7 @@ def test_emit_json_parses_back_losslessly():
 
 def test_emit_csv_row_count():
     records = run(parse_config(["kron", "--cone", "2,2,2,3"]))
-    table = records[0].payload["table"]
+    table = cone_rows(records[0].payload["table"])
     text = emit(records, "csv")
     lines = text.strip().splitlines()
     assert len(lines) == len(table) + 1
@@ -451,6 +454,150 @@ def test_emit_scan_csv_and_text():
     assert len(csv_text.strip().splitlines()) == len(records) + 1
     txt = emit(records, "text")
     assert "segre:2,2" in txt
+
+
+# --- cone tables, rendered from cone_sample's per-size blocks ---------------------------
+
+CONE_BOUNDS = ["4,4,4,10", "3,3,3,10", "2,5,3,9", "1,1,1,6", "0,2,2,3", "2,2,2,0"]
+
+
+def row_dict_record(record):
+    """The record as a dict whose cone table is one dict per row."""
+    rows = [
+        {"lambda": str(lam), "mu": str(mu), "nu": str(nu), "K": k}
+        for lam, mu, nu, k in cone_rows(record.payload["table"])
+    ]
+    return {**record.as_dict(), "payload": {**record.payload, "table": rows}}
+
+
+def row_dict_emit(records, fmt):
+    """Test-local copy of emit from before cone rows were rendered straight
+    from their blocks: json.dumps of the row dicts, and csv and text read
+    from the same dicts."""
+    if fmt == "json":
+        return "\n".join(json.dumps(row_dict_record(r), sort_keys=True) for r in records) + "\n"
+    payload = row_dict_record(records[0])["payload"]
+    rows, columns = payload["table"], payload["columns"]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(c, "") for c in columns])
+        return buf.getvalue()
+    widths = {c: max(len(c), *(len(str(row.get(c, ""))) for row in rows)) for c in columns}
+    header = "  ".join(c.ljust(widths[c]) for c in columns)
+    body = ["  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns) for row in rows]
+    return "\n".join([header] + body) + "\n"
+
+
+def pieces(text):
+    """Text cut at every row, so a failed comparison reports the first row
+    that differs rather than diffing a megabyte-long line."""
+    return text.replace("}, {", "}, \n{").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("bounds", CONE_BOUNDS)
+def test_cone_record_json_matches_the_row_dict_dump(bounds, tmp_path):
+    records = run(parse_config(["kron", "--cone", bounds]))
+    expected = pieces(row_dict_emit(records, "json"))
+    assert pieces(cli._record_json(records[0]) + "\n") == expected
+    assert pieces(emit(records, "json")) == expected
+    # the --output line and the stdout line are the same bytes
+    out = tmp_path / "cone.jsonl"
+    cli._append_record(str(out), records[0])
+    assert pieces(out.read_text()) == expected
+
+
+@pytest.mark.parametrize("bounds", CONE_BOUNDS)
+def test_cone_csv_and_text_match_the_row_dict_output(bounds):
+    records = run(parse_config(["kron", "--cone", bounds]))
+    assert pieces(emit(records, "csv")) == pieces(row_dict_emit(records, "csv"))
+    if records[0].payload["table"]:
+        assert pieces(emit(records, "text")) == pieces(row_dict_emit(records, "text"))
+    else:  # the row-dict text path raised on an empty table
+        assert emit(records, "text") == "lambda  mu  nu  K\n"
+
+
+def test_cone_stdout_line_equals_the_output_line(tmp_path, capsys):
+    def canonical(line):
+        rec = json.loads(line)
+        del rec["timestamp"], rec["wall_time_s"]
+        return rec
+
+    assert cli.main(["kron", "--cone", "2,5,3,9"]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "cone.jsonl"
+    assert cli.main(["kron", "--cone", "2,5,3,9", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = out.read_text()
+    assert stdout.count("\n") == written.count("\n") == 1
+    assert canonical(stdout) == canonical(written)
+    # byte for byte up to the two fields that differ between runs
+    assert stdout.split('"timestamp"')[0] == written.split('"timestamp"')[0]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"cone": "2,2,2,3", "weyl": '"table": []'},
+        {"cone": "2,2,2,3", "triple": '{"table": []}, "table": [], '},
+        # a config file may give a parameter an object value, which is echoed as is
+        {"cone": "2,2,2,3", "weyl": {"table": []}},
+        {"cone": "2,2,2,3", "weyl": {"payload": {"table": [], "x": "\"table\": []"}}},
+    ],
+)
+def test_cone_record_json_with_table_text_in_the_parameters(params):
+    (payload,) = cli._run_kron(ExperimentConfig("kron", {"cone": params["cone"]}))
+    record = cli.ResultRecord(ExperimentConfig("kron", params), payload, "t", 0.5)
+    line = cli._record_json(record)
+    assert line == json.dumps(row_dict_record(record), sort_keys=True)
+    assert json.loads(line)["parameters"] == params
+
+
+def test_cone_config_file_with_a_table_parameter(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "kron", "parameters": {"cone": "2,2,2,4", "weyl": {"table": []}}}))
+    assert cli.main(["--config", str(cfg)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["parameters"]["weyl"] == {"table": []}
+    assert len(rec["payload"]["table"]) == len(cone_rows(kronecker.cone_sample(2, 2, 2, 4)))
+
+
+@pytest.mark.parametrize("bounds", ["2,2,2,0", "0,2,2,3"])
+def test_empty_cone_tables_in_every_format(bounds, capsys):
+    assert cli.main(["kron", "--cone", bounds, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "lambda  mu  nu  K\n"
+    assert cli.main(["kron", "--cone", bounds, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "lambda,mu,nu,K\n"
+    assert cli.main(["kron", "--cone", bounds]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["table"] == []
+
+
+@pytest.mark.parametrize("bounds", ["2,2,2,-3", "-1,2,2,3", "2,-1,2,3", "2,2,-1,3"])
+def test_negative_cone_bounds_exit_2_before_any_work(bounds, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("partitions were enumerated")
+
+    monkeypatch.setattr(kronecker, "_partition_tuples", no_work)
+    assert cli.main(["kron", f"--cone={bounds}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cone bounds must be non-negative" in captured.err
+
+
+def test_cone_caps_exit_3_before_any_block_is_built(monkeypatch, capsys):
+    def no_rows(parts):
+        raise AssertionError("a character row was built")
+
+    monkeypatch.setattr(kronecker, "_character_row", no_rows)
+    assert cli.main(["kron", "--cone", "8,8,8,14"]) == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: cone sampling would enumerate 2853720 triples, over the limit of 1500000\n"
+    )
+    assert cli.main(["kron", "--cone", "2,2,2,15"]) == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: cone sampling capped at n_max <= 14, where int64 character sums are exact\n"
+    )
 
 
 def test_rationals_serialized_as_strings_never_floats(tmp_path):

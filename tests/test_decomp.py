@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import random_tensor
 from tensorlab import decomp
 from tensorlab.decomp import (
     Decomposition,
@@ -447,8 +448,6 @@ def test_strassen_matrix_case():
 
 def test_strassen_random_2x2x2_over_f2():
     rng = random.Random(67)
-    from tensorlab.tensors import random_tensor
-
     for _ in range(5):
         t1 = to_ring(random_tensor((2, 2, 2), seed=rng.randint(0, 10**6)), fp(2))
         t2 = to_ring(random_tensor((2, 2, 2), seed=rng.randint(0, 10**6)), fp(2))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import symmetrize
 from tensorlab import matchgate, tensors
 from tensorlab.linalg import Matrix
 from tensorlab.minrank import MatrixSubspace
@@ -146,7 +147,7 @@ def test_symmetrize_reduces_mod_p(p, seed):
         if p <= order:
             continue  # order! is not invertible in F_p
         tq, tf = both_tensors(ints(rng, 3**order), (3,) * order, p)
-        assert_reduces(tensors.symmetrize(tf).data, tensors.symmetrize(tq).data, p)
+        assert_reduces(symmetrize(tf).data, symmetrize(tq).data, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from helpers import cone_rows
 from tensorlab import kronecker
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
 from tensorlab.kronecker import (
@@ -383,7 +384,7 @@ def test_rectangular_length_flag():
 # --- cone sampling ---------------------------------------------------------------------
 
 def test_cone_sample_matches_direct():
-    rows = cone_sample(2, 2, 2, 3)
+    rows = cone_rows(cone_sample(2, 2, 2, 3))
     for lam, mu, nu, k in rows:
         assert k == kronecker_coefficient(lam, mu, nu) > 0
         assert len(lam) <= 2 and len(mu) <= 2 and len(nu) <= 2
@@ -396,11 +397,11 @@ def test_cone_sample_matches_direct():
 
 @pytest.mark.parametrize("bounds", [(4, 4, 4, 8), (2, 3, 4, 9)])
 def test_cone_sample_matches_naive_loop_row_for_row(bounds):
-    assert cone_sample(*bounds) == cone_oracle(*bounds)
+    assert cone_rows(cone_sample(*bounds)) == cone_oracle(*bounds)
 
 
 def test_cone_semigroup_property_on_samples():
-    rows = cone_sample(2, 2, 2, 4)
+    rows = cone_rows(cone_sample(2, 2, 2, 4))
     for lam, mu, nu, k in rows:
         if lam.size > 5:
             continue
@@ -413,7 +414,7 @@ def test_cone_semigroup_property_on_samples():
 
 @pytest.mark.parametrize("bounds", [(4, 4, 4, 8), (2, 3, 4, 10)])
 def test_array_cone_matches_scalar_loop(bounds):
-    rows = cone_sample(*bounds)
+    rows = cone_rows(cone_sample(*bounds))
     assert rows == scalar_cone(*bounds)
     assert all(type(k) is int for *_, k in rows)
 
@@ -445,9 +446,38 @@ def test_cone_sample_caps(monkeypatch):
 
 def test_cone_sample_admits_the_large_bounds():
     # the row counts the scalar kernel gave with its size caps lifted
-    assert len(cone_sample(4, 4, 4, 14)) == 175447
-    assert len(cone_sample(6, 6, 6, 12)) == 256802
-    assert cone_sample(5, 2, 2, 4) == scalar_cone(5, 2, 2, 4)
+    assert len(cone_rows(cone_sample(4, 4, 4, 14))) == 175447
+    assert len(cone_rows(cone_sample(6, 6, 6, 12))) == 256802
+    assert cone_rows(cone_sample(5, 2, 2, 4)) == scalar_cone(5, 2, 2, 4)
+
+
+@pytest.mark.parametrize("bounds", [(2, 3, 4, 9), (1, 1, 1, 6), (4, 4, 4, 10)])
+def test_cone_sample_returns_one_block_per_size(bounds):
+    p, q, r, n_max = bounds
+    blocks = cone_sample(*bounds)
+    assert len(blocks) == n_max
+    for n, (lams, mus, nus, ijk, ks) in enumerate(blocks, start=1):
+        # the bounded partitions of n, in partitions_of order
+        for xs, b in ((lams, p), (mus, q), (nus, r)):
+            assert xs == [x for x in partitions_of(n) if len(x) <= b]
+        assert type(ijk) is list and all(type(t) is list and len(t) == 3 for t in ijk)
+        assert ijk == sorted(ijk) and len(set(map(tuple, ijk))) == len(ijk)
+        assert len(ks) == len(ijk) and all(type(k) is int and k > 0 for k in ks)
+
+
+@pytest.mark.parametrize("bounds", [(0, 2, 2, 3), (2, 0, 2, 3), (2, 2, 0, 3), (2, 2, 2, 0)])
+def test_cone_sample_with_an_empty_bound_has_no_blocks(bounds):
+    assert cone_sample(*bounds) == []
+
+
+@pytest.mark.parametrize("bounds", [(-1, 2, 2, 3), (2, -1, 2, 3), (2, 2, -1, 3), (2, 2, 2, -3)])
+def test_cone_sample_rejects_negative_bounds_before_any_work(bounds, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("partitions were enumerated")
+
+    monkeypatch.setattr(kronecker, "_partition_tuples", no_work)
+    with pytest.raises(ValidationError, match="non-negative"):
+        cone_sample(*bounds)
 
 
 # --- zero-weight Weyl invariants ----------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import invert_exact
 from tensorlab import linalg
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
@@ -12,7 +13,6 @@ from tensorlab.linalg import (
     Matrix,
     _bareiss,
     det_exact,
-    invert_exact,
     kron,
     nullspace_exact,
     rank_exact,

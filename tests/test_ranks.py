@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cover_oracle import basis_insert, cover_search, oracle_rank, prefix_problem, reduce_mod_p
+from helpers import random_tensor
 from tensorlab import ranks
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact, rank_exact, solve_exact
@@ -32,7 +33,6 @@ from tensorlab.tensors import (
     mode_apply,
     multi_indices,
     rank_one,
-    random_tensor,
     to_ring,
     zeros,
 )

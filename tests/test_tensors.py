@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import random_tensor, segre_veronese_point, symmetrize
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import Matrix, rank_exact
 from tensorlab.rings import FLOAT, RATIONAL, fp
@@ -17,9 +18,6 @@ from tensorlab.tensors import (
     mode_apply,
     multi_indices,
     rank_one,
-    random_tensor,
-    segre_veronese_point,
-    symmetrize,
     to_ring,
     veronese_point,
     zeros,
