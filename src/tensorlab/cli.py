@@ -31,6 +31,14 @@ from .errors import CapExceeded, TensorlabError, ValidationError
 FORMATS = ("json", "csv", "text")
 # argparse dests that are not experiment parameters
 NOT_PARAMS = {"help", "command", "config", "seed", "output", "format"}
+# parameters that each select a different mode of their command: at most one may be given
+MODES = {
+    "rank": ("tensor", "w_state"),
+    "decompose": ("form", "decomposition"),
+    "kron": ("triple", "rectangular", "cone", "weyl"),
+    "matchgate": ("graph", "signature"),
+    "minrank": ("gurvits", "friedland", "subspace"),
+}
 
 
 @dataclass
@@ -40,13 +48,6 @@ class ExperimentConfig:
     seed: int = 0
     output: Optional[str] = None
     format: str = "json"
-
-    def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": dict(sorted(self.parameters.items())),
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -304,16 +305,17 @@ def _run_rank(config: ExperimentConfig) -> list[dict]:
         p = _require(config.parameters, "field", int)
         t = tensors.to_ring(t, rings.fp(p))
     tol = float(config.parameters.get("tol", 1e-8))
+    mode_ranks = ranks.multilinear_rank(t, tol).ranks  # each flattening is ranked once
     payload = {
         "shape": list(t.shape),
         "ring": str(t.ring),
-        "multilinear_rank": list(ranks.multilinear_rank(t, tol).ranks),
-        "border_rank_lower_bound": ranks.border_rank_lower_bound(t, tol),
+        "multilinear_rank": list(mode_ranks),
+        "border_rank_lower_bound": ranks.border_rank_lower_bound(t, tol, mode_ranks),
         "tensor_canonical": tensors.dumps_tensor(t),
     }
     if "bruteforce" in config.parameters:
         r_max = _require(config.parameters, "bruteforce", int)
-        found = ranks.exact_rank_bruteforce(t, r_max)
+        found = ranks.exact_rank_bruteforce(t, r_max, mode_ranks)
         payload["bruteforce"] = {
             "r_max": r_max,
             "rank": found,
@@ -570,6 +572,9 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     """
     if config.command not in _DISPATCH:
         raise ValidationError(f"unknown command {config.command!r}")
+    modes = [k for k in MODES.get(config.command, ()) if k in config.parameters]
+    if len(modes) > 1:
+        raise ValidationError(f"parameters {', '.join(map(repr, modes))} select different modes; give one")
     start = time.perf_counter()
     records = []
     for payload in _DISPATCH[config.command](config):

@@ -246,13 +246,17 @@ def gross_minimality_check(t: DenseTensor, d: Decomposition) -> bool:
 def kruskal_rank(m: Matrix) -> int:
     """Largest k such that every k columns of m are linearly independent.
 
-    For each k, all C(cols, k) column subsets are ranked in one stacked call
-    to `ranks_mod_p`, on the echelon form mod p of m.  Over F_p that rank is
+    If every k-subset is independent, so is every smaller one, so k is
+    found by bisection between 1 (no column is zero) and min(rows, cols),
+    the top level first: on a generic matrix that one level decides.  A
+    level ranks all C(cols, k) column subsets in one stacked call to
+    `ranks_mod_p`, on the echelon form mod p of m, so at most
+    1 + ceil(log2 min(rows, cols)) calls are made.  Over F_p that rank is
     exact.  Over Q each row is first scaled to integers, which keeps the
     same columns independent, and ranked mod `WORD_PRIME`: a full rank mod p
     certifies independence over Q, and a subset that falls short mod p is
     confirmed by the exact `rank_exact` (an integer kernel checked over Z,
-    or Bareiss) before k stops, so the result is exact in both rings.
+    or Bareiss) before its level fails, so the result is exact in both rings.
     """
     if m.cols > KRUSKAL_COLUMN_CAP:
         raise CapExceeded(f"{m.cols} columns exceed the Kruskal cap {KRUSKAL_COLUMN_CAP}")
@@ -268,19 +272,24 @@ def kruskal_rank(m: Matrix) -> int:
     # most cols nonzero rows, so the stacks below do not grow with m.rows
     rank = len(_fp_eliminate(rows, p)[0])
     residues = np.array(rows[:rank], dtype=np.int64).reshape(rank, m.cols)
-    best = 0
-    for k in range(1, min(m.rows, m.cols) + 1):
+
+    def independent(k: int) -> bool:
         subsets = list(itertools.combinations(range(m.cols), k))
         ranks = ranks_mod_p(residues[:, subsets].transpose(1, 0, 2), p)
         short = (subsets[i] for i in np.flatnonzero(ranks < k))
-        if any(
+        return not any(
             m.ring.kind == "fp"
             or rank_exact(matrix_from_vectors([cols[j] for j in subset], m.ring)) < k
             for subset in short
-        ):
-            break
-        best = k
-    return best
+        )
+
+    lo, hi = 1, min(m.rows, m.cols)  # level lo holds; level hi is checked first
+    if independent(hi):
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if independent(mid) else (lo, mid)
+    return lo
 
 
 def kruskal_uniqueness(d: Decomposition, k_ranks: Optional[Sequence[int]] = None) -> bool:

@@ -6,10 +6,11 @@ the float lane is served by numpy and a relative singular-value threshold.
 word-size prime (a lower bound) and an integer kernel checked over Z (an
 upper bound), and runs Bareiss fraction-free elimination only when the two
 cannot be certified; `det_exact` is Bareiss throughout.
-`ranks_mod_p` ranks a whole stack of small integer matrices modulo a
-word-size prime in numpy int64, and `EchelonModP` keeps a reduced echelon
-basis mod p that grows by blocks of rows; a rank mod p is a lower bound on
-the rational rank.
+`ranks_mod_p` ranks a whole stack of small integer matrices modulo a prime
+below 2^31, by elimination without inverses in the narrowest numpy int type
+that is exact for p, and `EchelonModP` keeps a reduced echelon basis mod p
+that grows by blocks of rows; a rank mod p is a lower bound on the rational
+rank.
 """
 
 from __future__ import annotations
@@ -307,16 +308,21 @@ def _residues(rows, p: int) -> np.ndarray:
 def ranks_mod_p(stack, p: int) -> np.ndarray:
     """Ranks over F_p of a (B, m, n) stack of integer matrices, p prime < 2^31.
 
-    The B eliminations run side by side: each head row is scaled by the
-    inverse of its first nonzero entry, found by Fermat powering lead^(p-2),
-    and cleared from the rows below in one broadcast update.  Residues stay
-    below 2^31, so every product stays below 2^62.
+    The B eliminations run side by side, without inverses: with `lead` the
+    first nonzero entry of a head row (1 where the head row is zero), every
+    row below becomes lead * row - row[j] * head in one broadcast update.
+    Scaling a row by a nonzero lead keeps the rank.  Residues lie in [0, p),
+    so every intermediate value lies within +-(p - 1)^2, and the stack is
+    held in the narrowest int type that holds that: int16 for p <= 181,
+    int32 for p <= 46337, int64 up to 2^31.
     Returns an int64 array of the B ranks.
     """
     _check_word_prime(p, "ranks_mod_p")
     a = np.asarray(stack, dtype=np.int64) % p
     if a.ndim != 3:
         raise ValidationError(f"ranks_mod_p needs a (B, m, n) stack, got shape {a.shape}")
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if (p - 1) ** 2 <= np.iinfo(t).max)
+    a = a.astype(dtype, copy=False)
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1)  # eliminate along the shorter side
     batch = np.arange(a.shape[0])
@@ -325,15 +331,12 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
         head, a = a[:, 0], a[:, 1:]
         j = np.argmax(head != 0, axis=1)  # 0 for a zero head, whose update is zero
         lead = head[batch, j]
-        inv, base, e = np.ones_like(lead), lead, p - 2
-        while e:
-            if e & 1:
-                inv = inv * base % p
-            base = base * base % p
-            e >>= 1
-        head = head * inv[:, None] % p
-        a = (a - a[batch, :, j][:, :, None] * head[:, None, :]) % p
         ranks += lead != 0
+        lead[lead == 0] = 1
+        below = a[batch, :, j]
+        a = lead[:, None, None] * a  # a fresh array, updated in place below
+        a -= below[:, :, None] * head[:, None, :]
+        a %= p
     return ranks
 
 

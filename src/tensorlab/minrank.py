@@ -20,7 +20,6 @@ import numpy as np
 from . import rings
 from .errors import CapExceeded, ValidationError
 from .linalg import Matrix, kron, matrix_from_vectors, rank_exact, ranks_mod_p, to_float_array
-from .ranks import _normalized_vectors
 from .rings import RATIONAL, Ring
 
 FP_ENUMERATION_CAP = 10**6
@@ -120,12 +119,15 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
     """Exact minimum rank over all nonzero elements of an F_p subspace.
 
     Coefficient vectors are normalized projectively (first nonzero
-    coefficient equal to 1), which is exhaustive up to scale.  They are
-    taken in order, in chunks of at most FP_CHUNK_ENTRIES matrix entries;
-    each chunk's elements are formed as one product coeffs @ basis mod p and
-    ranked by `ranks_mod_p`, which is exact over F_p.  A chunk holding a
-    rank-1 element ends the search, since no nonzero element has a smaller
-    rank.
+    coefficient equal to 1), which is exhaustive up to scale.  Read as a
+    base-p number with coefficient 0 as its top digit, such a vector is an
+    integer code in [p^k, 2p^k) for some k < dim; the codes are taken for k
+    from dim - 1 down, each run in increasing order.  They are split into
+    chunks of at most FP_CHUNK_ENTRIES matrix entries; a chunk's codes come
+    from one np.arange of positions, its coefficients from codes // p^i mod
+    p, its elements from one product coeffs @ basis mod p, and its ranks
+    from `ranks_mod_p`, which is exact over F_p.  A chunk holding a rank-1
+    element ends the search, since no nonzero element has a smaller rank.
     """
     if s.ring.kind != "fp":
         raise ValidationError("exact enumeration needs an F_p subspace")
@@ -135,11 +137,16 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
             f"p**dim = {p**s.dim} exceeds the enumeration cap {FP_ENUMERATION_CAP}"
         )
     basis = np.array([[x % p for x in b.entries] for b in s.basis], dtype=np.int64)
-    coeffs = _normalized_vectors(s.dim, p)
+    places = p ** np.arange(s.dim - 1, -1, -1, dtype=np.int64)  # p^k: run k's first code and length
+    starts = np.cumsum(places) - places  # run k's first position in the enumeration
+    total = int(places.sum())
     size = max(1, FP_CHUNK_ENTRIES // (s.rows * s.cols))
     best = min(s.rows, s.cols)
-    while chunk := list(itertools.islice(coeffs, size)):
-        elements = (np.array(chunk, dtype=np.int64) @ basis % p).reshape(-1, s.rows, s.cols)
+    for start in range(0, total, size):
+        positions = np.arange(start, min(start + size, total))
+        run = np.searchsorted(starts, positions, side="right") - 1
+        codes = positions - starts[run] + places[run]
+        elements = (codes[:, None] // places % p @ basis % p).reshape(-1, s.rows, s.cols)
         best = min(best, int(ranks_mod_p(elements, p).min()))
         if best == 1:
             return 1

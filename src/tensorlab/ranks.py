@@ -62,11 +62,25 @@ def all_bipartitions(order: int):
             yield Bipartition.of((0,) + extra, order)
 
 
-def border_rank_lower_bound(t: DenseTensor, rel_tol: float = 1e-8) -> int:
-    """Max flattening rank over all bipartitions: a valid border-rank bound."""
+def border_rank_lower_bound(
+    t: DenseTensor, rel_tol: float = 1e-8, mode_ranks: Optional[Sequence[int]] = None
+) -> int:
+    """Max flattening rank over all bipartitions: a valid border-rank bound.
+
+    mode_ranks, when given, are t's `multilinear_rank`: a bipartition that
+    splits off one position takes that mode's rank instead of being ranked
+    again.
+    """
     if t.order < 2:
         raise ValidationError("needs at least 2 factors")
-    return max(f_rank(t, b, rel_tol) for b in all_bipartitions(t.order))
+
+    def rank(b: Bipartition) -> int:
+        single = b.left if len(b.left) == 1 else b.right
+        if mode_ranks is not None and len(single) == 1:
+            return mode_ranks[single[0]]
+        return f_rank(t, b, rel_tol)
+
+    return max(map(rank, all_bipartitions(t.order)))
 
 
 def w_state(n: int) -> DenseTensor:
@@ -413,18 +427,19 @@ def _cover_search(field: _PackedFp, cands: np.ndarray, slices: np.ndarray, r: in
     return found
 
 
-def _solve_mode_last(t: DenseTensor) -> tuple[DenseTensor, int, int]:
+def _solve_mode_last(
+    t: DenseTensor, mode_ranks: Optional[Sequence[int]] = None
+) -> tuple[DenseTensor, int, int]:
     """t with its solved-for factor moved last, that factor's mode rank, and
     the number of prefix candidates.
 
     The solved-for factor is the one with the largest mode rank, which
     keeps the slack r - dim S as small as possible; ties go to the fewest
-    candidates.
+    candidates.  mode_ranks, when given, are t's `multilinear_rank`.
     """
     p = t.ring.p
-    mode_ranks = [
-        rank_exact(flatten(t, Bipartition.of((i,), t.order))) for i in range(t.order)
-    ]
+    if mode_ranks is None:
+        mode_ranks = multilinear_rank(t).ranks
     counts = [(p**d - 1) // (p - 1) for d in t.shape]
     n_cands = [math.prod(counts) // counts[i] for i in range(t.order)]
     mode = max(range(t.order), key=lambda i: (mode_ranks[i], -n_cands[i]))
@@ -442,7 +457,9 @@ def _cover_problem(t: DenseTensor) -> tuple[_PackedFp, np.ndarray, np.ndarray]:
     return field, _prefix_candidates(field, t.shape[:-1]), np.array(slices, dtype=field.dtype)
 
 
-def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
+def exact_rank_bruteforce(
+    t: DenseTensor, r_max: int, mode_ranks: Optional[Sequence[int]] = None
+) -> Optional[int]:
     """Smallest r <= r_max with t a sum of r rank-one tensors over F_p.
 
     Returns None when the rank exceeds r_max ("exceeds r_max").  Exact; only
@@ -453,6 +470,8 @@ def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
     bytes of one candidate array and the work of every level up to r_max in
     candidate steps (`_cover_work`) are estimated; an estimate over
     COVER_MAX_BYTES or COVER_SEARCH_WORK_CAP raises CapExceeded.
+    mode_ranks, when given, are t's `multilinear_rank`, which is not
+    computed again.
     """
     if t.ring.kind != "fp" or t.ring.p not in BRUTE_FORCE_PRIMES:
         raise ValidationError(f"brute force needs F_p with p in {BRUTE_FORCE_PRIMES}")
@@ -460,7 +479,7 @@ def exact_rank_bruteforce(t: DenseTensor, r_max: int) -> Optional[int]:
         raise ValidationError("rank search needs at least 2 factors")
     if t.is_zero():
         return 0
-    t, s, n_cands = _solve_mode_last(t)
+    t, s, n_cands = _solve_mode_last(t, mode_ranks)
     dims = t.shape[:-1]
     n_coords = math.prod(dims)
     # s <= rank <= n_coords, the coordinate tensors being candidates: only

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import os
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +20,8 @@ from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
 from tensorlab.ranks import w_state
-from tensorlab.tensors import dumps_tensor
+from tensorlab.rings import RATIONAL, fp
+from tensorlab.tensors import DenseTensor, dumps_tensor
 
 
 def payload_bytes(records):
@@ -113,6 +117,43 @@ def test_every_subcommand_option_is_accepted_from_a_config_file(tmp_path, capsys
         path.write_text(json.dumps({"command": command, "parameters": {**flags.parameters, "bogus": 1}}))
         assert cli.main(["--config", str(path)]) == 2
         assert f"unknown parameter 'bogus' for command '{command}'" in capsys.readouterr().err
+
+
+# each mode parameter of a command, with a flag value; no input file is read
+MODE_FLAGS = {
+    "rank": {"tensor": ["--tensor", "t.tensor"], "w_state": ["--w-state", "3"]},
+    "decompose": {"form": ["--form", "1,2,1"], "decomposition": ["--decomposition", "d.json"]},
+    "kron": {
+        "triple": ["--triple", "2,1;2,1;2,1"],
+        "rectangular": ["--rectangular", "2,2", "--d", "2", "--n", "2"],
+        "cone": ["--cone", "1,1,1,1"],
+        "weyl": ["--weyl", "2,2", "--dim", "2"],
+    },
+    "matchgate": {"graph": ["--graph", "g.graph"], "signature": ["--signature", "s.json"]},
+    "minrank": {
+        "gurvits": ["--gurvits", "2"],
+        "friedland": ["--friedland", "3"],
+        "subspace": ["--subspace", "s.json"],
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODE_FLAGS))
+def test_conflicting_modes_exit_2_from_flags_and_config_files(command, tmp_path, monkeypatch, capsys):
+    assert set(MODE_FLAGS[command]) == set(cli.MODES[command])
+    for name in cli._DISPATCH:
+        monkeypatch.setitem(cli._DISPATCH, name, lambda config: pytest.fail("a mode was run"))
+    flags = MODE_FLAGS[command]
+    for count in range(2, len(flags) + 1):
+        for modes in itertools.combinations(flags, count):
+            argv = [command] + [x for mode in modes for x in flags[mode]]
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert all(repr(mode) in err for mode in modes) and "different modes" in err
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"command": command, "parameters": parse_config(argv).parameters}))
+            assert cli.main(["--config", str(path)]) == 2
+            assert capsys.readouterr().err == err
 
 
 def test_missing_required_parameter_named():
@@ -557,10 +598,11 @@ def test_cone_record_json_with_table_text_in_the_parameters(params):
 
 def test_cone_config_file_with_a_table_parameter(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "kron", "parameters": {"cone": "2,2,2,4", "weyl": {"table": []}}}))
+    params = {"cone": "2,2,2,4", "dim": {"table": []}}
+    cfg.write_text(json.dumps({"command": "kron", "parameters": params}))
     assert cli.main(["--config", str(cfg)]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert rec["parameters"]["weyl"] == {"table": []}
+    assert rec["parameters"]["dim"] == {"table": []}
     assert len(rec["payload"]["table"]) == len(cone_rows(kronecker.cone_sample(2, 2, 2, 4)))
 
 
@@ -869,3 +911,39 @@ def test_rank_bruteforce_matmul_222_and_the_work_cap(tmp_path, capsys):
     assert cli.main(argv + ["8"]) == 3
     assert time.perf_counter() - started < 1
     assert f"over the limit of {ranks.COVER_SEARCH_WORK_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,shape", [(3, (2, 2, 2, 2)), (2, (2, 3, 2)), (5, (3, 2)), (None, (2, 2, 3)), (None, (3, 3))]
+)
+def test_rank_ranks_each_flattening_once(field, shape, tmp_path, monkeypatch):
+    rng = random.Random(f"cli:rank-once:{field}:{shape}")
+    ring = fp(field) if field else RATIONAL
+    data = tuple(rng.randint(-2, 2) % (field or 7) for _ in range(math.prod(shape)))
+    t = DenseTensor(shape, data, ring)
+    path = tmp_path / "t.tensor"
+    path.write_text(dumps_tensor(t))
+    argv = ["rank", "--tensor", str(path)] + (["--bruteforce", "4"] if field else [])
+    expected = {
+        "multilinear_rank": list(ranks.multilinear_rank(t).ranks),
+        "border_rank_lower_bound": ranks.border_rank_lower_bound(t),
+    }
+    if field:
+        expected["bruteforce"] = ranks.exact_rank_bruteforce(t, 4)
+    flattenings = []
+    f_rank = ranks.f_rank
+    monkeypatch.setattr(ranks, "f_rank", lambda t, b, tol=1e-8: flattenings.append(b) or f_rank(t, b, tol))
+    exact = []
+    rank_exact = ranks.rank_exact
+    monkeypatch.setattr(ranks, "rank_exact", lambda m: exact.append(m) or rank_exact(m))
+    (record,) = run(parse_config(argv))
+    payload = record.payload
+    assert {k: payload[k] for k in ("multilinear_rank", "border_rank_lower_bound")} == {
+        k: expected[k] for k in ("multilinear_rank", "border_rank_lower_bound")
+    }
+    if field:
+        assert payload["bruteforce"]["rank"] == expected["bruteforce"]
+    # the mode flattenings, then each bipartition up to complement that splits off
+    # more than one position: every bipartition once, and nothing ranked besides
+    assert len(flattenings) == len(set(flattenings)) == max(len(shape), 2 ** (len(shape) - 1) - 1)
+    assert len(exact) == len(flattenings)

@@ -303,10 +303,12 @@ def test_kruskal_confirms_subsets_short_mod_p_by_bareiss(monkeypatch):
     bareiss = []
     monkeypatch.setattr(decomp, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
     # columns (1, 0), (0, P), (1/2, 1): column 1 and the minors of pairs {0, 1}
-    # and {1, 2} (P and -P/2) vanish mod P, yet every pair is independent over Q
+    # and {1, 2} (P and -P/2) vanish mod P, yet every pair is independent over Q;
+    # the top level k = 2 is checked first, so the two short pairs are confirmed
+    # and level 1 (column 1 alone) is never ranked
     m = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, WORD_PRIME, 1]])
     assert kruskal_rank(m) == kruskal_rank_oracle(m) == 2
-    assert len(bareiss) == 3
+    assert len(bareiss) == 2
     # a pair that is dependent over Q as well: Bareiss confirms and k stops at 1
     bareiss.clear()
     m = Matrix.from_rows([[1, 2, 0], [WORD_PRIME, 2 * WORD_PRIME, 1]])
@@ -315,6 +317,66 @@ def test_kruskal_confirms_subsets_short_mod_p_by_bareiss(monkeypatch):
     bareiss.clear()
     assert kruskal_rank(Matrix.identity(4)) == 4
     assert bareiss == []  # full rank mod p certifies independence: no Bareiss call
+
+
+def planted_circuit_matrix(rng, ring, draw, size):
+    """A 6 x 12 matrix whose first `size` columns are a circuit: they sum to
+    zero and any size - 1 of them are independent.  Its other columns are
+    random, so the Kruskal rank is at most size - 1."""
+    while True:
+        columns = [[draw() for _ in range(6)] for _ in range(12)]
+        columns[size - 1] = [-sum(c[i] for c in columns[: size - 1]) for i in range(6)]
+        m = Matrix.from_rows([[c[i] for c in columns] for i in range(6)], ring)
+        if size == 1 or rank_exact(matrix_from_vectors(columns[: size - 1], ring)) == size - 1:
+            return m
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, fp(2), fp(3), fp(7)], ids=str)
+def test_kruskal_matches_oracle_on_planted_circuits(ring, monkeypatch):
+    calls = []
+    ranks_mod_p = decomp.ranks_mod_p
+    monkeypatch.setattr(decomp, "ranks_mod_p", lambda a, p: calls.append(a.shape) or ranks_mod_p(a, p))
+    rng = random.Random(f"kruskal:circuits:{ring}")
+    if ring.kind == "fp":
+        draw = lambda: rng.randrange(ring.p)  # noqa: E731
+    else:
+        draw = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))  # noqa: E731
+    for size in range(1, 7):
+        for _ in range(2):
+            m = planted_circuit_matrix(rng, ring, draw, size)
+            calls.clear()
+            k = kruskal_rank(m)
+            assert k == kruskal_rank_oracle(m)
+            # over Q the other columns are generic, so the circuit decides k
+            assert k == size - 1 if ring == RATIONAL else k <= size - 1
+            assert len(calls) <= 1 + math.ceil(math.log2(6))
+
+
+def test_kruskal_decides_a_generic_factor_with_one_stacked_call(monkeypatch):
+    calls = []
+    ranks_mod_p = decomp.ranks_mod_p
+    monkeypatch.setattr(decomp, "ranks_mod_p", lambda a, p: calls.append(a.shape) or ranks_mod_p(a, p))
+    rng = random.Random("kruskal:generic6x12")
+    m = Matrix.from_rows(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(12)] for _ in range(6)]
+    )
+    assert kruskal_rank(m) == 6
+    assert calls == [(math.comb(12, 6), 6, 6)]
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 3), (2, 5), (3, 3), (4, 9), (5, 12), (6, 12), (8, 10)])
+def test_kruskal_stacked_calls_stay_within_the_bisection_bound(rows, cols, monkeypatch):
+    calls = []
+    ranks_mod_p = decomp.ranks_mod_p
+    monkeypatch.setattr(decomp, "ranks_mod_p", lambda a, p: calls.append(a.shape) or ranks_mod_p(a, p))
+    rng = random.Random(f"kruskal:bound:{rows}x{cols}")
+    kmax = min(rows, cols)
+    for ring, draw in ((RATIONAL, lambda: rng.randint(-1, 1)), (fp(2), lambda: rng.randrange(2))):
+        for _ in range(8):
+            m = Matrix.from_rows([[draw() for _ in range(cols)] for _ in range(rows)], ring)
+            calls.clear()
+            assert kruskal_rank(m) == kruskal_rank_oracle(m)
+            assert len(calls) <= 1 + math.ceil(math.log2(kmax))
 
 
 def test_kruskal_rejects_float_matrices():

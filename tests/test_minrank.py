@@ -111,6 +111,65 @@ def test_min_rank_across_many_small_chunks(monkeypatch):
     assert max(b * m * n for b, m, n in stacks) <= 7 * 9
 
 
+def normalized_coefficients(dim, p):
+    """Every coefficient vector with first nonzero entry 1, in the order of
+    the enumeration: lead position 0 first, tails in itertools.product order."""
+    for lead in range(dim):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+@pytest.mark.parametrize("p,dim,chunk", [(2, 5, 7), (3, 4, 5), (5, 3, 4), (2, 1, 3), (3, 3, 13)])
+def test_min_rank_chunks_follow_the_normalized_enumeration(p, dim, chunk, monkeypatch):
+    # each stacked call ranks the next `chunk` elements of the tuple enumeration, in order
+    monkeypatch.setattr(minrank, "FP_CHUNK_ENTRIES", chunk * 6)
+    stacks = []
+    monkeypatch.setattr(minrank, "ranks_mod_p", lambda a, q: stacks.append(a.copy()) or np.full(len(a), 2))
+    sp = random_fp_space(random.Random(f"minrank:order:{p}:{dim}"), p, dim, 2, 3)
+    assert min_rank_exact_fp(sp) == 2
+    coeffs = list(normalized_coefficients(dim, p))
+    expected = [
+        [sp.element(c).to_lists() for c in coeffs[i : i + chunk]] for i in range(0, len(coeffs), chunk)
+    ]
+    assert [a.tolist() for a in stacks] == expected
+    assert len(stacks) == math.ceil((p**dim - 1) / (p - 1) / chunk)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_min_rank_stops_after_the_chunk_with_a_rank_one_element(p, monkeypatch):
+    # chunks of 4 elements; a rank-1 element at each position of the
+    # enumeration in turn ends the search with the chunk that holds it
+    monkeypatch.setattr(minrank, "FP_CHUNK_ENTRIES", 4 * 9)
+    calls = []
+    ranks_mod_p = minrank.ranks_mod_p
+    monkeypatch.setattr(minrank, "ranks_mod_p", lambda a, q: calls.append(len(a)) or ranks_mod_p(a, q))
+    rng = random.Random(f"minrank:stop:{p}")
+    dim = 3
+    coeffs = list(normalized_coefficients(dim, p))
+    target = Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 0]], fp(p))  # rank 1
+    for position, c in enumerate(coeffs):
+        lead = c.index(1)
+        while True:
+            sp = random_fp_space(rng, p, dim, 3, 3)
+            # make element c equal to target: c . basis = target, solved at the lead
+            rest = [b.scale(x) for b, x in zip(sp.basis, c) if x][1:]
+            lead_matrix = target
+            for m in rest:
+                lead_matrix = lead_matrix - m
+            basis = list(sp.basis)
+            basis[lead] = lead_matrix
+            try:
+                sp = MatrixSubspace.span(basis)
+            except ValidationError:
+                continue
+            if all(rank_exact(sp.element(d)) > 1 for d in coeffs[:position]):
+                break
+        assert rank_exact(sp.element(c)) == 1
+        calls.clear()
+        assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp) == 1
+        assert len(calls) == position // 4 + 1
+
+
 def test_min_rank_found_in_a_later_chunk():
     # a 5 x 6 space of dimension 11 over F_2 has 2047 projective elements, in
     # chunks of 1092; the rank-1 element b_2 + b_3 + b_4 sits at position

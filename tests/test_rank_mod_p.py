@@ -295,6 +295,72 @@ def test_ranks_mod_p_products_and_empty_stacks():
     assert ranks_mod_p(np.zeros((2, 4, 0), dtype=np.int64), 3).tolist() == [0, 0]
 
 
+def fermat_ranks_mod_p(stack, p):
+    """The stacked kernel as it was with inverses: each head row is scaled by
+    lead^(p-2) before it is cleared from the rows below, all in int64."""
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    batch = np.arange(a.shape[0])
+    ranks = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[1] and a.shape[2]:
+        head, a = a[:, 0], a[:, 1:]
+        j = np.argmax(head != 0, axis=1)
+        lead = head[batch, j]
+        inv, base, e = np.ones_like(lead), lead, p - 2
+        while e:
+            if e & 1:
+                inv = inv * base % p
+            base = base * base % p
+            e >>= 1
+        head = head * inv[:, None] % p
+        a = (a - a[batch, :, j][:, :, None] * head[:, None, :]) % p
+        ranks += lead != 0
+    return ranks
+
+
+# the largest primes whose (p - 1)^2 fits int16 and int32, the primes just
+# above them, and the word prime: both sides of each boundary of the stack type
+DTYPE_EDGE_PRIMES = [2, 3, 181, 191, 46337, 46349, WORD_PRIME]
+
+
+@pytest.mark.parametrize("p", DTYPE_EDGE_PRIMES)
+@pytest.mark.parametrize("shape", STACK_SHAPES + [(2, 7), (7, 2)], ids=str)
+def test_ranks_mod_p_without_inverses_matches_both_oracles(p, shape):
+    rng = random.Random(f"ranks_mod_p:edges:{p}:{shape}")
+    # residues at the top of the range make every lead * row product reach (p - 1)^2
+    stack = random_stack(rng, 32, shape, max(0, p - 4), p - 1) + random_stack(rng, 32, shape, -p, 2 * p)
+    for rows in stack[::3]:
+        rows[0] = [0] * shape[1]  # a zero head row
+    expected = [fp_rank(rows, p) for rows in stack]
+    if p <= 2**16:  # the largest modulus of an fp ring
+        assert expected == [rank_exact(Matrix.from_rows(rows, fp(p))) for rows in stack]
+    a = np.array(stack, dtype=np.int64)
+    assert ranks_mod_p(a, p).tolist() == expected
+    assert fermat_ranks_mod_p(a, p).tolist() == expected
+
+
+@pytest.mark.parametrize("p", DTYPE_EDGE_PRIMES)
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=str)
+def test_ranks_mod_p_planted_ranks_zero_matrices_and_empty_stacks(p, shape):
+    rng = random.Random(f"ranks_mod_p:planted:{p}:{shape}")
+    m, n = shape
+    stack = []
+    for k in range(6):  # products of m x k and k x n factors: rank at most k
+        for _ in range(8):
+            a = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+            b = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            product = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)] for i in range(m)]
+            stack.append(product)
+    expected = [fp_rank(rows, p) for rows in stack]
+    assert all(r <= i // 8 for i, r in enumerate(expected))
+    assert expected[0] == 0 and len(set(expected)) >= 4
+    assert ranks_mod_p(np.array(stack, dtype=np.int64), p).tolist() == expected
+    assert ranks_mod_p(np.zeros((3, m, n), dtype=np.int64), p).tolist() == [0, 0, 0]
+    assert ranks_mod_p(np.zeros((0, m, n), dtype=np.int64), p).tolist() == []
+    assert ranks_mod_p(np.zeros((4, 0, 0), dtype=np.int64), p).tolist() == [0] * 4
+
+
 def test_ranks_mod_p_rejects_bad_moduli_and_shapes():
     for p in (1, 4, 2**31 + 11):
         with pytest.raises(ValidationError, match="prime"):
