@@ -31,13 +31,15 @@ from .errors import CapExceeded, TensorlabError, ValidationError
 FORMATS = ("json", "csv", "text")
 # argparse dests that are not experiment parameters
 NOT_PARAMS = {"help", "command", "config", "seed", "output", "format"}
-# parameters that each select a different mode of their command: at most one may be given
+# parameters that each select a different mode of their command, each with the
+# parameters only that mode reads: one mode may be given, and none of the
+# parameters of another
 MODES = {
-    "rank": ("tensor", "w_state"),
-    "decompose": ("form", "decomposition"),
-    "kron": ("triple", "rectangular", "cone", "weyl"),
-    "matchgate": ("graph", "signature"),
-    "minrank": ("gurvits", "friedland", "subspace"),
+    "rank": {"tensor": (), "w_state": ()},
+    "decompose": {"form": (), "decomposition": ("kruskal", "tensor")},
+    "kron": {"triple": (), "rectangular": ("d", "n"), "cone": (), "weyl": ("dim",)},
+    "matchgate": {"graph": ("subpfaffian",), "signature": ("basis", "side")},
+    "minrank": {"gurvits": (), "friedland": (), "subspace": ()},
 }
 
 
@@ -333,13 +335,12 @@ def _run_decompose(config: ExperimentConfig) -> list[dict]:
             coeffs = [Fraction(x) for x in raw.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed value for parameter 'form': {raw!r}") from exc
-        rank = ranks.sylvester_symmetric_rank_binary(coeffs)
         out = decomp.sylvester_decompose_binary(coeffs)
         return [
             {
                 "mode": "sylvester",
                 "degree": out.degree,
-                "rank": rank,
+                "rank": len(out.nodes),  # the catalecticant level, one node per root
                 "nodes": jsonable(out.nodes),
                 "coefficients": jsonable(out.coefficients),
                 "exact": out.exact,
@@ -572,9 +573,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     """
     if config.command not in _DISPATCH:
         raise ValidationError(f"unknown command {config.command!r}")
-    modes = [k for k in MODES.get(config.command, ()) if k in config.parameters]
-    if len(modes) > 1:
-        raise ValidationError(f"parameters {', '.join(map(repr, modes))} select different modes; give one")
+    _check_modes(config)
     start = time.perf_counter()
     records = []
     for payload in _DISPATCH[config.command](config):
@@ -583,6 +582,19 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
         if config.output:
             _append_record(config.output, records[-1])
     return records
+
+
+def _check_modes(config: ExperimentConfig) -> None:
+    """Refuse two modes of one command, or a parameter that only another
+    mode reads: the record would echo it, and nothing would read it."""
+    modes = MODES.get(config.command, {})
+    given = [k for k in modes if k in config.parameters]
+    if len(given) > 1:
+        raise ValidationError(f"parameters {', '.join(map(repr, given))} select different modes; give one")
+    owner = {key: mode for mode, owned in modes.items() for key in owned}
+    for key in sorted(config.parameters.keys() & owner.keys()):
+        if given and owner[key] != given[0]:
+            raise ValidationError(f"parameter {key!r} belongs to mode {owner[key]!r}, not to mode {given[0]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Decomposition-level certificates: the symmetry lemma for minimal
-decompositions, Kruskal k-ranks and the classical uniqueness condition,
-power-sum decompositions of binary forms, and direct-sum additivity
-experiments over small prime fields.
+decompositions, Kruskal k-ranks and the classical uniqueness condition, and
+power-sum decompositions of binary forms.
 """
 
 from __future__ import annotations
@@ -19,17 +18,17 @@ from . import rings
 from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import (
     WORD_PRIME,
+    EchelonModP,
     Matrix,
     _clear_denominators,
-    _fp_eliminate,
     matrix_from_vectors,
     rank_exact,
     ranks_mod_p,
     solve_exact,
 )
-from .ranks import apolar_kernel_form, exact_rank_bruteforce, f_rank
+from .ranks import apolar_kernel_form, f_rank
 from .rings import RATIONAL, Ring
-from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, multi_indices, rank_one, zeros
+from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, rank_one, zeros
 
 KRUSKAL_COLUMN_CAP = 12
 
@@ -250,7 +249,7 @@ def kruskal_rank(m: Matrix) -> int:
     found by bisection between 1 (no column is zero) and min(rows, cols),
     the top level first: on a generic matrix that one level decides.  A
     level ranks all C(cols, k) column subsets in one stacked call to
-    `ranks_mod_p`, on the echelon form mod p of m, so at most
+    `ranks_mod_p`, on the `EchelonModP` basis of the rows of m, so at most
     1 + ceil(log2 min(rows, cols)) calls are made.  Over F_p that rank is
     exact.  Over Q each row is first scaled to integers, which keeps the
     same columns independent, and ranked mod `WORD_PRIME`: a full rank mod p
@@ -267,15 +266,14 @@ def kruskal_rank(m: Matrix) -> int:
     if m.ring.kind == "float":
         raise ValidationError("kruskal_rank needs an exact ring")
     p = m.ring.p if m.ring.kind == "fp" else WORD_PRIME
-    rows = [[x % p for x in row] for row in _clear_denominators(m)[0]]
-    # row operations keep the rank mod p of every column subset, and leave at
-    # most cols nonzero rows, so the stacks below do not grow with m.rows
-    rank = len(_fp_eliminate(rows, p)[0])
-    residues = np.array(rows[:rank], dtype=np.int64).reshape(rank, m.cols)
+    # row operations keep the rank mod p of every column subset, and the
+    # basis has at most cols rows, so the stacks below do not grow with m.rows
+    echelon = EchelonModP(m.cols, p)
+    echelon.extend(_clear_denominators(m)[0])
 
     def independent(k: int) -> bool:
         subsets = list(itertools.combinations(range(m.cols), k))
-        ranks = ranks_mod_p(residues[:, subsets].transpose(1, 0, 2), p)
+        ranks = ranks_mod_p(echelon.basis[:, subsets].transpose(1, 0, 2), p)
         short = (subsets[i] for i in np.flatnonzero(ranks < k))
         return not any(
             m.ring.kind == "fp"
@@ -460,56 +458,3 @@ def sylvester_decompose_binary(coeffs: Sequence) -> PowerSumDecomposition:
     cs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     resid = float(np.linalg.norm(mat @ cs - rhs) / np.linalg.norm(rhs))
     return PowerSumDecomposition(d, tuple(float_nodes), tuple(cs.tolist()), False, resid)
-
-
-# ---------------------------------------------------------------------------
-# direct-sum additivity experiments over F_p
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StrassenRecord:
-    """Brute-force ranks of two tensors and of their direct sum.
-
-    None means the search was inconclusive at the given r_max.  additive is
-    None unless all three ranks are known.
-    """
-
-    r1: Optional[int]
-    r2: Optional[int]
-    r_sum: Optional[int]
-
-    @property
-    def additive(self) -> Optional[bool]:
-        if None in (self.r1, self.r2, self.r_sum):
-            return None
-        return self.r_sum == self.r1 + self.r2
-
-
-def direct_sum(t1: DenseTensor, t2: DenseTensor) -> DenseTensor:
-    """Block-diagonal embedding into the factor-wise direct sums."""
-    if t1.order != t2.order or t1.ring != t2.ring:
-        raise ValidationError("direct sum needs matching order and ring")
-    shape = tuple(a + b for a, b in zip(t1.shape, t2.shape))
-    out = list(zeros(shape, t1.ring).data)
-    strides = DenseTensor(shape, tuple(out), t1.ring).strides()
-    for t, offset in ((t1, (0,) * t1.order), (t2, t1.shape)):
-        for idx, v in zip(multi_indices(t.shape), t.data):
-            flat = sum(s * (i + o) for s, i, o in zip(strides, idx, offset))
-            out[flat] = v
-    return DenseTensor(shape, tuple(out), t1.ring)
-
-
-def strassen_experiment(t1: DenseTensor, t2: DenseTensor, r_max: int) -> StrassenRecord:
-    """Test rank additivity of a direct sum over F_p by exhaustive search."""
-    if t1.order != 3 or t2.order != 3:
-        raise ValidationError("the experiment needs 3-factor tensors")
-    total = direct_sum(t1, t2)
-    r1 = exact_rank_bruteforce(t1, r_max)
-    r2 = exact_rank_bruteforce(t2, r_max)
-    r_sum = exact_rank_bruteforce(total, r_max)
-    if None not in (r1, r2, r_sum) and r_sum > r1 + r2:
-        raise TensorlabError(
-            f"direct-sum rank {r_sum} exceeded {r1} + {r2}; "
-            "the subadditivity direction is unconditional, so this is a bug"
-        )
-    return StrassenRecord(r1, r2, r_sum)

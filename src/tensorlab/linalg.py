@@ -5,12 +5,13 @@ the float lane is served by numpy and a relative singular-value threshold.
 `rank_exact` over the rationals certifies its answer from a rank mod a
 word-size prime (a lower bound) and an integer kernel checked over Z (an
 upper bound), and runs Bareiss fraction-free elimination only when the two
-cannot be certified; `det_exact` is Bareiss throughout.
-`ranks_mod_p` ranks a whole stack of small integer matrices modulo a prime
-below 2^31, by elimination without inverses in the narrowest numpy int type
-that is exact for p, and `EchelonModP` keeps a reduced echelon basis mod p
-that grows by blocks of rows; a rank mod p is a lower bound on the rational
-rank.
+cannot be certified; `det_exact` is Bareiss in both rings.
+F_p work has one kernel per shape: `EchelonModP` keeps a reduced echelon
+basis mod p that grows by blocks of rows, and serves the rank and `rref` of
+a single F_p matrix; `ranks_mod_p` ranks a whole stack of small integer
+matrices modulo a prime below 2^31, by elimination without inverses in the
+narrowest numpy int type that is exact for p.  A rank mod p is a lower
+bound on the rational rank.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def matrix_from_vectors(vectors: Sequence[Sequence], ring: Ring) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # exact rank / determinant: a mod-p certificate for ranks over Q, Bareiss
-# fraction-free elimination as its fallback and for determinants, and F_p
-# elimination
+# fraction-free elimination as its fallback and for determinants, and the
+# F_p kernels
 # ---------------------------------------------------------------------------
 
 def _clear_denominators(m: Matrix) -> tuple[list[list[int]], int]:
@@ -224,43 +225,10 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
     return k, prev, sign
 
 
-def _fp_eliminate(rows: list[list[int]], p: int) -> tuple[list[int], int]:
-    """Reduced row echelon form over F_p, in place.
-
-    Returns (pivot columns, det_factor): det_factor is the sign of the row
-    swaps times the product of the pivots taken before normalisation, so for
-    a square matrix of full rank it is the determinant mod p.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    det_factor = 1
-    for col in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            det_factor = -det_factor
-        lead = rows[r][col]
-        det_factor = det_factor * lead % p
-        inv = pow(lead, -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        if len(pivots) == m:
-            break
-    return pivots, det_factor
-
-
 def rank_exact(m: Matrix) -> int:
     """Exact rank over the rationals or F_p.
 
-    Over F_p the rows are reduced in Python ints.  Over the rationals, a
+    Over F_p the rows go into one `EchelonModP`.  Over the rationals, a
     matrix with at least CERTIFY_MIN_SIDE rows and columns has its rank
     certified by two bounds on the rows scaled to integers
     (`_certified_rank`): the rank mod `WORD_PRIME` from below, and an
@@ -276,7 +244,7 @@ def rank_exact(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.ring.kind == "fp":
-        return len(_fp_eliminate(m.to_lists(), m.ring.p)[0])
+        return EchelonModP(m.cols, m.ring.p).extend(m.to_lists())
     rank = _certified_rank(m) if min(m.rows, m.cols) >= CERTIFY_MIN_SIDE else None
     if rank is None:
         rank, _, _ = _bareiss(_clear_denominators(m)[0])
@@ -487,7 +455,12 @@ def _certified_rank(m: Matrix) -> int | None:
 
 
 def det_exact(m: Matrix):
-    """Exact determinant of a square rational or F_p matrix."""
+    """Exact determinant of a square rational or F_p matrix, by Bareiss.
+
+    Over F_p the residues are eliminated as integers: the determinant is an
+    integer polynomial in the entries, so their integer determinant reduced
+    mod p is the determinant over F_p.
+    """
     if m.ring.kind == "float":
         raise ValidationError("det_exact rejects float matrices")
     if m.rows != m.cols:
@@ -495,24 +468,31 @@ def det_exact(m: Matrix):
     n = m.rows
     if n == 0:
         return rings.one(m.ring)
-    if m.ring.kind == "fp":
-        pivots, det_factor = _fp_eliminate(m.to_lists(), m.ring.p)
-        return det_factor if len(pivots) == n else 0
     int_rows, scale = _clear_denominators(m)
     rank, last_pivot, sign = _bareiss(int_rows)
     if rank < n:
         return 0
+    if m.ring.kind == "fp":
+        return sign * last_pivot % m.ring.p
     det = Fraction(sign * last_pivot, scale)
     return det.numerator if det.denominator == 1 else det
 
 
 def rref(m: Matrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (exact rings); returns (rows, pivot columns)."""
+    """Reduced row echelon form (exact rings); returns (rows, pivot columns).
+
+    Over F_p it is the `EchelonModP` basis sorted by pivot column, padded
+    with zero rows to m.rows rows; over the rationals, Gauss-Jordan on
+    Fractions.
+    """
     if m.ring.kind == "float":
         raise ValidationError("rref requires an exact ring")
     if m.ring.kind == "fp":
-        rows = m.to_lists()
-        return rows, _fp_eliminate(rows, m.ring.p)[0]
+        echelon = EchelonModP(m.cols, m.ring.p)
+        echelon.extend(m.to_lists())
+        order = np.argsort(echelon.pivots)
+        zero_rows = [[0] * m.cols for _ in range(m.rows - echelon.rank)]
+        return echelon.basis[order].tolist() + zero_rows, echelon.pivots[order].tolist()
     rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
     pivots = []
     for col in range(m.cols):

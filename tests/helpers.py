@@ -14,7 +14,7 @@ from tensorlab import rings
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import Matrix, solve_exact
 from tensorlab.rings import RATIONAL, Ring
-from tensorlab.tensors import DenseTensor, _check_shape, multi_indices, rank_one
+from tensorlab.tensors import DenseTensor, _check_shape, multi_indices, rank_one, zeros
 
 
 def segre_veronese_point(
@@ -76,3 +76,50 @@ def cone_rows(blocks) -> list[tuple]:
         for lams, mus, nus, ijk, ks in blocks
         for (i, j, k), value in zip(ijk, ks)
     ]
+
+
+def direct_sum(t1: DenseTensor, t2: DenseTensor) -> DenseTensor:
+    """Block-diagonal embedding into the factor-wise direct sums."""
+    if t1.order != t2.order or t1.ring != t2.ring:
+        raise ValidationError("direct sum needs matching order and ring")
+    shape = tuple(a + b for a, b in zip(t1.shape, t2.shape))
+    out = list(zeros(shape, t1.ring).data)
+    strides = DenseTensor(shape, tuple(out), t1.ring).strides()
+    for t, offset in ((t1, (0,) * t1.order), (t2, t1.shape)):
+        for idx, v in zip(multi_indices(t.shape), t.data):
+            flat = sum(s * (i + o) for s, i, o in zip(strides, idx, offset))
+            out[flat] = v
+    return DenseTensor(shape, tuple(out), t1.ring)
+
+
+def _fp_eliminate(rows: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Reduced row echelon form over F_p, in place.
+
+    Returns (pivot columns, det_factor): det_factor is the sign of the row
+    swaps times the product of the pivots taken before normalisation, so for
+    a square matrix of full rank it is the determinant mod p.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    det_factor = 1
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det_factor = -det_factor
+        lead = rows[r][col]
+        det_factor = det_factor * lead % p
+        inv = pow(lead, -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == m:
+            break
+    return pivots, det_factor

@@ -156,6 +156,40 @@ def test_conflicting_modes_exit_2_from_flags_and_config_files(command, tmp_path,
             assert capsys.readouterr().err == err
 
 
+# (argv, a parameter only another mode reads, that mode, the mode given)
+STRAY_PARAMETERS = [
+    (["kron", "--cone", "1,1,1,1", "--dim", "2"], "dim", "weyl", "cone"),
+    (["kron", "--triple", "2,1;2,1;2,1", "--n", "2"], "n", "rectangular", "triple"),
+    (["kron", "--rectangular", "2,2", "--d", "2", "--n", "2", "--dim", "2"], "dim", "weyl", "rectangular"),
+    (["decompose", "--form", "1,2,1", "--kruskal"], "kruskal", "decomposition", "form"),
+    (["decompose", "--form", "1,2,1", "--tensor", "t.tensor"], "tensor", "decomposition", "form"),
+    (["matchgate", "--signature", "s.json", "--subpfaffian"], "subpfaffian", "graph", "signature"),
+    (["matchgate", "--graph", "g.graph", "--basis", "1,0;0,1"], "basis", "signature", "graph"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,key,owner,mode", STRAY_PARAMETERS, ids=[f"{argv[0]}-{mode}-{key}" for argv, key, _, mode in STRAY_PARAMETERS]
+)
+def test_a_parameter_of_another_mode_exits_2_before_any_work(argv, key, owner, mode, tmp_path, monkeypatch, capsys):
+    for name in cli._DISPATCH:
+        monkeypatch.setitem(cli._DISPATCH, name, lambda config: pytest.fail("a mode was run"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"parameter {key!r} belongs to mode {owner!r}, not to mode {mode!r}" in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": argv[0], "parameters": parse_config(argv).parameters}))
+    assert cli.main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_mode_parameters_are_parameters_of_their_command():
+    for command, modes in cli.MODES.items():
+        for mode, owned in modes.items():
+            assert {mode, *owned} <= cli.KNOWN_PARAMS[command]
+            assert mode not in {k for other in modes.values() for k in other}
+
+
 def test_missing_required_parameter_named():
     cfg = ExperimentConfig("terracini", {})
     with pytest.raises(ValidationError, match="variety"):
@@ -597,13 +631,14 @@ def test_cone_record_json_with_table_text_in_the_parameters(params):
 
 
 def test_cone_config_file_with_a_table_parameter(tmp_path, capsys):
+    # only the weyl mode reads 'dim', so the cone mode refuses it, whatever its
+    # value; the _record_json tests above cover object-valued parameters
     cfg = tmp_path / "cfg.json"
     params = {"cone": "2,2,2,4", "dim": {"table": []}}
     cfg.write_text(json.dumps({"command": "kron", "parameters": params}))
-    assert cli.main(["--config", str(cfg)]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["parameters"]["dim"] == {"table": []}
-    assert len(rec["payload"]["table"]) == len(cone_rows(kronecker.cone_sample(2, 2, 2, 4)))
+    assert cli.main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parameter 'dim' belongs to mode 'weyl', not to mode 'cone'" in captured.err
 
 
 @pytest.mark.parametrize("bounds", ["2,2,2,0", "0,2,2,3"])
@@ -691,6 +726,40 @@ def test_decompose_modes(tmp_path):
     # repeated factor columns give k-ranks (1,1,1), far below 2r + 2 = 8
     assert payload["unique"] is False
     assert payload["k_ranks"] == [1, 1, 1]
+
+
+def test_decompose_form_runs_the_catalecticant_ladder_once(monkeypatch):
+    rng = random.Random("decompose:ladder")
+    forms = ["1,0,0,1", "0,1,0,0", "1,0,-3,0,1"] + [
+        ",".join(str(rng.randint(-3, 3)) for _ in range(rng.randint(3, 8))) for _ in range(40)
+    ]
+    forms = [f for f in forms if any(int(x) for x in f.split(","))]
+    # the rank decompose reported when it ran the ladder a second time for it
+    expected = {f: ranks.sylvester_symmetric_rank_binary([Fraction(x) for x in f.split(",")]) for f in forms}
+    calls = []
+    apolar = ranks.apolar_kernel_form
+    counted = lambda coeffs: calls.append(coeffs) or apolar(coeffs)  # noqa: E731
+    monkeypatch.setattr(ranks, "apolar_kernel_form", counted)
+    monkeypatch.setattr(decomp, "apolar_kernel_form", counted)
+    paths = set()
+    for f in forms:
+        calls.clear()
+        try:
+            payload = run(ExperimentConfig("decompose", {"form": f}))[0].payload
+        except TensorlabError as exc:
+            assert "no decomposition emitted" in str(exc)
+            assert expected[f] == len(f.split(",")) - 1  # rank d
+            paths.add("rank d")
+        else:
+            assert payload["rank"] == expected[f] == len(payload["nodes"])
+            paths.add(payload["exact"])
+        assert len(calls) == 1
+    assert paths == {True, False, "rank d"}
+    payload = run(ExperimentConfig("decompose", {"form": "1,0,0,1"}))[0].payload
+    assert json.dumps(payload, sort_keys=True) == (
+        '{"coefficients": [1, 1], "degree": 3, "exact": true, "mode": "sylvester", '
+        '"nodes": [["0", "1"], ["1", "0"]], "rank": 2, "residual": 0.0}'
+    )
 
 
 def test_decompose_kruskal_computes_each_k_rank_once(tmp_path, monkeypatch, capsys):

@@ -5,21 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_tensor
+from helpers import direct_sum, random_tensor
 from tensorlab import decomp
 from tensorlab.decomp import (
     Decomposition,
-    direct_sum,
     gross_check,
     gross_minimality_check,
     kruskal_rank,
     kruskal_uniqueness,
-    strassen_experiment,
     sylvester_decompose_binary,
 )
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
 from tensorlab.linalg import WORD_PRIME, Matrix, matrix_from_vectors, rank_exact
-from tensorlab.ranks import w_state, w_state_certificate
+from tensorlab.ranks import exact_rank_bruteforce, w_state, w_state_certificate
 from tensorlab.rings import FLOAT, RATIONAL, fp
 from tensorlab.tensors import rank_one, to_ring, veronese_point, zeros
 
@@ -299,6 +297,32 @@ def test_kruskal_stacks_do_not_grow_with_the_row_count(monkeypatch):
     assert max(rows for _, rows, _ in stacks) <= 5
 
 
+@pytest.mark.parametrize("ring", [RATIONAL, fp(2), fp(3), fp(65521)], ids=str)
+def test_kruskal_on_tall_matrices_matches_the_oracle(ring):
+    rng = random.Random(f"kruskal:tall-oracle:{ring}")
+    if ring.kind == "fp":
+        draw = lambda: rng.randrange(ring.p)  # noqa: E731
+    else:
+        draw = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
+    ks = set()
+    for trial in range(24):
+        cols = rng.randint(2, 5)
+        rows = rng.randint(cols + 1, 9)
+        base = [[draw() for _ in range(cols)] for _ in range(rng.randint(1, cols))]
+        if trial % 2:  # the rows span fewer than cols dimensions
+            m = [[sum(rng.randint(-1, 1) * b[j] for b in base) for j in range(cols)] for _ in range(rows)]
+        else:
+            m = [[draw() for _ in range(cols)] for _ in range(rows)]
+            if trial % 4 == 2:  # one column a combination of two others
+                for row in m:
+                    row[-1] = row[0] + 2 * row[1]
+        m = Matrix.from_rows(m, ring)
+        k = kruskal_rank(m)
+        assert k == kruskal_rank_oracle(m)
+        ks.add(k)
+    assert len(ks) >= 3
+
+
 def test_kruskal_confirms_subsets_short_mod_p_by_bareiss(monkeypatch):
     bareiss = []
     monkeypatch.setattr(decomp, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
@@ -482,30 +506,30 @@ def test_direct_sum_layout():
     assert total[(0, 2, 2)] == 0
 
 
+def direct_sum_ranks(t1, t2, r_max):
+    """Brute-force ranks of t1, t2 and of their direct sum; None past r_max."""
+    return tuple(exact_rank_bruteforce(t, r_max) for t in (t1, t2, direct_sum(t1, t2)))
+
+
 def test_strassen_rank_ones():
     a = to_ring(rank_one([(1, 1), (1, 0), (1, 0)]), fp(2))
     b = to_ring(rank_one([(1, 0), (1, 1), (0, 1)]), fp(2))
-    rec = strassen_experiment(a, b, 2)
-    assert (rec.r1, rec.r2, rec.r_sum) == (1, 1, 2)
-    assert rec.additive is True
+    assert direct_sum_ranks(a, b, 2) == (1, 1, 2)  # additive
 
 
 def test_strassen_matrix_case():
     # 2x2 matrices as degenerate 3-tensors: block-diagonal rank adds
     m1 = to_ring(rank_one([(1, 1), (1, 0), (1,)]), fp(3))
     m2 = to_ring(rank_one([(1, 2), (0, 1), (1,)]), fp(3))
-    rec = strassen_experiment(m1, m2, 3)
-    assert rec.additive is True
+    r1, r2, r_sum = direct_sum_ranks(m1, m2, 3)
+    assert r_sum == r1 + r2
 
     # full-rank 2x2 matrices: block-diagonal rank is 2 + 2
     from tensorlab.tensors import DenseTensor
-    from tensorlab.rings import fp as fp_ring
 
     g1 = DenseTensor((2, 2, 1), (1, 2, 1, 0), fp(3))
     g2 = DenseTensor((2, 2, 1), (2, 1, 1, 1), fp(3))
-    rec = strassen_experiment(g1, g2, 4)
-    assert (rec.r1, rec.r2, rec.r_sum) == (2, 2, 4)
-    assert rec.additive is True
+    assert direct_sum_ranks(g1, g2, 4) == (2, 2, 4)  # additive
 
 
 def test_strassen_random_2x2x2_over_f2():
@@ -515,9 +539,9 @@ def test_strassen_random_2x2x2_over_f2():
         t2 = to_ring(random_tensor((2, 2, 2), seed=rng.randint(0, 10**6)), fp(2))
         if t1.is_zero() or t2.is_zero():
             continue
-        rec = strassen_experiment(t1, t2, 4)
-        if None not in (rec.r1, rec.r2, rec.r_sum):
-            assert rec.r_sum <= rec.r1 + rec.r2  # the unconditional direction
+        r1, r2, r_sum = direct_sum_ranks(t1, t2, 4)
+        if None not in (r1, r2, r_sum):
+            assert r_sum <= r1 + r2  # the unconditional direction
 
 
 # --- serialization ------------------------------------------------------------------

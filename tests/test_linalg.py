@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import invert_exact
+from helpers import _fp_eliminate, invert_exact
 from tensorlab import linalg
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
@@ -328,6 +328,62 @@ def test_rref_fp_unit_pivots_and_rank(p):
         assert all(x % p == 0 for row in rows[len(pivots) :] for x in row)
         # same row space: the echelon rows add nothing to the original rows
         assert rank_exact(Matrix.from_rows(m.to_lists() + rows, fp(p))) == len(pivots)
+
+
+def fp_rows(rng, p, r, c, kind):
+    """r x c residues mod p: zero (kind 0), of rank min(r, c) (kind 1), with
+    one row a combination of two others (kind 2), or uniform (kind 3)."""
+    if kind == 0:
+        return [[0] * c for _ in range(r)]
+    if kind == 1:  # unit diagonal, random above it, rows and columns shuffled
+        rows = [[rng.randrange(p) if j > i else int(i == j) for j in range(c)] for i in range(r)]
+        rng.shuffle(rows)
+        perm = rng.sample(range(c), c)
+        return [[row[j] for j in perm] for row in rows]
+    rows = [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+    if kind == 2 and r >= 3:
+        rows[-1] = [(a + 2 * b) % p for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def fp_matrix(rows, r, c, p):
+    return Matrix(r, c, tuple(x for row in rows for x in row), fp(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_fp_rank_and_rref_match_the_gauss_jordan_oracle(p):
+    rng = random.Random(f"fp-oracle:{p}")
+    ranks = set()
+    for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (6, 2), (7, 3), (2, 6), (5, 5), (8, 8)]:
+        for trial in range(8):
+            rows = fp_rows(rng, p, r, c, trial % 4)
+            m = fp_matrix(rows, r, c, p)
+            expected = [list(row) for row in rows]
+            pivots, _ = _fp_eliminate(expected, p)
+            assert rank_exact(m) == len(pivots)
+            got_rows, got_pivots = rref(m)
+            assert (got_rows, got_pivots) == (expected, pivots)
+            assert all(type(x) is int for row in got_rows for x in row)
+            assert all(type(j) is int for j in got_pivots)
+            # the zero rows are fresh lists, not one shared list
+            assert len({id(row) for row in got_rows}) == r
+            ranks.add((len(pivots) == 0, len(pivots) == min(r, c)))
+    assert {(True, False), (False, True), (False, False)} <= ranks
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_det_fp_matches_the_gauss_jordan_oracle(p):
+    rng = random.Random(f"fp-det-oracle:{p}")
+    values = set()
+    for n in range(9):
+        for trial in range(8):
+            rows = fp_rows(rng, p, n, n, trial % 4)
+            pivots, det_factor = _fp_eliminate([list(row) for row in rows], p)
+            expected = det_factor if len(pivots) == n else 0
+            got = det_exact(fp_matrix(rows, n, n, p))
+            assert got == expected and type(got) is int
+            values.add(expected)
+    assert 0 in values and len(values) >= min(p, 3)
 
 
 def test_solve_and_invert():

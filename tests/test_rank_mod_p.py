@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import _fp_eliminate
 from tangent_oracle import exact_tangent_rows
 from tensorlab import secants
 from tensorlab.errors import ValidationError
@@ -14,7 +15,6 @@ from tensorlab.linalg import (
     EchelonModP,
     Matrix,
     _bareiss,
-    _fp_eliminate,
     rank_exact,
     ranks_mod_p,
 )
@@ -36,7 +36,7 @@ def bareiss(rows):
 
 
 def fp_rank(rows, p):
-    """Rank over F_p by the Python-int elimination of the fp ring."""
+    """Rank over F_p by Python-int Gauss-Jordan elimination."""
     return len(_fp_eliminate([[int(x) for x in row] for row in rows], p)[0])
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import _fp_eliminate
 from tangent_oracle import exact_tangent_rows, power_coeff_vector
 from tensorlab import secants
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
-from tensorlab.linalg import WORD_PRIME, Matrix, _fp_eliminate, det_exact, rank_exact
+from tensorlab.linalg import WORD_PRIME, Matrix, det_exact, rank_exact
 from tensorlab.ranks import sylvester_symmetric_rank_binary
 from tensorlab.secants import (
     affine_tangent_basis,
