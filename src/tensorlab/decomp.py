@@ -31,6 +31,9 @@ from .rings import RATIONAL, Ring
 from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, rank_one, zeros
 
 KRUSKAL_COLUMN_CAP = 12
+# trial divisions plus root evaluations (each weighted by degree + 1) that _rational_roots
+# may spend: about 1 s on one x86-64 core, where trial division up to 10^7 takes 0.6-0.7 s
+ROOT_SEARCH_WORK_CAP = 15 * 10**6
 
 
 @dataclass(frozen=True)
@@ -337,65 +340,50 @@ class PowerSumDecomposition:
         return out
 
 
-def _rational_roots(poly: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Split a square-free rational polynomial into rational roots + remainder.
+def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
+    """Rational roots of a square-free rational polynomial, ascending coefficients.
 
-    Returns (roots, remaining coefficients ascending).
+    0 comes first.  The other candidates are p/q in lowest terms, p dividing
+    the constant term and q the leading one, scanned once by p, then q, then
+    sign (+ first); p/q is a root iff the integer sum of a_i p^i q^(n-i) is
+    zero.  The trial divisions and the evaluations, each weighted by n + 1,
+    are counted against ROOT_SEARCH_WORK_CAP before any is made.
     """
     den_lcm = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * den_lcm) for c in poly]
-    while ints and ints[-1] == 0:
-        ints.pop()
     roots: list[Fraction] = []
-    while ints and ints[0] == 0:  # root t = 0
+    if ints[0] == 0:  # square-free: t = 0 is at most a simple root
         roots.append(Fraction(0))
         ints = ints[1:]
-    changed = True
-    while changed and len(ints) > 1:
-        changed = False
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(ints, cand) == 0:
-                        roots.append(cand)
-                        ints = _deflate(ints, cand)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    return roots, [Fraction(c) for c in ints]
+    n = len(ints) - 1
+    if n < 1:
+        return roots
+    a0, an = abs(ints[0]), abs(ints[-1])
+    work = math.isqrt(a0) + math.isqrt(an)
+    if work <= ROOT_SEARCH_WORK_CAP:
+        nums, dens = _divisors(a0), _divisors(an)
+        work += 2 * len(nums) * len(dens) * (n + 1)
+    if work > ROOT_SEARCH_WORK_CAP:
+        raise CapExceeded(f"root search needs {work} steps, over ROOT_SEARCH_WORK_CAP {ROOT_SEARCH_WORK_CAP}")
+    for p in nums:
+        for q in dens:
+            if math.gcd(p, q) > 1:
+                continue
+            for num in (p, -p):
+                value, q_power = 0, 1
+                for c in reversed(ints):
+                    value = value * num + c * q_power
+                    q_power *= q
+                if value == 0:
+                    roots.append(Fraction(num, q))
+                    if len(roots) == len(poly) - 1:
+                        return roots
+    return roots
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
+    out = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted(set(out + [n // d for d in out]))
-
-
-def _poly_eval(coeffs: Sequence, x):
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _deflate(ints: list[int], root: Fraction) -> list[int]:
-    """Divide by (x - root), returning integer coefficients again."""
-    coeffs = [Fraction(c) for c in ints]
-    # synthetic division; out collects descending quotient coeffs + remainder
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        out.append(c + out[-1] * root)
-    if out.pop() != 0:
-        raise TensorlabError("deflation by a non-root; this is a bug")
-    out.reverse()  # ascending quotient coefficients
-    lcm = math.lcm(*(c.denominator for c in out))
-    return [int(c * lcm) for c in out]
 
 
 def sylvester_decompose_binary(coeffs: Sequence) -> PowerSumDecomposition:
@@ -408,21 +396,16 @@ def sylvester_decompose_binary(coeffs: Sequence) -> PowerSumDecomposition:
     """
     d = len(coeffs) - 1
     s, g = apolar_kernel_form(coeffs)
-    if g is None:
-        raise TensorlabError(
-            "no square-free kernel form below the top level: "
-            "rank exceeds the generic bound, no decomposition emitted"
-        )
     # g_j is the coefficient of u^(s-j) v^j; roots (alpha:beta) give the nodes
     univ = [Fraction(c) for c in g]
     deg = next(i for i in range(len(univ) - 1, -1, -1) if univ[i] != 0)
     nodes: list[tuple] = []
     if s - deg == 1:
         nodes.append((Fraction(0), Fraction(1)))  # root at (0:1)
-    rational_roots, leftover = _rational_roots(univ[: deg + 1])
+    rational_roots = _rational_roots(univ[: deg + 1])
     nodes.extend((Fraction(1), t) for t in rational_roots)
 
-    if len(leftover) <= 1:  # fully split over the rationals: exact path
+    if len(rational_roots) == deg:  # fully split over the rationals: exact path
         mat = Matrix.from_rows(
             [
                 [math.comb(d, k) * a ** (d - k) * b**k for (a, b) in nodes]

@@ -2,10 +2,12 @@
 
 Rank decisions over the rationals and over F_p are exact (no tolerances);
 the float lane is served by numpy and a relative singular-value threshold.
-`rank_exact` over the rationals certifies its answer from a rank mod a
+Exact work over the rationals has one eliminator, `_bareiss`: fraction-free
+elimination of the rows scaled to integers.  It serves `det_exact` (in both
+rings), `rref` over Q (and so `nullspace_exact` and `solve_exact`), and
+`rank_exact` over Q, which first certifies its answer from a rank mod a
 word-size prime (a lower bound) and an integer kernel checked over Z (an
-upper bound), and runs Bareiss fraction-free elimination only when the two
-cannot be certified; `det_exact` is Bareiss in both rings.
+upper bound), and eliminates only when the two cannot be certified.
 F_p work has one kernel per shape: `EchelonModP` keeps a reduced echelon
 basis mod p that grows by blocks of rows, and serves the rank and `rref` of
 a single F_p matrix; `ranks_mod_p` ranks a whole stack of small integer
@@ -175,54 +177,54 @@ def _clear_denominators(m: Matrix) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination in place.
+def _bareiss(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
 
-    Pivots are chosen as the first nonzero entry of the trailing submatrix in
-    row-major scan order; rows and columns are swapped to bring the pivot to
-    the diagonal.  Returns (rank, last_pivot, swap_sign).
+    Pivots are taken column by column from the first row at or below the next
+    pivot row that is nonzero there, with row swaps only; every entry stays an
+    integer minor, so each division is exact.  Returns (pivot columns, last
+    pivot, row-swap sign): a full-rank square matrix has determinant sign *
+    last pivot.  Rows are cleared below each pivot, which is all a rank or a
+    determinant needs; with reduce also above it, and the pivot rows end as
+    last pivot times the reduced row echelon form.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    prev = 1
-    sign = 1
-    k = 0
-    while k < min(m, n):
-        pi = pj = -1
-        for i in range(k, m):
-            ri = rows[i]
-            for j in range(k, n):
-                if ri[j]:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
+    pivots = []
+    prev = sign = 1
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
             break
-        if pi != k:
-            rows[k], rows[pi] = rows[pi], rows[k]
+        for k in range(r, m):
+            if rows[k][col]:
+                break
+        else:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
             sign = -sign
-        if pj != k:
-            for r in rows:
-                r[k], r[pj] = r[pj], r[k]
-            sign = -sign
-        piv = rows[k][k]
-        rowk = rows[k]
-        for r in range(k + 1, m):
-            rowr = rows[r]
-            lead = rowr[k]
+        head = rows[r]
+        piv = head[col]
+        for i in range(r + 1, m):
+            row = rows[i]
+            lead = row[col]
             if lead:
-                for c in range(k + 1, n):
-                    rowr[c] = (rowr[c] * piv - lead * rowk[c]) // prev
-                rowr[k] = 0
+                for c in range(col + 1, n):
+                    row[c] = (row[c] * piv - lead * head[c]) // prev
+                row[col] = 0
             elif piv != prev:
-                # zero-lead rows still need the Sylvester rescale to keep
-                # later divisions exact
-                for c in range(k + 1, n):
-                    rowr[c] = (rowr[c] * piv) // prev
+                # zero-lead rows still need the Sylvester rescale to keep later divisions exact
+                for c in range(col + 1, n):
+                    row[c] = row[c] * piv // prev
+        if reduce:
+            for row in rows[:r]:
+                lead = row[col]
+                for c in range(n):
+                    row[c] = (row[c] * piv - lead * head[c]) // prev
         prev = piv
-        k += 1
-    return k, prev, sign
+        pivots.append(col)
+    return pivots, prev, sign
 
 
 def rank_exact(m: Matrix) -> int:
@@ -247,7 +249,7 @@ def rank_exact(m: Matrix) -> int:
         return EchelonModP(m.cols, m.ring.p).extend(m.to_lists())
     rank = _certified_rank(m) if min(m.rows, m.cols) >= CERTIFY_MIN_SIDE else None
     if rank is None:
-        rank, _, _ = _bareiss(_clear_denominators(m)[0])
+        rank = len(_bareiss(_clear_denominators(m)[0])[0])
     return rank
 
 
@@ -469,8 +471,8 @@ def det_exact(m: Matrix):
     if n == 0:
         return rings.one(m.ring)
     int_rows, scale = _clear_denominators(m)
-    rank, last_pivot, sign = _bareiss(int_rows)
-    if rank < n:
+    pivots, last_pivot, sign = _bareiss(int_rows)
+    if len(pivots) < n:
         return 0
     if m.ring.kind == "fp":
         return sign * last_pivot % m.ring.p
@@ -482,8 +484,10 @@ def rref(m: Matrix) -> tuple[list[list], list[int]]:
     """Reduced row echelon form (exact rings); returns (rows, pivot columns).
 
     Over F_p it is the `EchelonModP` basis sorted by pivot column, padded
-    with zero rows to m.rows rows; over the rationals, Gauss-Jordan on
-    Fractions.
+    with zero rows to m.rows rows.  Over the rationals the rows are scaled to
+    integers and reduced by `_bareiss`; its pivot rows, divided by the last
+    pivot, are the reduced form (row scaling keeps the row space, and the
+    reduced form is unique), and every entry is a Fraction.
     """
     if m.ring.kind == "float":
         raise ValidationError("rref requires an exact ring")
@@ -493,24 +497,9 @@ def rref(m: Matrix) -> tuple[list[list], list[int]]:
         order = np.argsort(echelon.pivots)
         zero_rows = [[0] * m.cols for _ in range(m.rows - echelon.rank)]
         return echelon.basis[order].tolist() + zero_rows, echelon.pivots[order].tolist()
-    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-    pivots = []
-    for col in range(m.cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m.rows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m.rows):
-            f = rows[i][col]
-            if i != r and f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        if len(pivots) == m.rows:
-            break
-    return rows, pivots
+    rows, _ = _clear_denominators(m)
+    pivots, last_pivot, _ = _bareiss(rows, reduce=True)
+    return [[Fraction(x, last_pivot) for x in row] for row in rows], pivots
 
 
 def nullspace_exact(m: Matrix) -> list[list]:

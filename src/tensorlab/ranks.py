@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rings
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import Matrix, nullspace_exact, rank_exact, rank_numeric
 from .rings import RATIONAL
 from .tensors import Bipartition, DenseTensor, braid, flatten
@@ -598,29 +598,29 @@ def _squarefree_kernel_vector(kernel: list[list], s: int) -> Optional[list[Fract
     return None
 
 
-def apolar_kernel_form(coeffs: Sequence) -> tuple[int, Optional[list[Fraction]]]:
+def apolar_kernel_form(coeffs: Sequence) -> tuple[int, list[Fraction]]:
     """Smallest level s with a square-free kernel form, plus the form.
 
-    Returns (d, None) when no level below d admits one; binary forms always
-    have rank at most d, attained by the x^(d-1)y family.
+    The levels run up to d: the level-d kernel is a hyperplane, which the
+    discriminant does not contain, so a binary form of degree d >= 1 always
+    has rank at most d, attained by the x^(d-1)y family.
     """
     d = len(coeffs) - 1
     normalized_form_coefficients(coeffs)  # validates nonzero
-    for s in range(1, d):
-        kernel = nullspace_exact(catalecticant(coeffs, s))
-        if kernel:
-            g = _squarefree_kernel_vector(kernel, s)
-            if g is not None:
-                return s, g
-    return d, None
+    if d < 1:
+        raise ValidationError("a binary form needs degree at least 1")
+    for s in range(1, d + 1):
+        g = _squarefree_kernel_vector(nullspace_exact(catalecticant(coeffs, s)), s)
+        if g is not None:
+            return s, g
+    raise TensorlabError("no square-free form in the level-d kernel; this is a bug")
 
 
 def sylvester_symmetric_rank_binary(coeffs: Sequence) -> int:
     """Symmetric (Waring) rank of a binary form given by its coefficients.
 
     coeffs[k] is the coefficient of x^(d-k) y^k; the rank is the first
-    catalecticant level whose kernel contains a square-free form, or d when
-    no such level exists below d.
+    catalecticant level whose kernel contains a square-free form.
     """
     s, _ = apolar_kernel_form(coeffs)
     return s

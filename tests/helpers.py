@@ -92,6 +92,29 @@ def direct_sum(t1: DenseTensor, t2: DenseTensor) -> DenseTensor:
     return DenseTensor(shape, tuple(out), t1.ring)
 
 
+def rref_gauss_jordan(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by Gauss-Jordan on Fractions;
+    returns (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    pivots = []
+    for col in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.rows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][col]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == m.rows:
+            break
+    return rows, pivots
+
+
 def _fp_eliminate(rows: list[list[int]], p: int) -> tuple[list[int], int]:
     """Reduced row echelon form over F_p, in place.
 

@@ -226,6 +226,17 @@ def test_main_cap_exit_code(capsys):
     assert "n_max <= 14" in capsys.readouterr().err
 
 
+def test_decompose_form_exit_codes(capsys):
+    # rank d is emitted; a root search over its work cap and a constant form are refused
+    assert cli.main(["decompose", "--form", "1,2"]) == 0
+    assert '"rank": 1' in capsys.readouterr().out
+    big = "2,600000000066,60000000013200000001110,2000000000660000000111000000006886"
+    assert cli.main(["decompose", "--form", big]) == 3
+    assert "ROOT_SEARCH_WORK_CAP" in capsys.readouterr().err
+    assert cli.main(["decompose", "--form", "5"]) == 2
+    assert "degree at least 1" in capsys.readouterr().err
+
+
 def test_terracini_degree_cap_exit_code(capsys):
     # ambient dimensions 1 and 2, at a degree refused before any point is drawn
     for variety in ("veronese:1,3000000", "segver:1,2@3000000,1"):
@@ -744,17 +755,11 @@ def test_decompose_form_runs_the_catalecticant_ladder_once(monkeypatch):
     paths = set()
     for f in forms:
         calls.clear()
-        try:
-            payload = run(ExperimentConfig("decompose", {"form": f}))[0].payload
-        except TensorlabError as exc:
-            assert "no decomposition emitted" in str(exc)
-            assert expected[f] == len(f.split(",")) - 1  # rank d
-            paths.add("rank d")
-        else:
-            assert payload["rank"] == expected[f] == len(payload["nodes"])
-            paths.add(payload["exact"])
+        payload = run(ExperimentConfig("decompose", {"form": f}))[0].payload
+        assert payload["rank"] == expected[f] == len(payload["nodes"])
+        paths.add(payload["exact"])
         assert len(calls) == 1
-    assert paths == {True, False, "rank d"}
+    assert paths == {True, False}
     payload = run(ExperimentConfig("decompose", {"form": "1,0,0,1"}))[0].payload
     assert json.dumps(payload, sort_keys=True) == (
         '{"coefficients": [1, 1], "degree": 3, "exact": true, "mode": "sylvester", '

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from tensorlab.decomp import (
     kruskal_uniqueness,
     sylvester_decompose_binary,
 )
-from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
+from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import WORD_PRIME, Matrix, matrix_from_vectors, rank_exact
 from tensorlab.ranks import exact_rank_bruteforce, w_state, w_state_certificate
 from tensorlab.rings import FLOAT, RATIONAL, fp
@@ -488,10 +489,61 @@ def test_decompose_reports_every_reconstruction():
             assert out.residual <= 1e-8
 
 
-def test_decompose_refuses_max_rank_forms():
-    # x^(d-1) y never yields a square-free kernel form below the top level
-    with pytest.raises(TensorlabError, match="no decomposition emitted"):
-        sylvester_decompose_binary([0, 1, 0, 0])
+def test_decompose_max_rank_forms_take_d_nodes():
+    # x^(d-1) y has no square-free kernel form below the top level, and one at
+    # level d; so have x + 2y and x^2 + y^2
+    forms = [[0, 1] + [0] * (d - 1) for d in range(1, 8)] + [[1, 2], [1, 0, 1]]
+    for coeffs in forms:
+        out = sylvester_decompose_binary(coeffs)
+        assert len(out.nodes) == len(coeffs) - 1
+        if out.exact:
+            assert [Fraction(c) for c in out.reconstruct()] == coeffs
+        else:
+            assert out.residual <= 1e-8
+            assert max(abs(complex(a) - b) for a, b in zip(out.reconstruct(), coeffs)) <= 1e-8
+
+
+def test_rational_roots_are_found_once_each_in_scan_order():
+    # (t - 1)(t + 2)(2t - 5): 2/2 = 1 is a candidate again before 5/2 is reached
+    poly = [Fraction(10), Fraction(-9), Fraction(-3), Fraction(2)]
+    assert decomp._rational_roots(poly) == [1, -2, Fraction(5, 2)]
+    rng = random.Random("rational-roots")
+    for _ in range(200):
+        roots = {Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))}
+        poly = [Fraction(rng.randint(1, 4))]
+        for r in roots:  # times (t - r)
+            poly = [(poly[i - 1] if i else 0) - r * (poly[i] if i < len(poly) else 0) for i in range(len(poly) + 1)]
+        if rng.random() < 0.5:  # times t^2 + 1, which has no rational root
+            poly = [a + (poly[i - 2] if i >= 2 else 0) for i, a in enumerate(poly + [0, 0])]
+        order = sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        assert decomp._rational_roots(poly) == order
+
+
+def test_rational_roots_charge_the_work_cap_before_any_division(monkeypatch):
+    # 15 - 8t + t^2 = (t - 3)(t - 5): isqrt(15) + isqrt(1) = 4 trial divisions,
+    # then 2 signs x 4 numerators x 1 denominator x 3 coefficients = 24
+    poly = [Fraction(15), Fraction(-8), Fraction(1)]
+    monkeypatch.setattr(decomp, "ROOT_SEARCH_WORK_CAP", 28)
+    assert decomp._rational_roots(poly) == [3, 5]
+    monkeypatch.setattr(decomp, "ROOT_SEARCH_WORK_CAP", 27)
+    with pytest.raises(CapExceeded, match="needs 28 steps"):
+        decomp._rational_roots(poly)
+    monkeypatch.setattr(decomp, "ROOT_SEARCH_WORK_CAP", 3)
+    monkeypatch.setattr(decomp, "_divisors", lambda n: pytest.fail("trial division past the cap"))
+    with pytest.raises(CapExceeded, match="needs 4 steps"):
+        decomp._rational_roots(poly)
+
+
+def test_decompose_refuses_a_root_search_over_the_cap_and_admits_large_nodes():
+    # nodes 100000000003 and 100000000019: the kernel form's constant term is
+    # their product, about 10^22, so trial division alone needs ~10^11 steps
+    big = [2, 600000000066, 60000000013200000001110, 2000000000660000000111000000006886]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="ROOT_SEARCH_WORK_CAP"):
+        sylvester_decompose_binary(big)
+    assert time.perf_counter() - start < 5  # refused up front, not after the search
+    out = sylvester_decompose_binary([2, 6000108, 6000216003294, 2000108003294035964])
+    assert out.exact and out.nodes == ((1, 1000003), (1, 1000033)) and out.coefficients == (1, 1)
 
 
 # --- direct sums ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import _fp_eliminate, invert_exact
+from helpers import _fp_eliminate, invert_exact, rref_gauss_jordan
 from tensorlab import linalg
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
@@ -22,7 +22,7 @@ from tensorlab.linalg import (
     solve_exact,
 )
 from tensorlab.minrank import gurvits_construction
-from tensorlab.rings import FLOAT, fp
+from tensorlab.rings import FLOAT, RATIONAL, fp
 
 
 # --- independent oracles ----------------------------------------------------
@@ -131,7 +131,7 @@ def low_rank_product(rng, m, n, k, rational):
 
 
 def bareiss_rank(m):
-    return _bareiss(linalg._clear_denominators(m)[0])[0]
+    return len(_bareiss(linalg._clear_denominators(m)[0])[0])
 
 
 def padded(rows):
@@ -149,9 +149,9 @@ def bareiss_calls(monkeypatch):
     """Count the Bareiss fallbacks rank_exact takes."""
     calls = []
 
-    def counted(rows):
+    def counted(rows, reduce=False):
         calls.append(len(rows))
-        return _bareiss(rows)
+        return _bareiss(rows, reduce)
 
     monkeypatch.setattr(linalg, "_bareiss", counted)
     return calls
@@ -195,10 +195,10 @@ def test_rank_falls_back_to_bareiss_when_a_bound_is_not_certified(rows, rank, ba
     assert len(bareiss_calls) == 1
 
 
-def _bareiss_below_certified_size(rows):
+def _bareiss_below_certified_size(rows, reduce=False):
     if min(len(rows), len(rows[0])) >= linalg.CERTIFY_MIN_SIDE:
         raise AssertionError("rank_exact fell back to Bareiss")
-    return _bareiss(rows)
+    return _bareiss(rows, reduce)
 
 
 def test_rank_certified_with_an_int64_kernel_check(monkeypatch):
@@ -384,6 +384,119 @@ def test_det_fp_matches_the_gauss_jordan_oracle(p):
             assert got == expected and type(got) is int
             values.add(expected)
     assert 0 in values and len(values) >= min(p, 3)
+
+
+# --- the Q eliminator: _bareiss against Gauss-Jordan on Fractions -----------
+
+Q_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1), (6, 2), (7, 3), (2, 6), (3, 7), (5, 5), (8, 8)]
+
+
+def q_rows(rng, r, c, kind):
+    """r x c rationals: zero (kind 0), of rank min(r, c) (kind 1), a product of
+    rank about half the side (kind 2), small uniform (kind 3), or with
+    numerators near 10^15 and denominators near 10^12 (kind 4)."""
+    if kind == 0:
+        return [[0] * c for _ in range(r)]
+    if kind == 1:  # unit diagonal, random above it, rows and columns shuffled
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if j > i else int(i == j) for j in range(c)]
+                for i in range(r)]
+        rng.shuffle(rows)
+        perm = rng.sample(range(c), c)
+        return [[row[j] for j in perm] for row in rows]
+    if kind == 2:
+        return low_rank_product(rng, r, c, min(r, c) // 2, True)
+    if kind == 3:
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)]
+    return [[Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**12)) for _ in range(c)] for _ in range(r)]
+
+
+def q_matrix(rows, r, c):
+    return Matrix(r, c, tuple(Fraction(x) for row in rows for x in row), RATIONAL)
+
+
+def q_cases(seed):
+    rng = random.Random(seed)
+    for r, c in Q_SHAPES:
+        for kind in range(5):
+            for _ in range(3):
+                yield q_matrix(q_rows(rng, r, c, kind), r, c)
+
+
+def test_rational_rref_rank_and_nullspace_match_the_gauss_jordan_oracle():
+    ranks = set()
+    for m in q_cases("q-oracle"):
+        rows, pivots = rref_gauss_jordan(m)
+        got_rows, got_pivots = rref(m)
+        assert (got_rows, got_pivots) == (rows, pivots)
+        assert all(type(x) is Fraction for row in got_rows for x in row)
+        assert all(type(j) is int for j in got_pivots) and len(got_rows) == m.rows
+        assert rank_exact(m) == len(pivots)
+        # the kernel basis is fixed by the reduced form: a unit at each free column
+        free = [j for j in range(m.cols) if j not in pivots]
+        expected = [[-rows[pivots.index(j)][f] if j in pivots else int(j == f) for j in range(m.cols)]
+                    for f in free]
+        kernel = nullspace_exact(m)
+        assert kernel == expected
+        assert all(type(x) is int for v in kernel for x in v if Fraction(x).denominator == 1)
+        ranks.add((len(pivots) == 0, len(pivots) == min(m.rows, m.cols)))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= ranks
+
+
+def test_rational_solve_matches_the_gauss_jordan_oracle():
+    rng = random.Random("q-solve-oracle")
+    consistent = 0
+    for m in q_cases("q-solve-matrices"):
+        if m.rows == 0:
+            continue
+        rhs = q_matrix(q_rows(rng, m.rows, 2, rng.choice([0, 3, 4])), m.rows, 2)
+        if rng.random() < 0.5 and m.cols:  # a consistent right-hand side
+            x = q_matrix(q_rows(rng, m.cols, 2, 3), m.cols, 2)
+            rhs = m.matmul(x)
+        aug = Matrix(m.rows, m.cols + 2, tuple(
+            v for i in range(m.rows) for v in m.row(i) + rhs.row(i)), RATIONAL)
+        rows, pivots = rref_gauss_jordan(aug)
+        got = solve_exact(m, rhs)
+        if pivots and pivots[-1] >= m.cols:
+            assert got is None
+            continue
+        consistent += 1
+        expected = [[0, 0] for _ in range(m.cols)]  # free variables are zero
+        for r, pc in enumerate(pivots):
+            expected[pc] = rows[r][m.cols :]
+        assert got.to_lists() == expected
+        if m.cols:
+            assert m.matmul(got).entries == rhs.entries
+    assert consistent >= 40
+
+
+def test_rational_det_matches_the_laplace_oracle_and_the_rank():
+    values = set()
+    for m in q_cases("q-det-oracle"):
+        if m.rows != m.cols or m.rows > 7:
+            continue
+        det = det_exact(m)
+        assert det == det_oracle(m.to_lists())
+        assert (det != 0) == (len(rref_gauss_jordan(m)[1]) == m.rows)
+        assert type(det) is (int if Fraction(det).denominator == 1 else Fraction)
+        values.add(det == 0)
+    assert values == {True, False}
+
+
+def test_bareiss_reduced_pivot_rows_are_last_pivot_times_rref():
+    for m in q_cases("q-bareiss-reduce"):
+        rows, pivots = rref_gauss_jordan(m)
+        reduced = linalg._clear_denominators(m)[0]
+        got_pivots, last_pivot, sign = _bareiss(reduced, reduce=True)
+        assert got_pivots == pivots
+        k = len(pivots)
+        assert reduced[:k] == [[last_pivot * x for x in row] for row in rows[:k]]
+        assert all(x == 0 for row in reduced[k:] for x in row)
+        assert all(type(x) is int for row in reduced for x in row)
+        # clearing only below each pivot finds the same pivots, last pivot and sign
+        assert _bareiss(linalg._clear_denominators(m)[0]) == (pivots, last_pivot, sign)
+        if m.rows == m.cols == k and k <= 7:
+            int_rows, scale = linalg._clear_denominators(m)
+            assert sign * last_pivot == det_oracle(int_rows)
 
 
 def test_solve_and_invert():

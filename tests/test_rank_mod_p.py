@@ -32,7 +32,7 @@ from tensorlab.secants import (
 
 def bareiss(rows):
     """Rank over Q by Bareiss elimination alone, not by rank_exact's mod-p path."""
-    return _bareiss([[int(x) for x in row] for row in rows])[0] if rows else 0
+    return len(_bareiss([[int(x) for x in row] for row in rows])[0])
 
 
 def fp_rank(rows, p):
