@@ -173,28 +173,25 @@ def gross_check(t: DenseTensor, d: Decomposition) -> GrossReport:
 
     r = len(d)
     independence: dict[tuple[int, ...], bool] = {}
-    projections: dict[tuple[int, ...], Matrix] = {}
+    duals: dict[tuple[int, ...], Optional[Matrix]] = {}
     for I in itertools.combinations(range(order), order - 2):
         rows = []
         for summand in d.summands:
             proj = rank_one([summand[j] for j in I], d.ring) if len(I) > 1 else None
             rows.append(proj.data if proj is not None else summand[I[0]])
         w = matrix_from_vectors(rows, d.ring)
-        projections[I] = w
-        independence[I] = rank_exact(w) == r
+        # rows alpha_i with alpha_i(w_j) = delta_ij: W X = I is solvable
+        # exactly when the projections are linearly independent
+        duals[I] = solve_exact(w, Matrix.identity(r, d.ring))
+        independence[I] = duals[I] is not None
 
     if not all(independence.values()):
         return GrossReport(independence, False, None, None)
 
     # pairwise proportionality via the dual-basis contractions alpha_i(T)
     proportional: dict[tuple[int, int], list] = {}
-    for I, w in projections.items():
+    for I, dual_t in duals.items():
         k, l = [p for p in range(order) if p not in I]
-        # rows alpha_i with alpha_i(w_j) = delta_ij; W X = I is solvable over
-        # any field because the projections are independent
-        dual_t = solve_exact(w, Matrix.identity(r, d.ring))
-        if dual_t is None:
-            raise TensorlabError("dual basis solve failed despite independence")
         dual = dual_t.transpose()
         m = flatten(t, Bipartition.of(I, order))
         contracted = dual.matmul(m)  # row i = alpha_i(T), a d_k x d_l matrix

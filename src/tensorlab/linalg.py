@@ -529,46 +529,39 @@ def solve_exact(a: Matrix, rhs_cols: Matrix) -> Matrix | None:
     _check_same_ring(a, rhs_cols)
     if a.rows != rhs_cols.rows:
         raise ValidationError("row mismatch in solve_exact")
-    aug = Matrix(
-        a.rows,
-        a.cols + rhs_cols.cols,
-        tuple(
-            a.entries[i * a.cols + j] if j < a.cols else rhs_cols.entries[i * rhs_cols.cols + (j - a.cols)]
-            for i in range(a.rows)
-            for j in range(a.cols + rhs_cols.cols)
-        ),
-        a.ring,
-    )
-    rows, pivots = rref(aug)
+    aug = tuple(x for i in range(a.rows) for x in a.row(i) + rhs_cols.row(i))
+    rows, pivots = rref(Matrix(a.rows, a.cols + rhs_cols.cols, aug, a.ring))
+    if any(pc >= a.cols for pc in pivots):
+        return None  # a pivot in the rhs block: inconsistent
+    k = rhs_cols.cols
+    out = [rings.zero(a.ring)] * (a.cols * k)
     for r, pc in enumerate(pivots):
-        if pc >= a.cols:
-            return None  # pivot in the rhs block: inconsistent
-    out = [[rings.zero(a.ring)] * rhs_cols.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(rhs_cols.cols):
+        for j in range(k):
             v = rows[r][a.cols + j]
             if a.ring.kind == "rational" and isinstance(v, Fraction) and v.denominator == 1:
                 v = v.numerator
-            out[pc][j] = v
-    return Matrix.from_rows(out, a.ring)
+            out[pc * k + j] = v
+    return Matrix(a.cols, k, tuple(out), a.ring)
 
 
 # ---------------------------------------------------------------------------
 # Kronecker product and the float lane
 # ---------------------------------------------------------------------------
 
+def _object_array(entries: Sequence, shape: Sequence[int]) -> np.ndarray:
+    """The entries, as the same Python objects, in an object array of the
+    shape: numpy moves them, and `.tolist()` gives back each object as it
+    was, so an int stays an int and a Fraction a Fraction."""
+    return np.array(entries, dtype=object).reshape(shape)
+
+
 def kron(m1: Matrix, m2: Matrix) -> Matrix:
     """Kronecker product; row-block index runs over m1's rows."""
     _check_same_ring(m1, m2)
-    r1, c1, r2, c2 = m1.rows, m1.cols, m2.rows, m2.cols
-    ent = []
-    for i1 in range(r1):
-        for i2 in range(r2):
-            for j1 in range(c1):
-                a = m1.entries[i1 * c1 + j1]
-                row2 = m2.entries[i2 * c2 : (i2 + 1) * c2]
-                ent.extend(rings.reduce(a * b, m1.ring) for b in row2)
-    return Matrix(r1 * r2, c1 * c2, tuple(ent), m1.ring)
+    a = _object_array(m1.entries, (m1.rows, m1.cols))
+    b = _object_array(m2.entries, (m2.rows, m2.cols))
+    ent = tuple(rings.reduce(x, m1.ring) for x in np.kron(a, b).ravel().tolist())
+    return Matrix(m1.rows * m2.rows, m1.cols * m2.cols, ent, m1.ring)
 
 
 def to_float_array(m: Matrix) -> np.ndarray:

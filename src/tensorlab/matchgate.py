@@ -1,6 +1,11 @@
 """Exact Pfaffians, sub-Pfaffian signature vectors, perfect-matching counts,
 matchgate identities, and wire basis changes.
 
+A Pfaffian is a signed sum over perfect matchings, and the weighted matching
+count is the same sum with every sign +1, so one memoized first-row
+expansion, `_pfaffian_on`, gives Pfaffians, sub-Pfaffians and matching
+counts.
+
 Planarity is never checked.  A graph's matchings are counted by one
 Pfaffian exactly when some edge-sign vector makes |Pf| equal the brute-force
 matching count, and the orientation search finds the first such vector.
@@ -24,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,11 +133,15 @@ class SignatureVector:
 # Pfaffians
 # ---------------------------------------------------------------------------
 
-def _pfaffian_on(indices: tuple[int, ...], a: SkewMatrix, memo: dict):
+def _pfaffian_on(indices: tuple[int, ...], a: SkewMatrix, memo: dict, signed: bool = True):
     """Pfaffian of the principal submatrix on the given index set.
 
-    First-row expansion with subset memoization; the sign convention is
-    anchored by Pf([[0, a], [-a, 0]]) = a, and odd sizes give 0.
+    First-row expansion with subset memoization: it pairs the first index
+    with the t-th of the others at sign (-1)^t, so it sums over the perfect
+    matchings of the index set.  The sign convention is anchored by
+    Pf([[0, a], [-a, 0]]) = a, and odd sizes give 0.  Unsigned, every term
+    is added with sign +1: the weighted matching count of the upper
+    triangle.  A memo holds sums of one kind only.
     """
     if len(indices) % 2 == 1:
         return rings.zero(a.ring)
@@ -151,8 +159,8 @@ def _pfaffian_on(indices: tuple[int, ...], a: SkewMatrix, memo: dict):
         if rings.is_zero(w, a.ring):
             continue
         sub = rest[:t] + rest[t + 1 :]
-        term = w * _pfaffian_on(sub, a, memo)
-        total = total + term if t % 2 == 0 else total - term
+        term = w * _pfaffian_on(sub, a, memo, signed)
+        total = total + term if t % 2 == 0 or not signed else total - term
     memo[key] = rings.reduce(total, a.ring)
     return memo[key]
 
@@ -246,25 +254,7 @@ def _matching_sum(g: WeightedGraph):
     # estimate here, so `count_matchings` runs once per search
     if g.nodes > MATCHING_NODE_CAP:
         raise CapExceeded(f"matching count capped at {MATCHING_NODE_CAP} nodes")
-    if g.nodes % 2 == 1:
-        return rings.zero(g.ring)
-    adjacency: dict[int, list[tuple[int, object]]] = {i: [] for i in range(g.nodes)}
-    for i, j, w in g.edges:
-        adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
-
-    @lru_cache(maxsize=None)  # at most 2^n unmatched sets, not (n-1)!! matchings
-    def recurse(unmatched: frozenset):
-        if not unmatched:
-            return rings.one(g.ring)
-        lowest = min(unmatched)
-        total = rings.zero(g.ring)
-        for other, w in adjacency[lowest]:
-            if other in unmatched and other != lowest:
-                total = total + w * recurse(unmatched - {lowest, other})
-        return rings.reduce(total, g.ring)
-
-    return recurse(frozenset(range(g.nodes)))
+    return _pfaffian_on(tuple(range(g.nodes)), g.skew_matrix(), {}, False)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import rings
 from .errors import ValidationError
-from .linalg import Matrix
+from .linalg import Matrix, _object_array
 from .rings import RATIONAL, Ring
 
 MAX_FACTORS = 12
@@ -147,21 +147,13 @@ def flatten(t: DenseTensor, b: Bipartition) -> Matrix:
 
     Rows enumerate the left multi-indices in row-major order over ascending
     factor positions; columns do the same for the complement.  Entries are
-    copied, no arithmetic happens.
+    moved by one axis permutation, no arithmetic happens.
     """
     if tuple(sorted(b.left + b.right)) != tuple(range(t.order)):
         raise ValidationError("bipartition does not match tensor order")
-    left_shape = tuple(t.shape[p] for p in b.left)
-    right_shape = tuple(t.shape[p] for p in b.right)
-    rows, cols = math.prod(left_shape), math.prod(right_shape)
-    strides = t.strides()
-    ent = [None] * (rows * cols)
-    for r, li in enumerate(multi_indices(left_shape)):
-        base = sum(strides[p] * i for p, i in zip(b.left, li))
-        row_off = r * cols
-        for c, ri in enumerate(multi_indices(right_shape)):
-            ent[row_off + c] = t.data[base + sum(strides[p] * i for p, i in zip(b.right, ri))]
-    return Matrix(rows, cols, tuple(ent), t.ring)
+    rows = math.prod(t.shape[p] for p in b.left)
+    moved = _object_array(t.data, t.shape).transpose(b.left + b.right).ravel().tolist()
+    return Matrix(rows, len(moved) // rows, tuple(moved), t.ring)
 
 
 def is_symmetric(t: DenseTensor) -> bool:
@@ -169,28 +161,16 @@ def is_symmetric(t: DenseTensor) -> bool:
     dims = set(t.shape)
     if len(dims) != 1:
         raise ValidationError("symmetry needs equal factor dimensions")
-    for k in range(t.order - 1):
-        for idx in multi_indices(t.shape):
-            if idx[k] < idx[k + 1]:
-                swapped = list(idx)
-                swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-                if t[idx] != t[tuple(swapped)]:
-                    return False
-    return True
+    a = _object_array(t.data, t.shape)
+    return all((a == a.swapaxes(k, k + 1)).all() for k in range(t.order - 1))
 
 
 def braid(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
     """Permute tensor factors: new factor j is old factor perm[j] (0-based)."""
     if sorted(perm) != list(range(t.order)):
         raise ValidationError(f"{tuple(perm)} is not a permutation of the factors")
-    new_shape = tuple(t.shape[p] for p in perm)
-    data = [None] * len(t.data)
-    old = [0] * t.order
-    for flat, idx in enumerate(multi_indices(new_shape)):
-        for j, p in enumerate(perm):
-            old[p] = idx[j]
-        data[flat] = t[tuple(old)]
-    return DenseTensor(new_shape, tuple(data), t.ring)
+    moved = _object_array(t.data, t.shape).transpose(perm)
+    return DenseTensor(moved.shape, tuple(moved.ravel().tolist()), t.ring)
 
 
 def mode_apply(t: DenseTensor, pos: int, m: Matrix) -> DenseTensor:

@@ -1,7 +1,8 @@
 """Tensor and matrix constructions that only the tests use.
 
-Each was once part of the package and had no caller in it; the tests keep
-them here with their behaviour unchanged.
+Each was once part of the package and either had no caller in it or was
+replaced by another implementation; the tests keep them here with their
+behaviour unchanged, the replaced ones as references to compare against.
 """
 
 import itertools
@@ -12,9 +13,9 @@ from typing import Sequence
 
 from tensorlab import rings
 from tensorlab.errors import ValidationError
-from tensorlab.linalg import Matrix, solve_exact
+from tensorlab.linalg import Matrix, _check_same_ring, solve_exact
 from tensorlab.rings import RATIONAL, Ring
-from tensorlab.tensors import DenseTensor, _check_shape, multi_indices, rank_one, zeros
+from tensorlab.tensors import Bipartition, DenseTensor, _check_shape, multi_indices, rank_one, zeros
 
 
 def segre_veronese_point(
@@ -146,3 +147,72 @@ def _fp_eliminate(rows: list[list[int]], p: int) -> tuple[list[int], int]:
         if len(pivots) == m:
             break
     return pivots, det_factor
+
+
+# stride loops that `tensors.flatten`, `is_symmetric`, `braid` and
+# `linalg.kron` replaced with axis permutations of one object array
+
+
+def flatten_loop(t: DenseTensor, b: Bipartition) -> Matrix:
+    """Matrix of the tensor regrouped by the bipartition.
+
+    Rows enumerate the left multi-indices in row-major order over ascending
+    factor positions; columns do the same for the complement.  Entries are
+    copied, no arithmetic happens.
+    """
+    if tuple(sorted(b.left + b.right)) != tuple(range(t.order)):
+        raise ValidationError("bipartition does not match tensor order")
+    left_shape = tuple(t.shape[p] for p in b.left)
+    right_shape = tuple(t.shape[p] for p in b.right)
+    rows, cols = math.prod(left_shape), math.prod(right_shape)
+    strides = t.strides()
+    ent = [None] * (rows * cols)
+    for r, li in enumerate(multi_indices(left_shape)):
+        base = sum(strides[p] * i for p, i in zip(b.left, li))
+        row_off = r * cols
+        for c, ri in enumerate(multi_indices(right_shape)):
+            ent[row_off + c] = t.data[base + sum(strides[p] * i for p, i in zip(b.right, ri))]
+    return Matrix(rows, cols, tuple(ent), t.ring)
+
+
+def is_symmetric_loop(t: DenseTensor) -> bool:
+    """True iff entries are invariant under adjacent factor transpositions."""
+    dims = set(t.shape)
+    if len(dims) != 1:
+        raise ValidationError("symmetry needs equal factor dimensions")
+    for k in range(t.order - 1):
+        for idx in multi_indices(t.shape):
+            if idx[k] < idx[k + 1]:
+                swapped = list(idx)
+                swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+                if t[idx] != t[tuple(swapped)]:
+                    return False
+    return True
+
+
+def braid_loop(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
+    """Permute tensor factors: new factor j is old factor perm[j] (0-based)."""
+    if sorted(perm) != list(range(t.order)):
+        raise ValidationError(f"{tuple(perm)} is not a permutation of the factors")
+    new_shape = tuple(t.shape[p] for p in perm)
+    data = [None] * len(t.data)
+    old = [0] * t.order
+    for flat, idx in enumerate(multi_indices(new_shape)):
+        for j, p in enumerate(perm):
+            old[p] = idx[j]
+        data[flat] = t[tuple(old)]
+    return DenseTensor(new_shape, tuple(data), t.ring)
+
+
+def kron_loop(m1: Matrix, m2: Matrix) -> Matrix:
+    """Kronecker product; row-block index runs over m1's rows."""
+    _check_same_ring(m1, m2)
+    r1, c1, r2, c2 = m1.rows, m1.cols, m2.rows, m2.cols
+    ent = []
+    for i1 in range(r1):
+        for i2 in range(r2):
+            for j1 in range(c1):
+                a = m1.entries[i1 * c1 + j1]
+                row2 = m2.entries[i2 * c2 : (i2 + 1) * c2]
+                ent.extend(rings.reduce(a * b, m1.ring) for b in row2)
+    return Matrix(r1 * r2, c1 * c2, tuple(ent), m1.ring)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import _fp_eliminate, invert_exact, rref_gauss_jordan
+from helpers import _fp_eliminate, invert_exact, kron_loop, rref_gauss_jordan
 from tensorlab import linalg
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
@@ -284,6 +285,25 @@ def test_kron_mixed_product():
         assert lhs.entries == rhs.entries
 
 
+@pytest.mark.parametrize("ring", [RATIONAL, fp(7), FLOAT], ids=str)
+def test_kron_matches_the_four_loops_value_and_type(ring):
+    rng = random.Random(f"kron {ring}")
+
+    def entry():
+        if ring == RATIONAL:  # Fraction(4) stays a Fraction, as the loops keep it
+            return rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                               Fraction(4)])
+        return rng.uniform(-2, 2) if ring == FLOAT else rng.randrange(7)
+
+    shapes = [(0, 2), (2, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 4)]
+    for (r1, c1), (r2, c2) in itertools.product(shapes, repeat=2):
+        a = Matrix(r1, c1, tuple(entry() for _ in range(r1 * c1)), ring)
+        b = Matrix(r2, c2, tuple(entry() for _ in range(r2 * c2)), ring)
+        got, ref = kron(a, b), kron_loop(a, b)
+        assert (got.rows, got.cols, got.ring) == (ref.rows, ref.cols, ref.ring)
+        assert [(type(x), x) for x in got.entries] == [(type(x), x) for x in ref.entries]
+
+
 # --- determinants / solving -------------------------------------------------
 
 def test_det_against_laplace_oracle():
@@ -510,6 +530,24 @@ def test_solve_and_invert():
         rhs = random_matrix(rng, 3, 2)
         x = solve_exact(m, rhs)
         assert m.matmul(x).entries == rhs.entries
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, fp(5)], ids=str)
+def test_solve_with_no_unknowns_or_no_equations_has_the_solution_shape(ring):
+    # no unknowns: consistent exactly when the right-hand side is zero
+    a = Matrix(3, 0, (), ring)
+    x = solve_exact(a, Matrix.zeros(3, 2, ring))
+    assert (x.rows, x.cols) == (0, 2)
+    assert a.matmul(x) == Matrix.zeros(3, 2, ring)
+    assert solve_exact(a, Matrix.from_rows([[0, 0], [1, 0], [0, 0]], ring)) is None
+    # no equations: every unknown is free, so zero
+    a = Matrix(0, 3, (), ring)
+    x = solve_exact(a, Matrix(0, 2, (), ring))
+    assert x == Matrix.zeros(3, 2, ring)
+    assert a.matmul(x) == Matrix(0, 2, (), ring)
+    # no right-hand sides
+    a = Matrix.from_rows([[1, 2], [3, 4]], ring)
+    assert solve_exact(a, Matrix(2, 0, (), ring)) == Matrix(2, 0, (), ring)
 
 
 def test_invert_singular_matrix_raises():

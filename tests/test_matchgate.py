@@ -34,6 +34,18 @@ def random_skew(n, rng, lo=-9, hi=9):
     )
 
 
+def perfect_matchings(items):
+    """Every perfect matching of the list, as a list of pairs."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for k in range(1, len(items)):
+        rest = items[1:k] + items[k + 1 :]
+        for tail in perfect_matchings(rest):
+            yield [(first, items[k])] + tail
+
+
 def pfaffian_matching_oracle(sk):
     """Signed sum over perfect matchings of the index set: the combinatorial
     definition of the Pfaffian."""
@@ -42,19 +54,8 @@ def pfaffian_matching_oracle(sk):
         return 0
     if n == 0:
         return 1
-
-    def pairings(items):
-        if not items:
-            yield []
-            return
-        first = items[0]
-        for k in range(1, len(items)):
-            rest = items[1:k] + items[k + 1 :]
-            for tail in pairings(rest):
-                yield [(first, items[k])] + tail
-
     total = 0
-    for pairing in pairings(list(range(n))):
+    for pairing in perfect_matchings(list(range(n))):
         flat = [x for pair in pairing for x in pair]
         sign = 1
         for a, b in itertools.combinations(range(n), 2):
@@ -221,6 +222,39 @@ def test_memoized_count_matches_unmemoized_recursion(shape, ring):
     assert count_matchings(g) == matchings_unmemoized(g)
     unit = WeightedGraph.build(shape.nodes, shape.edges, ring)
     assert count_matchings(unit) == matchings_unmemoized(unit)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, fp(3)], ids=str)
+def test_memoized_count_matches_unmemoized_recursion_on_shuffled_edges(ring):
+    # the memoized count expands in node order, the recursion in edge-file order
+    rng = random.Random(f"shuffled {ring}")
+    for _ in range(40):
+        n = rng.choice([0, 2, 4, 5, 6, 8, 10])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        rng.shuffle(pairs)
+        edges = [
+            (j, i, Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if ring == RATIONAL else rng.randrange(3))
+            if rng.random() < 0.5 else (i, j, rng.randint(-3, 3))
+            for i, j in pairs
+        ]
+        g = WeightedGraph.build(n, edges, ring)
+        assert count_matchings(g) == matchings_unmemoized(g)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, fp(5)], ids=str)
+def test_unsigned_expansion_is_the_sum_over_perfect_matchings(ring):
+    rng = random.Random(f"unsigned {ring}")
+    choices = [0, 0, 1, -2, 7, Fraction(3, 2), Fraction(-5, 3)] if ring == RATIONAL else list(range(5))
+    for n in range(11):
+        sk = SkewMatrix.from_upper(
+            n, {(i, j): rng.choice(choices) for i in range(n) for j in range(i + 1, n)}, ring
+        )
+        for indices in (tuple(range(n)), tuple(sorted(rng.sample(range(n), n // 2)))):
+            brute = sum(
+                math.prod(sk.entry(i, j) for i, j in m) for m in perfect_matchings(list(indices))
+            )
+            got = matchgate._pfaffian_on(indices, sk, {}, False)
+            assert got == rings.reduce(brute, ring)
 
 
 def test_orientation_search_k4():

@@ -1,13 +1,23 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_tensor, segre_veronese_point, symmetrize
+from helpers import (
+    braid_loop,
+    flatten_loop,
+    is_symmetric_loop,
+    random_tensor,
+    segre_veronese_point,
+    symmetrize,
+)
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import Matrix, rank_exact
 from tensorlab.rings import FLOAT, RATIONAL, fp
 from tensorlab.tensors import (
+    MAX_FACTORS,
     Bipartition,
     DenseTensor,
     braid,
@@ -195,6 +205,87 @@ def test_random_tensor_deterministic_and_bounded():
     t2 = random_tensor((2, 2, 2), seed=42)
     assert t1.data == t2.data
     assert all(-10 <= x <= 10 for x in t1.data)
+
+
+# --- axis permutations against the stride loops ----------------------------------
+
+RINGS = [RATIONAL, fp(7), FLOAT]
+
+
+def typed(entries):
+    return [(type(x), x) for x in entries]
+
+
+def mixed_entry(rng, ring):
+    """An int or a Fraction over Q (some Fractions with denominator 1, which
+    the loops copy as they are), a residue over F_p, a float otherwise."""
+    if ring == RATIONAL:
+        return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+    if ring == FLOAT:
+        return rng.uniform(-2, 2)
+    return rng.randrange(ring.p)
+
+
+def mixed_tensor(shape, ring, rng):
+    return DenseTensor(tuple(shape), tuple(mixed_entry(rng, ring) for _ in range(math.prod(shape))), ring)
+
+
+SHAPES_UP_TO_5 = [
+    (1, 1), (3, 1), (2, 3), (1, 1, 1), (2, 1, 3), (3, 2, 2),
+    (1, 4, 1, 2), (2, 3, 1, 2), (2, 1, 3, 1, 2), (2, 2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_5, ids=str)
+def test_flatten_and_braid_match_the_stride_loops(shape, ring):
+    rng = random.Random(f"{shape} {ring}")
+    t = mixed_tensor(shape, ring, rng)
+    order = len(shape)
+    for k in range(1, order):
+        for left in itertools.combinations(range(order), k):
+            b = Bipartition.of(left, order)
+            m, ref = flatten(t, b), flatten_loop(t, b)
+            assert (m.rows, m.cols, m.ring) == (ref.rows, ref.cols, ref.ring)
+            assert typed(m.entries) == typed(ref.entries)
+    for perm in itertools.permutations(range(order)):
+        got, ref = braid(t, perm), braid_loop(t, perm)
+        assert (got.shape, got.ring) == (ref.shape, ref.ring)
+        assert typed(got.data) == typed(ref.data)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_flatten_and_braid_match_the_stride_loops_at_max_factors(ring):
+    rng = random.Random(f"max {ring}")
+    shape = (2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1)
+    assert len(shape) == MAX_FACTORS
+    t = mixed_tensor(shape, ring, rng)
+    for _ in range(8):
+        b = Bipartition.of(rng.sample(range(MAX_FACTORS), rng.randint(1, MAX_FACTORS - 1)), MAX_FACTORS)
+        assert typed(flatten(t, b).entries) == typed(flatten_loop(t, b).entries)
+        perm = rng.sample(range(MAX_FACTORS), MAX_FACTORS)
+        assert typed(braid(t, perm).data) == typed(braid_loop(t, perm).data)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize(
+    "shape", [(1,), (3,), (1, 1, 1), (2, 2), (2, 2, 2), (3, 3, 3), (2,) * 5, (2,) * MAX_FACTORS], ids=str
+)
+def test_is_symmetric_matches_the_stride_loop(shape, ring):
+    # an entry that depends only on the sorted multi-index makes a symmetric
+    # tensor; changing one off-diagonal entry breaks one or more transpositions
+    rng = random.Random(f"{shape} {ring}")
+    by_class = {}
+    data = [by_class.setdefault(tuple(sorted(idx)), mixed_entry(rng, ring)) for idx in multi_indices(shape)]
+    t = DenseTensor(shape, tuple(data), ring)
+    assert is_symmetric(t) is is_symmetric_loop(t) is True
+    for flat in rng.sample(range(len(data)), min(6, len(data))):
+        changed = list(data)
+        changed[flat] = mixed_entry(rng, ring) + 1
+        u = DenseTensor(shape, tuple(changed), ring)
+        assert is_symmetric(u) == is_symmetric_loop(u)
+    u = mixed_tensor(shape, ring, rng)
+    assert is_symmetric(u) == is_symmetric_loop(u)
 
 
 # --- text format ----------------------------------------------------------------
