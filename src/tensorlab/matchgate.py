@@ -17,11 +17,15 @@ matchings are enumerated once with their signed weights, and a block of
 coset codes gets its Pfaffians as a +-1 parity matrix times that weight
 vector.
 
-The two hot kernels work on whole numpy arrays in blocks of at most
-BLOCK_ENTRIES entries, so their temporaries stay bounded: the orientation
-search's (code, matching) parities, and the matchgate identities'
-(difference pattern, alpha) residual grid, whose blocks fill the one int64
-or object array that `mgi_residuals` returns.
+The two hot kernels work on whole numpy arrays in blocks sized by
+BLOCK_ENTRIES, so their temporaries stay bounded: the orientation search's
+(code, matching) parities, and the matchgate identities' (alpha, beta)
+residual grid.  With the sign of each identity's terms folded into the
+signature entries, a block of alpha rows is one product of two
+sign-folded arrays, whose entries above the diagonal fill a contiguous run
+of the one array that `mgi_residuals` returns.  The product is exact in
+float64 (so BLAS) or in int64 when the entries are small enough ints, and
+an object array adds the same terms in the scalar loop's order otherwise.
 """
 
 from __future__ import annotations
@@ -407,49 +411,64 @@ def mgi_residuals(s: SignatureVector) -> np.ndarray:
     empirically by the test suite against random skew matrices, since it is
     the package's operational definition of the identities.
 
-    The sums run at once for every difference pattern d = alpha ^ beta with
-    top bit h, on the (d, alpha) grid of every alpha with bit h clear (the
-    pairs with alpha < beta), in row blocks of at most BLOCK_ENTRIES pairs.
-    For each bit position in increasing order, the rows whose d has that
-    bit add their term if an even number of lower bits of d are set and
-    subtract it otherwise: the scalar loop's operations, in its order.
-    Python int entries go in int64 when wires * max|s|^2 < 2^63, so no
-    partial sum can overflow; any other entries go in an object array, so
-    their own operators give the loop's values and types.  The result is
-    one array of the residuals in (alpha, beta) order with alpha < beta,
-    int64 or object: `.tolist()` is the loop's list.
+    The sign folds into the entries.  The sign of the term at position p is
+    (-1)^popcount((alpha ^ beta) & (2^p - 1)) = chi_p(alpha) chi_p(beta),
+    with chi_p(x) = (-1)^popcount(x & (2^p - 1)).  So with
+    v_p(x) = chi_p(x) s[x ^ 2^p], the residual at (alpha, beta) is the sum
+    of v_p(alpha) v_p(beta) over the positions p where alpha and beta
+    differ.  Split by bit p of x, v gives U = [v [x_p = 0]; v [x_p = 1]]
+    (2w x 2^w), and with U' its two halves swapped, U^T U' holds every
+    residual.  A block of alpha rows from a0 on gets U[:, rows]^T U'[:, a0:],
+    whose entries with beta > alpha are one contiguous run of the output.
+    A block has BLOCK_ENTRIES / 2^(w+1) rows, so no product exceeds
+    BLOCK_ENTRIES * w < 2^18 multiply-adds.
+
+    Each residual sums at most w products of magnitude at most max|s|^2, so
+    any order of summation is exact in one of three lanes.  Python int
+    entries with w * max|s|^2 < 2^53 go through a float64 (BLAS) product,
+    those under 2^63 through the same product in int64, and the output is
+    int64 either way.  Any other entries (Fractions, floats, huge ints) go
+    in an object array that adds v_p(alpha) v_p(beta) position by position,
+    in increasing p, over the pairs that differ there: since
+    (-a) b = -(a b) and t + (-x) = t - x, their own operators give the
+    scalar loop's values and types.  The result is one array of the
+    residuals in (alpha, beta) order with alpha < beta, int64 or object:
+    `.tolist()` is the loop's list.
     """
     if s.arity != 2:
         raise ValidationError("matchgate identities apply to binary wires")
     if s.wires > MGI_WIRE_CAP:
         raise CapExceeded(f"matchgate identities capped at {MGI_WIRE_CAP} wires")
-    n = 2**s.wires
-    if all(type(x) is int for x in s.entries) and s.wires * max(map(abs, s.entries)) ** 2 < 2**63:
-        sig = np.array(s.entries, dtype=np.int64)
-    else:
-        sig = np.array(s.entries, dtype=object)
-    out = np.empty(n * (n - 1) // 2, dtype=sig.dtype)
-    alphas = np.arange(n)
+    w, n = s.wires, 2**s.wires
+    ints = all(type(x) is int for x in s.entries)
+    bound = w * max(map(abs, s.entries)) ** 2 if ints else 2**63  # no partial sum exceeds it
+    lane = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+    x = np.arange(n)
+    bits = x >> np.arange(w)[:, None] & 1  # bits[p, x] = bit p of x
+    # chi[p, x] = (-1)^popcount(x & (2^p - 1)): the parity up to bit p, less bit p
+    chi = np.cumprod(1 - 2 * bits, axis=0) * (1 - 2 * bits)
+    v = chi * np.array(s.entries, dtype=lane)[x ^ (1 << np.arange(w))[:, None]]
+    if lane is not object:
+        u = np.concatenate([v * (1 - bits), v * bits])  # v split by bit p of x
+        swapped = np.roll(u, w, axis=0)
+    out = np.empty(n * (n - 1) // 2, dtype=np.int64 if lane is not object else object)
+    rows = max(1, BLOCK_ENTRIES // (2 * n))  # OpenBLAS threads products over 2^18 multiply-adds
+    above = x > x[:rows, None]  # beta - a0 > alpha - a0 on a block's (alpha, beta) grid
+    done = 0
     # floats overflow to inf silently, as they do in scalar arithmetic
     with np.errstate(all="ignore"):
-        for h in range(s.wires):
-            alpha = alphas[alphas & (1 << h) == 0]
-            step = max(1, BLOCK_ENTRIES // len(alpha))
-            for start in range(1 << h, 2 << h, step):
-                diff = np.arange(start, min(start + step, 2 << h))
-                beta = alpha ^ diff[:, None]
-                total = np.full(beta.shape, rings.zero(s.ring), dtype=sig.dtype)
-                odd = np.zeros(len(diff), dtype=bool)  # an odd number of lower bits of d
-                for pos in range(h + 1):
-                    bit = 1 << pos
-                    has = diff & bit != 0
-                    left = sig[alpha ^ bit]
-                    plus, minus = np.flatnonzero(has & ~odd), np.flatnonzero(has & odd)
-                    total[plus] = total[plus] + left * sig[beta[plus] ^ bit]
-                    total[minus] = total[minus] - left * sig[beta[minus] ^ bit]
-                    odd ^= has
-                # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
-                out[alpha * (2 * n - alpha - 3) // 2 + beta - 1] = rings.reduce(total, s.ring)
+        for a0 in range(0, n, rows):
+            upper = above[: n - a0, : n - a0]
+            if lane is not object:
+                block = (u[:, a0 : a0 + rows].T @ swapped[:, a0:])[upper]
+            else:
+                alpha, beta = np.argwhere(upper).T + a0
+                block = np.full(len(alpha), rings.zero(s.ring), dtype=object)
+                for p in range(w):
+                    d = np.flatnonzero((alpha ^ beta) >> p & 1)
+                    block[d] = block[d] + v[p, alpha[d]] * v[p, beta[d]]
+            out[done : done + len(block)] = rings.reduce(block, s.ring)
+            done += len(block)
     return out
 
 

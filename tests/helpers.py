@@ -11,9 +11,12 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from tensorlab import rings
-from tensorlab.errors import ValidationError
+from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, _check_same_ring, solve_exact
+from tensorlab.matchgate import BLOCK_ENTRIES, MGI_WIRE_CAP, SignatureVector
 from tensorlab.rings import RATIONAL, Ring
 from tensorlab.tensors import Bipartition, DenseTensor, _check_shape, multi_indices, rank_one, zeros
 
@@ -216,3 +219,61 @@ def kron_loop(m1: Matrix, m2: Matrix) -> Matrix:
                 row2 = m2.entries[i2 * c2 : (i2 + 1) * c2]
                 ent.extend(rings.reduce(a * b, m1.ring) for b in row2)
     return Matrix(r1 * r2, c1 * c2, tuple(ent), m1.ring)
+
+
+def mgi_residuals_by_top_bit(s: SignatureVector) -> np.ndarray:
+    """Residuals of the Pfaffian bilinear identities on a binary signature,
+    summed per top bit of the difference pattern (the kernel the sign-folded
+    products of `matchgate.mgi_residuals` replaced).
+
+    For every pattern pair (alpha, beta), with p_1 < ... < p_l the positions
+    where they differ, the alternating sum over flips
+    sum_i (-1)^(i-1) s[alpha ^ bit p_i] * s[beta ^ bit p_i] must vanish on
+    every vector of sub-Pfaffians.  The relation family is validated
+    empirically by the test suite against random skew matrices, since it is
+    the package's operational definition of the identities.
+
+    The sums run at once for every difference pattern d = alpha ^ beta with
+    top bit h, on the (d, alpha) grid of every alpha with bit h clear (the
+    pairs with alpha < beta), in row blocks of at most BLOCK_ENTRIES pairs.
+    For each bit position in increasing order, the rows whose d has that
+    bit add their term if an even number of lower bits of d are set and
+    subtract it otherwise: the scalar loop's operations, in its order.
+    Python int entries go in int64 when wires * max|s|^2 < 2^63, so no
+    partial sum can overflow; any other entries go in an object array, so
+    their own operators give the loop's values and types.  The result is
+    one array of the residuals in (alpha, beta) order with alpha < beta,
+    int64 or object: `.tolist()` is the loop's list.
+    """
+    if s.arity != 2:
+        raise ValidationError("matchgate identities apply to binary wires")
+    if s.wires > MGI_WIRE_CAP:
+        raise CapExceeded(f"matchgate identities capped at {MGI_WIRE_CAP} wires")
+    n = 2**s.wires
+    if all(type(x) is int for x in s.entries) and s.wires * max(map(abs, s.entries)) ** 2 < 2**63:
+        sig = np.array(s.entries, dtype=np.int64)
+    else:
+        sig = np.array(s.entries, dtype=object)
+    out = np.empty(n * (n - 1) // 2, dtype=sig.dtype)
+    alphas = np.arange(n)
+    # floats overflow to inf silently, as they do in scalar arithmetic
+    with np.errstate(all="ignore"):
+        for h in range(s.wires):
+            alpha = alphas[alphas & (1 << h) == 0]
+            step = max(1, BLOCK_ENTRIES // len(alpha))
+            for start in range(1 << h, 2 << h, step):
+                diff = np.arange(start, min(start + step, 2 << h))
+                beta = alpha ^ diff[:, None]
+                total = np.full(beta.shape, rings.zero(s.ring), dtype=sig.dtype)
+                odd = np.zeros(len(diff), dtype=bool)  # an odd number of lower bits of d
+                for pos in range(h + 1):
+                    bit = 1 << pos
+                    has = diff & bit != 0
+                    left = sig[alpha ^ bit]
+                    plus, minus = np.flatnonzero(has & ~odd), np.flatnonzero(has & odd)
+                    total[plus] = total[plus] + left * sig[beta[plus] ^ bit]
+                    total[minus] = total[minus] - left * sig[beta[minus] ^ bit]
+                    odd ^= has
+                # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
+                out[alpha * (2 * n - alpha - 3) // 2 + beta - 1] = rings.reduce(total, s.ring)
+    return out

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import mgi_residuals_by_top_bit
 from tensorlab import matchgate, rings
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact
@@ -583,6 +584,24 @@ def mgi_cases():
     ), object
     yield "float-6", SignatureVector(6, tuple(rng.choice(floats) for _ in range(64)), FLOAT), object
 
+    def five_wires(top, last):
+        # the residual at (0, 31) sums s[2^p] (-1)^p s[31 ^ 2^p] over p = 0..4,
+        # so these entries make all five terms positive: top * (4 top + last)
+        entries = [rng.randint(-9, 9) for _ in range(32)]
+        for p in range(5):
+            entries[1 << p] = top
+            entries[31 ^ (1 << p)] = (-1) ** p * (last if p == 4 else top)
+        return SignatureVector(5, tuple(entries))
+
+    below = math.isqrt((2**53 - 1) // 5)  # 5 below^2 < 2^53: the float64 lane at its edge
+    yield "q-float64-edge", five_wires(below, below), np.int64
+    # 2^53 <= 5 above^2 < 2^54: the int64 lane; the residual 5 above^2 - 2 above
+    # is odd and at least 2^53, so no float64 sum of its terms gives it
+    above = (math.isqrt(2**53 // 5) + 1) | 1
+    yield "q-past-float64", five_wires(above, above - 2), np.int64
+    yield "q-0-wires", SignatureVector(0, (7,)), np.int64  # no relations
+    yield "q-1-wire", SignatureVector(1, (2, 3)), np.int64  # one relation, s0 s1 = 6
+
 
 MGI_CASES = [pytest.param(sv, dtype, id=name) for name, sv, dtype in mgi_cases()]
 
@@ -596,16 +615,34 @@ def test_mgi_residuals_match_the_scalar_loop_value_and_type(sv, dtype):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("entries", [5, 64])
+@pytest.mark.parametrize("entries", [5, 64, 96])
 @pytest.mark.parametrize("sv, dtype", MGI_CASES)
 def test_mgi_residuals_in_small_blocks_match_the_scalar_loop(sv, dtype, entries, monkeypatch):
-    # a block holds max(1, entries // 2^(w-1)) difference patterns: at 5 entries
-    # one pattern per block, at 64 entries 8 patterns for w = 4, 2 for w = 6,
-    # and one for w = 8, so every top bit from 3 up spans several blocks
+    # a block holds max(1, entries // 2^(w+1)) alpha rows: at 5 entries one row
+    # per block, at 64 entries 4 rows for w = 3 and 2 for w = 4, and at 96
+    # entries 6 rows for w = 3 and 3 for w = 4, whose last blocks are partial
     monkeypatch.setattr(matchgate, "BLOCK_ENTRIES", entries)
     residuals = mgi_residuals(sv)
     assert residuals.dtype == dtype
     assert typed(residuals.tolist()) == typed(mgi_residuals_loop(sv))
+
+
+@pytest.mark.parametrize("perturb", [1, 2**27])
+def test_mgi_residuals_match_the_per_top_bit_kernel_at_the_wire_cap(perturb):
+    # at MGI_WIRE_CAP wires (523776 relations) the scalar loop is too slow to
+    # compare with, so the replaced per-top-bit kernel is the oracle; adding
+    # 2^27 takes w max^2 past 2^53, into the int64 lane
+    rng = random.Random(f"mgi:cap:{perturb}")
+    sv = sub_pfaffian_vector(random_skew(matchgate.MGI_WIRE_CAP, rng))
+    residuals = mgi_residuals(sv)
+    assert residuals.dtype == np.int64 and len(residuals) == 2**10 * (2**10 - 1) // 2
+    assert not residuals.any()
+    entries = list(sv.entries)
+    entries[rng.randrange(len(entries))] += perturb
+    bad = SignatureVector(sv.wires, tuple(entries))
+    residuals, oracle = mgi_residuals(bad), mgi_residuals_by_top_bit(bad)
+    assert residuals.dtype == oracle.dtype == np.int64
+    assert residuals.any() and np.array_equal(residuals, oracle)
 
 
 def test_mgi_wire_cap():
