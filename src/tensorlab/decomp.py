@@ -26,7 +26,7 @@ from .linalg import (
     ranks_mod_p,
     solve_exact,
 )
-from .ranks import apolar_kernel_form, f_rank
+from .ranks import _poly_deg, apolar_kernel_form, f_rank
 from .rings import RATIONAL, Ring
 from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, rank_one, zeros
 
@@ -329,12 +329,13 @@ class PowerSumDecomposition:
     residual: float
 
     def reconstruct(self) -> list:
-        d = self.degree
-        out = [0] * (d + 1)
-        for (alpha, beta), c in zip(self.nodes, self.coefficients):
-            for k in range(d + 1):
-                out[k] += c * math.comb(d, k) * alpha ** (d - k) * beta**k
-        return out
+        rows = _power_rows(self.degree, self.nodes)
+        return [sum(c * x for c, x in zip(self.coefficients, row)) for row in rows]
+
+
+def _power_rows(d: int, nodes: Sequence[tuple]) -> list[list]:
+    """Row k holds C(d,k) a^(d-k) b^k, the x^(d-k) y^k coefficient of (a x + b y)^d, per node."""
+    return [[math.comb(d, k) * a ** (d - k) * b**k for (a, b) in nodes] for k in range(d + 1)]
 
 
 def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
@@ -386,55 +387,36 @@ def _divisors(n: int) -> list[int]:
 def sylvester_decompose_binary(coeffs: Sequence) -> PowerSumDecomposition:
     """Power-sum decomposition of a binary form from its apolar kernel form.
 
-    The nodes are the projective roots of the first square-free kernel form
-    in the catalecticant ladder; coefficients come from an exact linear
-    solve when all roots are rational, otherwise from a complex
-    least-squares solve against companion-matrix roots.
+    The nodes are the projective roots of the square-free kernel form of
+    `apolar_kernel_form`; coefficients come from an exact linear solve when
+    all roots are rational, otherwise from a complex least-squares solve
+    against companion-matrix roots.
     """
     d = len(coeffs) - 1
     s, g = apolar_kernel_form(coeffs)
     # g_j is the coefficient of u^(s-j) v^j; roots (alpha:beta) give the nodes
-    univ = [Fraction(c) for c in g]
-    deg = next(i for i in range(len(univ) - 1, -1, -1) if univ[i] != 0)
-    nodes: list[tuple] = []
-    if s - deg == 1:
-        nodes.append((Fraction(0), Fraction(1)))  # root at (0:1)
-    rational_roots = _rational_roots(univ[: deg + 1])
-    nodes.extend((Fraction(1), t) for t in rational_roots)
+    deg = _poly_deg(g)
+    roots = _rational_roots(g[: deg + 1])
+    exact = len(roots) == deg  # fully split over the rationals
+    if not exact:  # all roots of the kernel form via the companion matrix
+        roots = [complex(t) for t in np.roots([float(c) for c in reversed(g[: deg + 1])])]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0j, 1 + 0j)
+    nodes = [(zero, one)] if s - deg == 1 else []  # root at (0:1)
+    nodes.extend((one, t) for t in roots)
+    rows = _power_rows(d, nodes)
 
-    if len(rational_roots) == deg:  # fully split over the rationals: exact path
-        mat = Matrix.from_rows(
-            [
-                [math.comb(d, k) * a ** (d - k) * b**k for (a, b) in nodes]
-                for k in range(d + 1)
-            ],
-            RATIONAL,
-        )
+    if exact:
         rhs = Matrix.from_rows([[Fraction(c)] for c in coeffs], RATIONAL)
-        sol = solve_exact(mat, rhs)
+        sol = solve_exact(Matrix.from_rows(rows, RATIONAL), rhs)
         if sol is None:
             raise TensorlabError("apolar nodes failed to span the form; this is a bug")
-        cs = tuple(sol.entries)
-        out = PowerSumDecomposition(d, tuple(nodes), cs, True, 0.0)
-        recon = out.reconstruct()
-        if any(Fraction(a) != Fraction(b) for a, b in zip(recon, coeffs)):
+        out = PowerSumDecomposition(d, tuple(nodes), tuple(sol.entries), True, 0.0)
+        if any(Fraction(a) != Fraction(b) for a, b in zip(out.reconstruct(), coeffs)):
             raise TensorlabError("exact reconstruction failed; this is a bug")
         return out
 
-    # float path: all roots of the kernel form via the companion matrix
-    float_nodes: list[tuple] = []
-    if s - deg == 1:
-        float_nodes.append((0.0 + 0j, 1.0 + 0j))
-    roots = np.roots([float(c) for c in reversed(univ[: deg + 1])])
-    float_nodes.extend((1.0 + 0j, complex(t)) for t in roots)
-    mat = np.array(
-        [
-            [math.comb(d, k) * a ** (d - k) * b**k for (a, b) in float_nodes]
-            for k in range(d + 1)
-        ],
-        dtype=complex,
-    )
+    mat = np.array(rows, dtype=complex)
     rhs = np.array([float(c) for c in coeffs], dtype=complex)
     cs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     resid = float(np.linalg.norm(mat @ cs - rhs) / np.linalg.norm(rhs))
-    return PowerSumDecomposition(d, tuple(float_nodes), tuple(cs.tolist()), False, resid)
+    return PowerSumDecomposition(d, tuple(nodes), tuple(cs.tolist()), False, resid)

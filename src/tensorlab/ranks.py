@@ -1,6 +1,6 @@
 """Computable rank notions: flattening ranks, multilinear rank, border-rank
-lower bounds, exhaustive rank search over small prime fields, and the
-catalecticant ladder for symmetric ranks of binary forms.
+lower bounds, exhaustive rank search over small prime fields, and
+symmetric ranks of binary forms from two catalecticant levels (Sylvester).
 
 Rank over F_p can differ from rank over the complex numbers; every result
 here is tagged by the field it was computed in and is never silently
@@ -507,7 +507,7 @@ def exact_rank_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# symmetric rank of binary forms via the catalecticant (Hankel) ladder
+# symmetric rank of binary forms via catalecticant (Hankel) kernels
 # ---------------------------------------------------------------------------
 
 def normalized_form_coefficients(coeffs: Sequence) -> list[Fraction]:
@@ -601,19 +601,27 @@ def _squarefree_kernel_vector(kernel: list[list], s: int) -> Optional[list[Fract
 def apolar_kernel_form(coeffs: Sequence) -> tuple[int, list[Fraction]]:
     """Smallest level s with a square-free kernel form, plus the form.
 
-    The levels run up to d: the level-d kernel is a hyperplane, which the
-    discriminant does not contain, so a binary form of degree d >= 1 always
-    has rank at most d, attained by the x^(d-1)y family.
+    By Sylvester's theorem, with r the first catalecticant level with a
+    kernel, the apolar ideal is generated by forms g1 and g2 of degrees r and
+    d - r + 2 without a common root, so every kernel form below level
+    d - r + 2 is a multiple of g1.  The rank is r if g1 is square-free
+    (always so for r = 1) and d - r + 2 <= d otherwise: only these two
+    levels are searched.
     """
     d = len(coeffs) - 1
     normalized_form_coefficients(coeffs)  # validates nonzero
     if d < 1:
         raise ValidationError("a binary form needs degree at least 1")
-    for s in range(1, d + 1):
-        g = _squarefree_kernel_vector(nullspace_exact(catalecticant(coeffs, s)), s)
-        if g is not None:
-            return s, g
-    raise TensorlabError("no square-free form in the level-d kernel; this is a bug")
+    kernels = ((s, nullspace_exact(catalecticant(coeffs, s))) for s in range(1, d + 1))
+    r, kernel = next((s, k) for s, k in kernels if k)  # level d always has a kernel
+    g = _squarefree_kernel_vector(kernel, r)
+    if g is not None:
+        return r, g
+    s = d - r + 2
+    g = _squarefree_kernel_vector(nullspace_exact(catalecticant(coeffs, s)), s)
+    if g is None:
+        raise TensorlabError("no square-free form at either Sylvester level; this is a bug")
+    return s, g
 
 
 def sylvester_symmetric_rank_binary(coeffs: Sequence) -> int:

@@ -14,9 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from tensorlab import rings
-from tensorlab.errors import CapExceeded, ValidationError
-from tensorlab.linalg import Matrix, _check_same_ring, solve_exact
+from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
+from tensorlab.linalg import Matrix, _check_same_ring, nullspace_exact, solve_exact
 from tensorlab.matchgate import BLOCK_ENTRIES, MGI_WIRE_CAP, SignatureVector
+from tensorlab.ranks import _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
 from tensorlab.rings import RATIONAL, Ring
 from tensorlab.tensors import Bipartition, DenseTensor, _check_shape, multi_indices, rank_one, zeros
 
@@ -277,3 +278,23 @@ def mgi_residuals_by_top_bit(s: SignatureVector) -> np.ndarray:
                 # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
                 out[alpha * (2 * n - alpha - 3) // 2 + beta - 1] = rings.reduce(total, s.ring)
     return out
+
+
+def apolar_kernel_form_ladder(coeffs: Sequence) -> tuple[int, list[Fraction]]:
+    """Smallest level s with a square-free kernel form, plus the form, by
+    searching every catalecticant level from 1 up (the ladder that the two
+    Sylvester levels of `ranks.apolar_kernel_form` replaced).
+
+    The levels run up to d: the level-d kernel is a hyperplane, which the
+    discriminant does not contain, so a binary form of degree d >= 1 always
+    has rank at most d, attained by the x^(d-1)y family.
+    """
+    d = len(coeffs) - 1
+    normalized_form_coefficients(coeffs)  # validates nonzero
+    if d < 1:
+        raise ValidationError("a binary form needs degree at least 1")
+    for s in range(1, d + 1):
+        g = _squarefree_kernel_vector(nullspace_exact(catalecticant(coeffs, s)), s)
+        if g is not None:
+            return s, g
+    raise TensorlabError("no square-free form in the level-d kernel; this is a bug")

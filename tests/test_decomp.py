@@ -492,7 +492,7 @@ def test_decompose_reports_every_reconstruction():
 def test_decompose_max_rank_forms_take_d_nodes():
     # x^(d-1) y has no square-free kernel form below the top level, and one at
     # level d; so have x + 2y and x^2 + y^2
-    forms = [[0, 1] + [0] * (d - 1) for d in range(1, 8)] + [[1, 2], [1, 0, 1]]
+    forms = [[0, 1] + [0] * (d - 1) for d in range(1, 13)] + [[1, 2], [1, 0, 1]]
     for coeffs in forms:
         out = sylvester_decompose_binary(coeffs)
         assert len(out.nodes) == len(coeffs) - 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cover_oracle import basis_insert, cover_search, oracle_rank, prefix_problem, reduce_mod_p
-from helpers import random_tensor
+from helpers import apolar_kernel_form_ladder, random_tensor
 from tensorlab import ranks
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact, rank_exact, solve_exact
@@ -531,6 +532,74 @@ def test_squarefree_test():
 def test_sylvester_rejects_zero_form():
     with pytest.raises(ValidationError):
         sylvester_symmetric_rank_binary([0, 0, 0])
+
+
+def _seeded_binary_form(rng: random.Random, kind: str, d: int) -> list[int]:
+    """A nonzero binary form of degree d, coeffs[k] on x^(d-k) y^k, of one kind:
+    random coefficients, c l^d, l1^i l2^(d-i), or a sum of 1-3 terms c_j l_j^d,
+    each l = a x + b y with small integers a, b."""
+
+    def linear():
+        a, b = 0, 0
+        while a == b == 0:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        return a, b
+
+    def power(a, b, e):
+        return [math.comb(e, k) * a ** (e - k) * b**k for k in range(e + 1)]
+
+    while True:
+        if kind == "random":
+            coeffs = [rng.randint(-3, 3) for _ in range(d + 1)]
+        elif kind == "power":
+            c = rng.choice((-2, -1, 1, 3))
+            coeffs = [c * x for x in power(*linear(), d)]
+        elif kind == "product":
+            i = rng.randint(1, max(d - 1, 1))
+            f, g = power(*linear(), i), power(*linear(), d - i)
+            coeffs = [sum(f[j] * g[k - j] for j in range(len(f)) if 0 <= k - j < len(g)) for k in range(d + 1)]
+        else:
+            coeffs = [0] * (d + 1)
+            for _ in range(rng.randint(1, 3)):
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                coeffs = [x + c * y for x, y in zip(coeffs, power(*linear(), d))]
+        if any(coeffs):
+            return coeffs
+
+
+def test_sylvester_levels_match_the_ladder_on_seeded_forms():
+    # the two Sylvester levels return the level and the form that searching
+    # every level from 1 up finds first; the ladder is kept off degree-7
+    # products, some of which take it 35 s
+    rng = random.Random("sylvester:ladder")
+    kinds = ("random", "power", "product", "sums")
+    cells = [(kind, d) for d in range(1, 8) for kind in kinds if (kind, d) != ("product", 7)]
+    checked = set()
+    for kind, d in cells:
+        for _ in range(16):
+            coeffs = _seeded_binary_form(rng, kind, d)
+            assert ranks.apolar_kernel_form(coeffs) == apolar_kernel_form_ladder(coeffs), coeffs
+            checked.add(tuple(coeffs))
+    assert len(checked) >= 400
+
+
+def test_sylvester_searches_at_most_two_levels(monkeypatch):
+    # the first level r with a kernel, then d - r + 2 only if g1 is not square-free
+    levels = []
+    search = ranks._squarefree_kernel_vector
+    monkeypatch.setattr(ranks, "_squarefree_kernel_vector", lambda kernel, s: levels.append(s) or search(kernel, s))
+
+    def searched(coeffs):
+        levels.clear()
+        s, _ = ranks.apolar_kernel_form(coeffs)
+        assert s == levels[-1]
+        return tuple(levels)
+
+    for d in range(3, 13):  # x^(d-1) y: g1 = y^2 at level 2, then level d
+        assert searched([0, 1] + [0] * (d - 1)) == (2, d)
+    for d in range(1, 13):  # (x - 2y)^d: g1 is linear
+        assert searched([math.comb(d, k) * (-2) ** k for k in range(d + 1)]) == (1,)
+    assert searched([1, 0, 0, 1]) == (2,)  # x^3 + y^3: g1 = xy
 
 
 def test_cover_search_finds_a_witness_at_every_r_from_the_rank_up():
