@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .ranks import _poly_deg, apolar_kernel_form, f_rank
 from .rings import RATIONAL, Ring
-from .tensors import Bipartition, DenseTensor, flatten, is_symmetric, rank_one, zeros
+from .tensors import Bipartition, DenseTensor, is_symmetric, rank_one, zeros
 
 KRUSKAL_COLUMN_CAP = 12
 # trial divisions plus root evaluations (each weighted by degree + 1) that _rational_roots
@@ -118,10 +118,11 @@ class GrossReport:
     """Outcome of the independence-implies-symmetry certificate.
 
     independence maps each index subset I (|I| = d-2) to whether the
-    projected summands were linearly independent.  When every check passes,
-    certificates[i] lists scalars lam_k with a_i^(k) = lam_k * a_i^(1), so
-    the verdict "symmetric" is established constructively.  When some check
-    fails the hypothesis is not met and nothing is claimed either way.
+    projected summands were linearly independent, that is, of rank r.  When
+    every check passes, certificates[i] lists scalars lam_k with
+    a_i^(k) = lam_k * a_i^(0), read off the factors of summand i (lam_0 = 1),
+    so the verdict "symmetric" is established constructively.  When some
+    check fails the hypothesis is not met and nothing is claimed either way.
     """
 
     independence: dict[tuple[int, ...], bool]
@@ -157,9 +158,12 @@ def gross_check(t: DenseTensor, d: Decomposition) -> GrossReport:
     """Certify symmetry of a decomposition of a symmetric tensor.
 
     For every subset I of factor positions with |I| = d-2 the projected
-    summands must be linearly independent; the dual basis then contracts the
-    tensor to rank-one symmetric 2-tensors, forcing the two complementary
-    factors of every summand to be proportional.
+    summands must be linearly independent (one `rank_exact` per I).  Their
+    dual basis alpha_i then contracts T, which the decomposition reconstructs
+    exactly, to alpha_i(T) = a_i^(k) x a_i^(l), symmetric because T is, so the
+    two complementary factors of every summand are proportional.  So nothing
+    is contracted: each a_i^(k) = lam_k * a_i^(0) is checked exactly on the
+    factors, and proportionality to factor 0 gives every pair.
     """
     order = len(t.shape)
     if order <= 2:
@@ -171,54 +175,24 @@ def gross_check(t: DenseTensor, d: Decomposition) -> GrossReport:
     if d.reconstruct().data != t.data:
         raise ValidationError("decomposition does not reconstruct the tensor")
 
-    r = len(d)
     independence: dict[tuple[int, ...], bool] = {}
-    duals: dict[tuple[int, ...], Optional[Matrix]] = {}
     for I in itertools.combinations(range(order), order - 2):
-        rows = []
-        for summand in d.summands:
-            proj = rank_one([summand[j] for j in I], d.ring) if len(I) > 1 else None
-            rows.append(proj.data if proj is not None else summand[I[0]])
-        w = matrix_from_vectors(rows, d.ring)
-        # rows alpha_i with alpha_i(w_j) = delta_ij: W X = I is solvable
-        # exactly when the projections are linearly independent
-        duals[I] = solve_exact(w, Matrix.identity(r, d.ring))
-        independence[I] = duals[I] is not None
+        rows = [rank_one([summand[j] for j in I], d.ring).data for summand in d.summands]
+        independence[I] = rank_exact(matrix_from_vectors(rows, d.ring)) == len(d)
 
     if not all(independence.values()):
         return GrossReport(independence, False, None, None)
 
-    # pairwise proportionality via the dual-basis contractions alpha_i(T)
-    proportional: dict[tuple[int, int], list] = {}
-    for I, dual_t in duals.items():
-        k, l = [p for p in range(order) if p not in I]
-        dual = dual_t.transpose()
-        m = flatten(t, Bipartition.of(I, order))
-        contracted = dual.matmul(m)  # row i = alpha_i(T), a d_k x d_l matrix
-        dim = t.shape[k]
-        scalars = []
-        for i, summand in enumerate(d.summands):
-            block = Matrix(dim, dim, tuple(contracted.row(i)), d.ring)
-            if block.entries != block.transpose().entries:
-                raise TensorlabError("contraction of a symmetric tensor must be symmetric")
-            expected = rank_one([summand[k], summand[l]], d.ring)
-            if tuple(expected.data) != block.entries:
-                raise TensorlabError("dual-basis contraction disagrees with the summand")
-            lam = _proportionality_scalar(summand[k], summand[l], d.ring)
-            if lam is None:
-                raise TensorlabError(
-                    "independent projections but non-proportional factors; "
-                    "this contradicts the lemma"
-                )
-            scalars.append(lam)
-        proportional[(k, l)] = scalars
-
-    # every factor against factor 0 of its summand: the pairs (0, k) above
-    certificates = tuple(
-        (rings.one(d.ring),) + tuple(proportional[(0, k)][i] for k in range(1, order))
-        for i in range(r)
-    )
-    return GrossReport(independence, True, True, certificates)
+    certificates = []
+    for summand in d.summands:
+        scalars = [_proportionality_scalar(summand[0], v, d.ring) for v in summand[1:]]
+        if any(lam is None for lam in scalars):
+            raise TensorlabError(
+                "independent projections but non-proportional factors; "
+                "this contradicts the lemma"
+            )
+        certificates.append((rings.one(d.ring), *scalars))
+    return GrossReport(independence, True, True, tuple(certificates))
 
 
 def gross_minimality_check(t: DenseTensor, d: Decomposition) -> bool:

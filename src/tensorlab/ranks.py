@@ -21,7 +21,7 @@ from . import rings
 from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import Matrix, nullspace_exact, rank_exact, rank_numeric
 from .rings import RATIONAL
-from .tensors import Bipartition, DenseTensor, braid, flatten
+from .tensors import MAX_FACTORS, Bipartition, DenseTensor, braid, flatten
 
 BRUTE_FORCE_PRIMES = (2, 3, 5)
 
@@ -87,10 +87,11 @@ def w_state(n: int) -> DenseTensor:
     """Sum over positions k of x⊗...⊗y(at k)⊗...⊗x with x = e1, y = e2.
 
     A symmetric n-factor binary tensor of border rank 2 whose rank grows
-    with n (certified exactly for n = 3 by the F_p search).
+    with n (certified exactly for n = 3 by the F_p search).  n is checked
+    against MAX_FACTORS before the 2^n entries are built.
     """
-    if n < 2:
-        raise ValidationError("w_state needs n >= 2")
+    if not 2 <= n <= MAX_FACTORS:
+        raise ValidationError(f"w_state needs 2 <= n <= {MAX_FACTORS}")
     shape = (2,) * n
     data = [0] * (2**n)
     for k in range(n):

@@ -57,10 +57,6 @@ class Ring:
         elif self.p is not None:
             raise ValidationError(f"ring {self.kind!r} takes no modulus")
 
-    @property
-    def exact(self) -> bool:
-        return self.kind != "float"
-
     def __str__(self):
         return f"fp {self.p}" if self.kind == "fp" else self.kind
 

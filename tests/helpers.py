@@ -9,17 +9,27 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from tensorlab import rings
+from tensorlab.decomp import Decomposition, GrossReport, _proportionality_scalar
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
-from tensorlab.linalg import Matrix, _check_same_ring, nullspace_exact, solve_exact
+from tensorlab.linalg import Matrix, _check_same_ring, matrix_from_vectors, nullspace_exact, solve_exact
 from tensorlab.matchgate import BLOCK_ENTRIES, MGI_WIRE_CAP, SignatureVector
 from tensorlab.ranks import _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
 from tensorlab.rings import RATIONAL, Ring
-from tensorlab.tensors import Bipartition, DenseTensor, _check_shape, multi_indices, rank_one, zeros
+from tensorlab.tensors import (
+    Bipartition,
+    DenseTensor,
+    _check_shape,
+    flatten,
+    is_symmetric,
+    multi_indices,
+    rank_one,
+    zeros,
+)
 
 
 def segre_veronese_point(
@@ -298,3 +308,72 @@ def apolar_kernel_form_ladder(coeffs: Sequence) -> tuple[int, list[Fraction]]:
         if g is not None:
             return s, g
     raise TensorlabError("no square-free form in the level-d kernel; this is a bug")
+
+
+def gross_check_by_contraction(t: DenseTensor, d: Decomposition) -> GrossReport:
+    """Certify symmetry of a decomposition of a symmetric tensor (the
+    dual-basis contraction that `decomp.gross_check` replaced).
+
+    For every subset I of factor positions with |I| = d-2 the projected
+    summands must be linearly independent; the dual basis then contracts the
+    tensor to rank-one symmetric 2-tensors, forcing the two complementary
+    factors of every summand to be proportional.
+    """
+    order = len(t.shape)
+    if order <= 2:
+        raise ValidationError("the lemma needs more than 2 factors")
+    if not is_symmetric(t):
+        raise ValidationError("input tensor is not symmetric")
+    if d.shape != t.shape or d.ring != t.ring:
+        raise ValidationError("decomposition does not match the tensor")
+    if d.reconstruct().data != t.data:
+        raise ValidationError("decomposition does not reconstruct the tensor")
+
+    r = len(d)
+    independence: dict[tuple[int, ...], bool] = {}
+    duals: dict[tuple[int, ...], Optional[Matrix]] = {}
+    for I in itertools.combinations(range(order), order - 2):
+        rows = []
+        for summand in d.summands:
+            proj = rank_one([summand[j] for j in I], d.ring) if len(I) > 1 else None
+            rows.append(proj.data if proj is not None else summand[I[0]])
+        w = matrix_from_vectors(rows, d.ring)
+        # rows alpha_i with alpha_i(w_j) = delta_ij: W X = I is solvable
+        # exactly when the projections are linearly independent
+        duals[I] = solve_exact(w, Matrix.identity(r, d.ring))
+        independence[I] = duals[I] is not None
+
+    if not all(independence.values()):
+        return GrossReport(independence, False, None, None)
+
+    # pairwise proportionality via the dual-basis contractions alpha_i(T)
+    proportional: dict[tuple[int, int], list] = {}
+    for I, dual_t in duals.items():
+        k, l = [p for p in range(order) if p not in I]
+        dual = dual_t.transpose()
+        m = flatten(t, Bipartition.of(I, order))
+        contracted = dual.matmul(m)  # row i = alpha_i(T), a d_k x d_l matrix
+        dim = t.shape[k]
+        scalars = []
+        for i, summand in enumerate(d.summands):
+            block = Matrix(dim, dim, tuple(contracted.row(i)), d.ring)
+            if block.entries != block.transpose().entries:
+                raise TensorlabError("contraction of a symmetric tensor must be symmetric")
+            expected = rank_one([summand[k], summand[l]], d.ring)
+            if tuple(expected.data) != block.entries:
+                raise TensorlabError("dual-basis contraction disagrees with the summand")
+            lam = _proportionality_scalar(summand[k], summand[l], d.ring)
+            if lam is None:
+                raise TensorlabError(
+                    "independent projections but non-proportional factors; "
+                    "this contradicts the lemma"
+                )
+            scalars.append(lam)
+        proportional[(k, l)] = scalars
+
+    # every factor against factor 0 of its summand: the pairs (0, k) above
+    certificates = tuple(
+        (rings.one(d.ring),) + tuple(proportional[(0, k)][i] for k in range(1, order))
+        for i in range(r)
+    )
+    return GrossReport(independence, True, True, certificates)

@@ -15,13 +15,13 @@ import pytest
 from helpers import cone_rows
 from tensorlab import cli
 from tensorlab.cli import ExperimentConfig, emit, parse_config, run
-from tensorlab import decomp, kronecker, matchgate, ranks, secants
+from tensorlab import decomp, kronecker, matchgate, minrank, ranks, secants
 from tensorlab.errors import TensorlabError, ValidationError
 from tensorlab.matchgate import complete_bipartite, complete_graph, dumps_graph
 from tensorlab.minrank import gurvits_space
 from tensorlab.ranks import w_state
 from tensorlab.rings import RATIONAL, fp
-from tensorlab.tensors import DenseTensor, dumps_tensor
+from tensorlab.tensors import MAX_FACTORS, DenseTensor, dumps_tensor
 
 
 def payload_bytes(records):
@@ -825,6 +825,40 @@ def test_malformed_minrank_trials_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"command": "minrank", "parameters": params}))
     assert cli.main(["--config", str(path)]) == 2
     assert "'trials'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("graph", "graph v1\n3\na 1 1\n"),
+        ("graph", "graph v1\n3\n0 1.5 1\n"),
+        ("signature", '{"wires": 2}'),
+        ("signature", "5"),
+        ("signature", '{"wires": "x", "arity": 2, "entries": ["1", "0", "0", "1"]}'),
+    ],
+    ids=["graph-letter-endpoint", "graph-fraction-endpoint", "signature-no-entries", "signature-number", "signature-bad-wires"],
+)
+def test_malformed_graph_and_signature_files_exit_2(option, text, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main(["matchgate", f"--{option}", str(path)]) == 2
+    assert ("bad edge line" if option == "graph" else "bad signature JSON") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [13, 64])
+def test_w_state_beyond_max_factors_exits_2_before_building(n, capsys):
+    assert cli.main(["rank", "--w-state", str(n)]) == 2
+    assert f"w_state needs 2 <= n <= {MAX_FACTORS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [17, 10**6])
+def test_friedland_above_the_cap_exits_3_before_building(n, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("built the Gurvits space above the cap")
+
+    monkeypatch.setattr(minrank, "gurvits_space", never)
+    assert cli.main(["minrank", "--friedland", str(n)]) == 3
+    assert f"exceeds FRIEDLAND_CAP {minrank.FRIEDLAND_CAP}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", ["seed", "trials", "version"])

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import direct_sum, random_tensor
-from tensorlab import decomp
+from helpers import direct_sum, gross_check_by_contraction, random_tensor
+from tensorlab import decomp, tensors
 from tensorlab.decomp import (
     Decomposition,
     gross_check,
@@ -173,6 +173,57 @@ def test_gross_rejects_bad_inputs():
         gross_check(t, Decomposition.from_vectors([[v, v, (1, 2)]]))  # wrong sum
     with pytest.raises(ValidationError):
         gross_check(rank_one([v, (1, 0)]), Decomposition.from_vectors([[v, (1, 0)]]))
+
+
+def _gross_cases(count, seed=2323):
+    """Seeded symmetric tensors with decompositions into scaled powers.
+
+    Summand i is (c_i0 v_i, ..., c_i(d-1) v_i) over Q or an odd F_p, order 3
+    or 4, dim 2..4, r <= dim + 1, entries in [-2, 2], so some projections are
+    dependent and the hypothesis is not always met.
+    """
+    rng = random.Random(seed)
+    rationals = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
+    cases = []
+    while len(cases) < count:
+        ring = rng.choice([RATIONAL, fp(3), fp(5), fp(7), fp(101)])
+        order, dim = rng.choice([3, 4]), rng.randint(2, 4)
+        r = rng.randint(1, dim + 1)
+        vs = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(r)]
+        if ring.kind == "fp":
+            vs = [[x % ring.p for x in v] for v in vs]
+        if any(not any(v) for v in vs):
+            continue
+        scalars = rationals if ring.kind == "rational" else range(1, ring.p)
+        summands = [[[c * x for x in v] for c in rng.choices(scalars, k=order)] for v in vs]
+        dec = Decomposition.from_vectors(summands, ring)
+        cases.append((dec.reconstruct(), dec))
+    return cases
+
+
+def test_gross_check_matches_the_dual_basis_contraction():
+    met = 0
+    for t, dec in _gross_cases(600):
+        rep, oracle = gross_check(t, dec), gross_check_by_contraction(t, dec)
+        assert rep == oracle
+        if rep.hypothesis_met:
+            met += 1
+            assert [list(map(type, c)) for c in rep.certificates] == [
+                list(map(type, c)) for c in oracle.certificates
+            ]
+    assert 300 < met < 600  # both verdicts are exercised
+
+
+def test_gross_check_reads_certificates_off_the_factors(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the Gross check solved for or contracted with a dual basis")
+
+    monkeypatch.setattr(decomp, "solve_exact", never)
+    monkeypatch.setattr(tensors, "flatten", never)
+    monkeypatch.setattr(Matrix, "matmul", never)
+    monkeypatch.setattr(Matrix, "transpose", never)
+    verdicts = {gross_check(t, dec).verdict for t, dec in _gross_cases(40, seed=23)}
+    assert verdicts == {"symmetric", "hypothesis not met"}
 
 
 def test_gross_minimality_examples():
