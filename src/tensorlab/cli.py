@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +35,7 @@ NOT_PARAMS = {"help", "command", "config", "seed", "output", "format"}
 # parameters only that mode reads: one mode may be given, and none of the
 # parameters of another
 MODES = {
+    "terracini": {"r": (), "scan": ("r_max",), "generic_rank": ()},
     "rank": {"tensor": (), "w_state": ()},
     "decompose": {"form": (), "decomposition": ("kruskal", "tensor")},
     "kron": {"triple": (), "rectangular": ("d", "n"), "cone": (), "weyl": ("dim",)},
@@ -159,15 +160,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known_params(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
-    """Parameter names per command, read off the subparsers' options."""
+def _actions(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Each command's options by dest, read off the subparsers."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.dest for a in p._actions} - NOT_PARAMS for name, p in sub.choices.items()}
+    return {name: {a.dest: a for a in p._actions if a.dest != "help"} for name, p in sub.choices.items()}
 
 
 _PARSER = _build_parser()
-KNOWN_PARAMS = _known_params(_PARSER)
-COMMANDS = tuple(KNOWN_PARAMS)
+ACTIONS = _actions(_PARSER)
+KNOWN_PARAMS = {name: actions.keys() - NOT_PARAMS for name, actions in ACTIONS.items()}
+COMMANDS = tuple(ACTIONS)
+
+
+def _given(items: dict) -> dict:
+    """Drop the options not given: None (JSON null) and False (a flag not set), but not 0."""
+    return {k: v for k, v in items.items() if v is not None and v is not False}
 
 
 def _config_from_file(path: str) -> ExperimentConfig:
@@ -192,16 +199,8 @@ def _config_from_file(path: str) -> ExperimentConfig:
     for key in params:
         if key not in KNOWN_PARAMS[command]:
             raise ValidationError(f"unknown parameter {key!r} for command {command!r}")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ValidationError("config field 'seed' must be an integer")
-    fmt = obj.get("format", "json")
-    if fmt not in FORMATS:
-        raise ValidationError(f"config field 'format' must be one of {FORMATS}")
-    output = obj.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValidationError("config field 'output' must be a string path")
-    return ExperimentConfig(command, dict(params), seed, output, fmt)
+    top = {k: obj[k] for k in ("seed", "output", "format") if obj.get(k) is not None}  # checked in run
+    return ExperimentConfig(command, _given(params), **top)
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
@@ -211,13 +210,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         return _config_from_file(ns.config)
     if not ns.command:
         _PARSER.error("a command or --config is required")
-    # `is not`, not `in (None, False)`: 0 == False, and an explicit 0 must
-    # reach validation rather than vanish
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in NOT_PARAMS and v is not None and v is not False
-    }
+    params = {k: v for k, v in _given(vars(ns)).items() if k not in NOT_PARAMS}
     return ExperimentConfig(ns.command, params, ns.seed, ns.output, ns.format)
 
 
@@ -225,14 +218,10 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _require(params: dict, key: str, kind=str):
+def _require(params: dict, key: str):
     if key not in params:
         raise ValidationError(f"missing required parameter {key!r}")
-    value = params[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed value for parameter {key!r}: {value!r}") from exc
+    return params[key]
 
 
 def _read_input(params: dict, key: str, what: str) -> str:
@@ -247,7 +236,7 @@ def _read_input(params: dict, key: str, what: str) -> str:
 def _run_terracini(config: ExperimentConfig) -> Iterable[dict]:
     params = config.parameters
     spec = secants.parse_variety(_require(params, "variety"))
-    trials = _require(params, "trials", int) if "trials" in params else 3
+    trials = params["trials"]
     if params.get("generic_rank"):
         result = secants.generic_rank(spec, trials=trials, seed=config.seed)
         return [
@@ -258,9 +247,8 @@ def _run_terracini(config: ExperimentConfig) -> Iterable[dict]:
             }
         ]
     if params.get("scan") or params.get("r_max") is not None:
-        r_max = None if params.get("r_max") is None else _require(params, "r_max", int)
-        return _terracini_scan(config, spec, trials, r_max)
-    r = _require(params, "r", int)
+        return _terracini_scan(config, spec, trials, params.get("r_max"))
+    r = _require(params, "r")
     return [secants.secant_dimension(spec, r, trials=trials, seed=config.seed).as_dict()]
 
 
@@ -297,16 +285,15 @@ def _load_tensor_param(params: dict) -> tensors.DenseTensor:
     if "tensor" in params:
         return tensors.loads_tensor(_read_input(params, "tensor", "tensor"))
     if "w_state" in params:
-        return ranks.w_state(_require(params, "w_state", int))
+        return ranks.w_state(params["w_state"])
     raise ValidationError("missing required parameter 'tensor' (or 'w_state')")
 
 
 def _run_rank(config: ExperimentConfig) -> list[dict]:
     t = _load_tensor_param(config.parameters)
     if "field" in config.parameters:
-        p = _require(config.parameters, "field", int)
-        t = tensors.to_ring(t, rings.fp(p))
-    tol = float(config.parameters.get("tol", 1e-8))
+        t = tensors.to_ring(t, rings.fp(config.parameters["field"]))
+    tol = config.parameters["tol"]
     mode_ranks = ranks.multilinear_rank(t, tol).ranks  # each flattening is ranked once
     payload = {
         "shape": list(t.shape),
@@ -316,7 +303,7 @@ def _run_rank(config: ExperimentConfig) -> list[dict]:
         "tensor_canonical": tensors.dumps_tensor(t),
     }
     if "bruteforce" in config.parameters:
-        r_max = _require(config.parameters, "bruteforce", int)
+        r_max = config.parameters["bruteforce"]
         found = ranks.exact_rank_bruteforce(t, r_max, mode_ranks)
         payload["bruteforce"] = {
             "r_max": r_max,
@@ -398,8 +385,8 @@ def _run_kron(config: ExperimentConfig) -> list[dict]:
         return [{"mode": "coefficient", "lambda": str(lam), "mu": str(mu), "nu": str(nu), "K": value}]
     if "rectangular" in params:
         lam = _parse_partition(_require(params, "rectangular"))
-        d = _require(params, "d", int)
-        n = _require(params, "n", int)
+        d = _require(params, "d")
+        n = _require(params, "n")
         rec = kronecker.rectangular_kronecker(lam, d, n)
         return [
             {
@@ -429,7 +416,7 @@ def _run_kron(config: ExperimentConfig) -> list[dict]:
         ]
     if "weyl" in params:
         lam = _parse_partition(_require(params, "weyl"))
-        dim = _require(params, "dim", int)
+        dim = _require(params, "dim")
         return [
             {
                 "mode": "weyl_zero_weight",
@@ -503,7 +490,7 @@ def _run_matchgate(config: ExperimentConfig) -> list[dict]:
 def _run_minrank(config: ExperimentConfig) -> list[dict]:
     params = config.parameters
     if "gurvits" in params:
-        n = _require(params, "gurvits", int)
+        n = params["gurvits"]
         rec = minrank.gurvits_construction(n)
         return [
             {
@@ -517,7 +504,7 @@ def _run_minrank(config: ExperimentConfig) -> list[dict]:
             }
         ]
     if "friedland" in params:
-        n = _require(params, "friedland", int)
+        n = params["friedland"]
         rec = minrank.friedland_check(n, seed=config.seed)
         return [
             {
@@ -542,7 +529,7 @@ def _run_minrank(config: ExperimentConfig) -> list[dict]:
                 "certainty": "exact",
             }
         ]
-    trials = _require(params, "trials", int) if "trials" in params else 200
+    trials = params["trials"]
     return [
         {
             "mode": "min_rank",
@@ -565,7 +552,8 @@ _DISPATCH = {
 
 
 def run(config: ExperimentConfig) -> list[ResultRecord]:
-    """Dispatch a validated config; one record per emitted payload.
+    """Check a config's modes, value types and output path, in that order,
+    then dispatch it; one record per emitted payload.
 
     With an output path, each record is appended to it as soon as its
     payload is ready (a scan has one per cell), so an interrupted run keeps
@@ -574,6 +562,9 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     if config.command not in _DISPATCH:
         raise ValidationError(f"unknown command {config.command!r}")
     _check_modes(config)
+    config = _with_parser_types(config)
+    if config.output:
+        _check_output_path(config.output)
     start = time.perf_counter()
     records = []
     for payload in _DISPATCH[config.command](config):
@@ -595,6 +586,23 @@ def _check_modes(config: ExperimentConfig) -> None:
     for key in sorted(config.parameters.keys() & owner.keys()):
         if given and owner[key] != given[0]:
             raise ValidationError(f"parameter {key!r} belongs to mode {owner[key]!r}, not to mode {given[0]!r}")
+
+
+def _with_parser_types(config: ExperimentConfig) -> ExperimentConfig:
+    """Check each value (seed, format and output too) as the parser reads its
+    flag: true for a flag, an integer for an int option, any number for a
+    float option (neither a bool), else a string, and choices hold.  Fill in
+    the options' defaults, so that every record echoes what it ran with."""
+    actions = ACTIONS[config.command]
+    values = {**config.parameters, "seed": config.seed, "format": config.format, "output": config.output}
+    for key, value in values.items():
+        action = actions[key]
+        kind = {int: int, float: (int, float)}.get(action.type, str)
+        typed = isinstance(value, kind) and not isinstance(value, bool) and value in (action.choices or [value])
+        if value is not None and not (value is True if action.nargs == 0 else typed):
+            raise ValidationError(f"malformed value for parameter {key!r}: {value!r}")
+    defaults = _given({k: a.default for k, a in actions.items() if k not in NOT_PARAMS})
+    return replace(config, parameters={**defaults, **config.parameters})
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +644,7 @@ def _record_json(record: ResultRecord) -> str:
     are put in its place.  That is the last unescaped `"table": []` of the
     line: quotes inside JSON strings are escaped, "table" is the last key of
     the payload, and only scalars follow the payload.  It need not be the
-    only one, since a config file may give a parameter an object value.
+    only one in a record built with an object-valued parameter.
     """
     blocks = record.payload.get("table")
     if blocks is None:
@@ -705,8 +713,6 @@ def _append_record(path: str, record: ResultRecord) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-        if config.output:
-            _check_output_path(config.output)
         records = run(config)
         if not config.output or config.format != "json":
             sys.stdout.write(emit(records, config.format))

@@ -236,9 +236,10 @@ def rank_exact(m: Matrix) -> int:
     (`_certified_rank`): the rank mod `WORD_PRIME` from below, and an
     integer kernel of the matching size checked over Z from above.  Bareiss
     elimination decides smaller matrices, and the others when the bounds
-    cannot be certified: an entry or the check overflows int64, p divides
-    every maximal minor, or the rational kernel is not integral with
-    entries below p/2.  No randomness is involved; every answer is exact.
+    cannot be certified: p divides every maximal minor, or the rank mod p
+    is not full and an entry or the check overflows int64, or the rational
+    kernel is not integral with entries below p/2.  No randomness is
+    involved; every answer is exact.
     Float matrices are rejected; use rank_numeric for those.
     """
     if m.ring.kind == "float":
@@ -391,8 +392,8 @@ class EchelonModP:
 def _certified_rank(m: Matrix) -> int | None:
     """Rank over Q of a nonempty rational matrix from two bounds, or None.
 
-    A is m with its rows scaled to integers (row scaling keeps the rank) in
-    int64, transposed so that its c columns are the shorter side.
+    A is m with its rows scaled to integers (row scaling keeps the rank),
+    transposed so that its c columns are the shorter side.
 
     - Lower bound: `EchelonModP` reduces A mod p = WORD_PRIME, RANK_BLOCK_ENTRIES
       entries at a time, to rank r.  Some r x r minor is nonzero mod p, so it
@@ -405,20 +406,22 @@ def _certified_rank(m: Matrix) -> int | None:
       runs only when no partial sum can overflow; a wrong guess of K only
       fails it.
 
-    Returns None when an entry does not fit in int64, c exceeds the width
-    EchelonModP allows, the check could overflow, or A @ K != 0.
+    Returns None when c exceeds the width EchelonModP allows, or when r < c
+    and an entry does not fit in int64, the check could overflow, or
+    A @ K != 0.
     """
     kinds = set(map(type, m.entries))
-    try:
-        if kinds <= {int}:
-            a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
-        elif kinds <= {int, Fraction}:
-            # scale rows first: numpy would truncate Fractions to int64 without a word
-            a = np.array(_clear_denominators(m)[0], dtype=np.int64)
-        else:
-            return None
-    except OverflowError:
+    if not kinds <= {int, Fraction}:
         return None
+    # scale rows first: numpy would truncate Fractions to int64 without a word
+    rows = [m.entries] if kinds <= {int} else _clear_denominators(m)[0]
+    try:
+        a, fits = np.array(rows, dtype=np.int64), True
+    except OverflowError:
+        # a full rank mod p certifies itself at any entry size
+        a, fits = _residues(rows, WORD_PRIME), False
+    del rows  # scaled Python-int rows, before eliminating
+    a = a.reshape(m.rows, m.cols)
     if a.shape[0] < a.shape[1]:
         a = a.T
     n, c = a.shape
@@ -438,7 +441,7 @@ def _certified_rank(m: Matrix) -> int | None:
     s[s > WORD_PRIME // 2] -= WORD_PRIME
     a_max = max(int(a.max()), -int(a.min()))
     k_max = max(1, int(s.max(initial=0)), -int(s.min(initial=0)))
-    if a_max * k_max * c >= 2**62:  # bounds every partial sum of A @ K
+    if not fits or a_max * k_max * c >= 2**62:  # int64 A, and no partial sum of A @ K overflows
         return None
     # A @ K is summed over the nonzeros of S only (kernels of structured
     # matrices are sparse), in row blocks of at most about RANK_BLOCK_ENTRIES terms

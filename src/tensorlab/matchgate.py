@@ -100,7 +100,11 @@ class SignatureVector:
     arity: int = 2
 
     def __post_init__(self):
-        if len(self.entries) != self.arity**self.wires:
+        if self.arity < 0 or self.wires < 0:
+            raise ValidationError("signature arity and wires must be >= 0")
+        # arity**wires >= 2**wires: refuse a wire count the entries cannot fill before the power
+        too_many = self.arity >= 2 and self.wires >= len(self.entries).bit_length()
+        if too_many or len(self.entries) != self.arity**self.wires:
             raise ValidationError("signature length must be arity**wires")
 
     def __getitem__(self, idx: int):

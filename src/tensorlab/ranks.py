@@ -1,6 +1,8 @@
 """Computable rank notions: flattening ranks, multilinear rank, border-rank
 lower bounds, exhaustive rank search over small prime fields, and
-symmetric ranks of binary forms from two catalecticant levels (Sylvester).
+symmetric ranks of binary forms by Sylvester's theorem from exact ranks:
+the rank of the middle catalecticant gives the level, and that of a
+Sylvester matrix decides square-freeness.
 
 Rank over F_p can differ from rank over the complex numbers; every result
 here is tagged by the field it was computed in and is never silently
@@ -537,38 +539,29 @@ def _poly_deg(c: Sequence[Fraction]) -> int:
     return -1
 
 
-def _poly_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
-    """Degree of gcd(a, b) over the rationals (Euclid; -1 for gcd of zeros)."""
-    a, b = list(a), list(b)
-    while _poly_deg(b) >= 0:
-        da, db = _poly_deg(a), _poly_deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lead = a[da] / b[db]
-        for i in range(db + 1):
-            a[da - db + i] -= lead * b[i]
-        a = a[: _poly_deg(a) + 1] if _poly_deg(a) >= 0 else []
-        if _poly_deg(a) < _poly_deg(b):
-            a, b = b, a
-    return _poly_deg(a)
+def _sylvester_matrix(a: list, b: list) -> Matrix:
+    """Sylvester matrix of two polynomials with nonzero leading coefficients
+    (coefficient lists, constant term first): deg b shifts of a, then deg a
+    shifts of b.  Its rank is deg a + deg b - deg gcd(a, b)."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    return Matrix.from_rows(rows + [[0] * i + b + [0] * (m - 1 - i) for i in range(m)], RATIONAL)
 
 
 def is_squarefree_binary(g: Sequence) -> bool:
-    """Square-freeness of the homogeneous binary form sum_j g_j u^(s-j) v^j."""
+    """Square-freeness of the homogeneous binary form sum_j g_j u^(s-j) v^j:
+    P(t) = g(1, t) is square-free iff the Sylvester matrix of P and P' has
+    full rank 2 deg P - 1, as gcd(P, P') is then constant."""
     s = len(g) - 1
-    coeffs = [Fraction(c) for c in g]
-    univ = coeffs[:]  # P(t) = g(1, t)
+    univ = [Fraction(c) for c in g]  # P(t) = g(1, t)
     deg = _poly_deg(univ)
-    if deg < 0:
-        return False
-    if s - deg > 1:  # root at (0:1) with multiplicity >= 2
+    if deg < 0 or s - deg > 1:  # the zero form, or a root at (0:1) with multiplicity >= 2
         return False
     if deg == 0:
         return True  # c*u^s with s <= 1 by the multiplicity check above
     univ = univ[: deg + 1]
     deriv = [i * univ[i] for i in range(1, deg + 1)]
-    return _poly_gcd_degree(univ, deriv) == 0
+    return rank_exact(_sylvester_matrix(univ, deriv)) == 2 * deg - 1
 
 
 def _squarefree_kernel_vector(kernel: list[list], s: int) -> Optional[list[Fraction]]:
@@ -602,27 +595,27 @@ def _squarefree_kernel_vector(kernel: list[list], s: int) -> Optional[list[Fract
 def apolar_kernel_form(coeffs: Sequence) -> tuple[int, list[Fraction]]:
     """Smallest level s with a square-free kernel form, plus the form.
 
-    By Sylvester's theorem, with r the first catalecticant level with a
-    kernel, the apolar ideal is generated by forms g1 and g2 of degrees r and
-    d - r + 2 without a common root, so every kernel form below level
-    d - r + 2 is a multiple of g1.  The rank is r if g1 is square-free
-    (always so for r = 1) and d - r + 2 <= d otherwise: only these two
-    levels are searched.
+    By Sylvester's theorem the apolar ideal is generated by forms g1 and g2
+    of degrees r <= d - r + 2 without a common root, so the catalecticant at
+    level s has rank min(s + 1, r, d - s + 1): the middle one, at level
+    max(1, d // 2), has rank r, and level r is the first with a kernel.
+    Every kernel form below level d - r + 2 is a multiple of g1.  The rank
+    is r if g1 is square-free (always so for r = 1) and d - r + 2 <= d
+    otherwise: one rank and at most two kernels decide it.
     """
     d = len(coeffs) - 1
     normalized_form_coefficients(coeffs)  # validates nonzero
     if d < 1:
         raise ValidationError("a binary form needs degree at least 1")
-    kernels = ((s, nullspace_exact(catalecticant(coeffs, s))) for s in range(1, d + 1))
-    r, kernel = next((s, k) for s, k in kernels if k)  # level d always has a kernel
-    g = _squarefree_kernel_vector(kernel, r)
-    if g is not None:
-        return r, g
-    s = d - r + 2
-    g = _squarefree_kernel_vector(nullspace_exact(catalecticant(coeffs, s)), s)
-    if g is None:
-        raise TensorlabError("no square-free form at either Sylvester level; this is a bug")
-    return s, g
+    r = rank_exact(catalecticant(coeffs, max(1, d // 2)))
+    for s in (r, d - r + 2):
+        kernel = nullspace_exact(catalecticant(coeffs, s))
+        if not kernel:
+            break
+        g = _squarefree_kernel_vector(kernel, s)
+        if g is not None:
+            return s, g
+    raise TensorlabError(f"no square-free form in the kernel at Sylvester level {s}; this is a bug")
 
 
 def sylvester_symmetric_rank_binary(coeffs: Sequence) -> int:

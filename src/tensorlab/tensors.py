@@ -206,6 +206,8 @@ def to_ring(t: DenseTensor, ring: Ring) -> DenseTensor:
                 if x.denominator % ring.p == 0:
                     raise ValidationError("denominator not invertible mod p")
                 data.append(x.numerator * pow(x.denominator, -1, ring.p) % ring.p)
+            elif isinstance(x, float) and not x.is_integer():
+                raise ValidationError(f"float entry {x} is not an integer, so it has no image in F_{ring.p}")
             else:
                 data.append(int(x) % ring.p)
         return DenseTensor(t.shape, tuple(data), ring)

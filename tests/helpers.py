@@ -16,9 +16,17 @@ import numpy as np
 from tensorlab import rings
 from tensorlab.decomp import Decomposition, GrossReport, _proportionality_scalar
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
-from tensorlab.linalg import Matrix, _check_same_ring, matrix_from_vectors, nullspace_exact, solve_exact
+from tensorlab.linalg import (
+    CERTIFY_MIN_SIDE,
+    Matrix,
+    _bareiss,
+    _check_same_ring,
+    matrix_from_vectors,
+    nullspace_exact,
+    solve_exact,
+)
 from tensorlab.matchgate import BLOCK_ENTRIES, MGI_WIRE_CAP, SignatureVector
-from tensorlab.ranks import _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
+from tensorlab.ranks import _poly_deg, _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
 from tensorlab.rings import RATIONAL, Ring
 from tensorlab.tensors import (
     Bipartition,
@@ -288,6 +296,33 @@ def mgi_residuals_by_top_bit(s: SignatureVector) -> np.ndarray:
                 # (alpha, beta) comes after the n - 1 - a pairs of each a < alpha
                 out[alpha * (2 * n - alpha - 3) // 2 + beta - 1] = rings.reduce(total, s.ring)
     return out
+
+
+def bareiss_below_certified_size(rows, reduce=False):
+    """`linalg._bareiss` that fails on a matrix large enough for the rank
+    certificate; patched in, it requires that `rank_exact` certifies."""
+    if min(len(rows), len(rows[0])) >= CERTIFY_MIN_SIDE:
+        raise AssertionError("rank_exact fell back to Bareiss")
+    return _bareiss(rows, reduce)
+
+
+def poly_gcd_degree_euclid(a: list[Fraction], b: list[Fraction]) -> int:
+    """Degree of gcd(a, b) over the rationals (Euclid; -1 for gcd of zeros);
+    the square-free test that `ranks.is_squarefree_binary` replaced by the
+    rank of a Sylvester matrix."""
+    a, b = list(a), list(b)
+    while _poly_deg(b) >= 0:
+        da, db = _poly_deg(a), _poly_deg(b)
+        if da < db:
+            a, b = b, a
+            continue
+        lead = a[da] / b[db]
+        for i in range(db + 1):
+            a[da - db + i] -= lead * b[i]
+        a = a[: _poly_deg(a) + 1] if _poly_deg(a) >= 0 else []
+        if _poly_deg(a) < _poly_deg(b):
+            a, b = b, a
+    return _poly_deg(a)
 
 
 def apolar_kernel_form_ladder(coeffs: Sequence) -> tuple[int, list[Fraction]]:

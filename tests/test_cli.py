@@ -121,6 +121,11 @@ def test_every_subcommand_option_is_accepted_from_a_config_file(tmp_path, capsys
 
 # each mode parameter of a command, with a flag value; no input file is read
 MODE_FLAGS = {
+    "terracini": {
+        "r": ["--variety", "segre:2,2,2", "--r", "3"],
+        "scan": ["--variety", "segre:2,2,2", "--scan"],
+        "generic_rank": ["--variety", "segre:2,2,2", "--generic-rank"],
+    },
     "rank": {"tensor": ["--tensor", "t.tensor"], "w_state": ["--w-state", "3"]},
     "decompose": {"form": ["--form", "1,2,1"], "decomposition": ["--decomposition", "d.json"]},
     "kron": {
@@ -158,6 +163,8 @@ def test_conflicting_modes_exit_2_from_flags_and_config_files(command, tmp_path,
 
 # (argv, a parameter only another mode reads, that mode, the mode given)
 STRAY_PARAMETERS = [
+    (["terracini", "--variety", "segre:2,2,2", "--r", "2", "--r-max", "5"], "r_max", "scan", "r"),
+    (["terracini", "--variety", "segre:2,2,2", "--generic-rank", "--r-max", "2"], "r_max", "scan", "generic_rank"),
     (["kron", "--cone", "1,1,1,1", "--dim", "2"], "dim", "weyl", "cone"),
     (["kron", "--triple", "2,1;2,1;2,1", "--n", "2"], "n", "rectangular", "triple"),
     (["kron", "--rectangular", "2,2", "--d", "2", "--n", "2", "--dim", "2"], "dim", "weyl", "rectangular"),
@@ -237,6 +244,18 @@ def test_decompose_form_exit_codes(capsys):
     assert "degree at least 1" in capsys.readouterr().err
 
 
+def test_decompose_seeded_degree_60_form_exits_3_quickly(capsys):
+    # the square-free test and the Sylvester level are exact ranks: the run
+    # reaches the root search's work cap, where Euclid on its 1400-bit
+    # kernel form did not finish in 300 s
+    rng = random.Random(60)
+    form = ",".join(str(rng.randint(-9, 9)) for _ in range(61))
+    started = time.perf_counter()
+    assert cli.main(["decompose", f"--form={form}"]) == 3
+    assert time.perf_counter() - started < 5
+    assert "ROOT_SEARCH_WORK_CAP" in capsys.readouterr().err
+
+
 def test_terracini_degree_cap_exit_code(capsys):
     # ambient dimensions 1 and 2, at a degree refused before any point is drawn
     for variety in ("veronese:1,3000000", "segver:1,2@3000000,1"):
@@ -280,6 +299,59 @@ def test_malformed_config_integer_exits_2(key, tmp_path, capsys):
     path.write_text(json.dumps({"command": "terracini", "parameters": params}))
     assert cli.main(["--config", str(path)]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+# config-file values the parser would not produce from a flag
+BAD_CONFIG_VALUES = {
+    "r-float": ("terracini", {"variety": "segre:2,2", "r": 2.7}, {}, "r"),
+    "field-float": ("rank", {"w_state": 3, "field": 3.9}, {}, "field"),
+    "dim-float": ("kron", {"weyl": "2,2", "dim": 2.9}, {}, "dim"),
+    "r-bool": ("terracini", {"variety": "segre:2,2", "r": True}, {}, "r"),
+    "seed-bool": ("minrank", {"gurvits": 1}, {"seed": True}, "seed"),
+    "scan-string": ("terracini", {"variety": "segre:2,2", "scan": "false"}, {}, "scan"),
+    "subpfaffian-string": ("matchgate", {"graph": "g.graph", "subpfaffian": "no"}, {}, "subpfaffian"),
+    "tol-string": ("rank", {"w_state": 3, "tol": "abc"}, {}, "tol"),
+    "variety-number": ("terracini", {"variety": 5, "r": 1}, {}, "variety"),
+    "side-choice": ("matchgate", {"signature": "s.json", "basis": "1,0;0,1", "side": "left"}, {}, "side"),
+    "format-choice": ("rank", {"w_state": 3}, {"format": "xml"}, "format"),
+    "output-number": ("rank", {"w_state": 3}, {"output": 5}, "output"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_config_values_take_the_parser_types(case, tmp_path, monkeypatch, capsys):
+    for name in cli._DISPATCH:
+        monkeypatch.setitem(cli._DISPATCH, name, lambda config: pytest.fail("a mode was run"))
+    command, params, top, key = BAD_CONFIG_VALUES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": command, "parameters": params, **top}))
+    assert cli.main(["--config", str(path)]) == 2
+    assert f"malformed value for parameter {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["terracini", "--variety", "segre:2,2", "--r", "1"], {"scan": False, "r_max": None}),
+        (["rank", "--w-state", "3"], {"field": None}),
+        (["minrank", "--gurvits", "1"], {}),
+    ],
+    ids=["terracini", "rank", "minrank"],
+)
+def test_config_file_record_echoes_the_defaults_it_ran_with(argv, extra, tmp_path, capsys):
+    # false and null stand for an option not given, as on the command line
+    def record():
+        (line,) = capsys.readouterr().out.splitlines()
+        rec = json.loads(line)
+        return rec["parameters"], rec["payload"]
+
+    assert cli.main(argv) == 0
+    flags = record()
+    path = tmp_path / "cfg.json"
+    params = {k: v for k, v in parse_config(argv).parameters.items() if k not in ("trials", "tol")}
+    path.write_text(json.dumps({"command": argv[0], "parameters": {**params, **extra}, "seed": None}))
+    assert cli.main(["--config", str(path)]) == 0
+    assert record() == flags
 
 
 def test_explicit_zero_is_echoed():
@@ -628,7 +700,7 @@ def test_cone_stdout_line_equals_the_output_line(tmp_path, capsys):
     [
         {"cone": "2,2,2,3", "weyl": '"table": []'},
         {"cone": "2,2,2,3", "triple": '{"table": []}, "table": [], '},
-        # a config file may give a parameter an object value, which is echoed as is
+        # run refuses an object value, but a record built with one echoes it as is
         {"cone": "2,2,2,3", "weyl": {"table": []}},
         {"cone": "2,2,2,3", "weyl": {"payload": {"table": [], "x": "\"table\": []"}}},
     ],
@@ -843,6 +915,33 @@ def test_malformed_graph_and_signature_files_exit_2(option, text, tmp_path, caps
     path.write_text(text)
     assert cli.main(["matchgate", f"--{option}", str(path)]) == 2
     assert ("bad edge line" if option == "graph" else "bad signature JSON") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "wires, arity, message",
+    [
+        (1000000000, 3, "signature length must be arity**wires"),
+        (-1, 3, "arity and wires must be >= 0"),
+        (2, -3, "arity and wires must be >= 0"),
+    ],
+)
+def test_signature_wires_are_checked_before_the_power(wires, arity, message, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"wires": wires, "arity": arity, "entries": ["1"]}))
+    started = time.perf_counter()
+    assert cli.main(["matchgate", "--signature", str(path)]) == 2
+    assert time.perf_counter() - started < 0.1
+    assert message in capsys.readouterr().err
+
+
+def test_rank_over_fp_refuses_non_integral_floats(tmp_path, capsys):
+    path = tmp_path / "t.tensor"
+    path.write_text("tensor v1\n2 2\nfloat\n1.5 0 0 2.7\n")
+    assert cli.main(["rank", "--tensor", str(path), "--field", "3"]) == 2
+    assert "float entry 1.5 is not an integer" in capsys.readouterr().err
+    path.write_text("tensor v1\n2 2\nfloat\n2.0 0 0 4.0\n")
+    payload = run(parse_config(["rank", "--tensor", str(path), "--field", "3"]))[0].payload
+    assert payload["tensor_canonical"] == "tensor v1\n2 2\nfp 3\n2 0 0 1\n"
 
 
 @pytest.mark.parametrize("n", [13, 64])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import _fp_eliminate, invert_exact, kron_loop, rref_gauss_jordan
+from helpers import _fp_eliminate, bareiss_below_certified_size, invert_exact, kron_loop, rref_gauss_jordan
 from tensorlab import linalg
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
@@ -184,9 +184,10 @@ def test_rank_of_low_rank_products_matches_bareiss_and_gauss(shape, rational):
         ([[1, 0], [0, WORD_PRIME]], 2),  # p divides the only 2 x 2 minor
         ([[2, 1], [4, 2]], 1),  # the kernel (1, -2)/2 is not integral
         ([[Fraction(2, 3), Fraction(1, 3)], [4, 2]], 1),  # scaled to [[2, 1], [4, 2]]
-        ([[2**63, 1], [2**64, 2]], 1),  # entries beyond int64
-        ([[2**63, 0], [0, 1]], 2),
+        ([[2**63, 1], [2**64, 2]], 1),  # entries beyond int64, and a rank short of full
         ([[2**62, 2**62], [1, 1], [3, 3]], 1),  # A @ K could overflow int64
+        # beyond int64, and p divides the only 2 x 2 minor: a kernel of the residues is none of A
+        ([[1 + 2**33 * WORD_PRIME, 1], [1, 1]], 2),
     ],
 )
 def test_rank_falls_back_to_bareiss_when_a_bound_is_not_certified(rows, rank, bareiss_calls):
@@ -196,14 +197,17 @@ def test_rank_falls_back_to_bareiss_when_a_bound_is_not_certified(rows, rank, ba
     assert len(bareiss_calls) == 1
 
 
-def _bareiss_below_certified_size(rows, reduce=False):
-    if min(len(rows), len(rows[0])) >= linalg.CERTIFY_MIN_SIDE:
-        raise AssertionError("rank_exact fell back to Bareiss")
-    return _bareiss(rows, reduce)
+def test_full_rank_mod_p_is_certified_beyond_int64(bareiss_calls):
+    # no kernel check is needed, so the entries need not fit int64
+    rows = [[2**63, 0], [0, 1]]
+    assert linalg._certified_rank(Matrix.from_rows(rows)) == 2
+    big = padded(rows)
+    assert rank_exact(Matrix.from_rows(big)) == 2 + linalg.CERTIFY_MIN_SIDE == gauss_rank_oracle(big)
+    assert bareiss_calls == []
 
 
 def test_rank_certified_with_an_int64_kernel_check(monkeypatch):
-    monkeypatch.setattr(linalg, "_bareiss", _bareiss_below_certified_size)
+    monkeypatch.setattr(linalg, "_bareiss", bareiss_below_certified_size)
     # |A| |K| cols near 2^56 * 2 * 18: int64 holds every partial sum
     assert rank_exact(Matrix.from_rows(padded([[2**55, 2**56], [1, 2], [-3, -6]]))) == 17
     assert rank_exact(Matrix.from_rows(padded([[2**55, 2**56, 0], [1, 2, 5]]))) == 18
@@ -212,7 +216,7 @@ def test_rank_certified_with_an_int64_kernel_check(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gurvits_ranks_are_certified_without_bareiss(n, monkeypatch):
     # every pencil sample and +-I witness of 16 rows or more takes the certificate
-    monkeypatch.setattr(linalg, "_bareiss", _bareiss_below_certified_size)
+    monkeypatch.setattr(linalg, "_bareiss", bareiss_below_certified_size)
     rec = gurvits_construction(n)
     assert rec.witness_rank_minus == rec.witness_rank_plus == 2 * n * n
     assert rec.decrement == 2 * n * n

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from cover_oracle import basis_insert, cover_search, oracle_rank, prefix_problem, reduce_mod_p
-from helpers import apolar_kernel_form_ladder, random_tensor
-from tensorlab import ranks
-from tensorlab.errors import CapExceeded, ValidationError
-from tensorlab.linalg import Matrix, det_exact, rank_exact, solve_exact
+from helpers import apolar_kernel_form_ladder, bareiss_below_certified_size, poly_gcd_degree_euclid, random_tensor
+from tensorlab import linalg, ranks
+from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
+from tensorlab.linalg import Matrix, det_exact, nullspace_exact, rank_exact, solve_exact
 from tensorlab.ranks import (
     _normalized_vectors,
     all_bipartitions,
@@ -529,6 +529,64 @@ def test_squarefree_test():
     assert not is_squarefree_binary([1, 2, 1])  # (u+v)^2
 
 
+def squarefree_by_euclid(g) -> bool:
+    """is_squarefree_binary by Euclid's gcd of P(t) = g(1, t) and P'."""
+    univ = [Fraction(c) for c in g]
+    deg = ranks._poly_deg(univ)
+    if deg < 0 or len(g) - 1 - deg > 1:
+        return False
+    return deg == 0 or poly_gcd_degree_euclid(univ[: deg + 1], [i * univ[i] for i in range(1, deg + 1)]) == 0
+
+
+def _seeded_polynomial(rng: random.Random, kind: str, s: int) -> list:
+    """Coefficients g_0..g_s: small integers, fractions, a product f * h^2,
+    or a form with its last coefficients zero (roots at (0:1))."""
+    if kind == "int":
+        return [rng.randint(-3, 3) for _ in range(s + 1)]
+    if kind == "fraction":
+        return [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(s + 1)]
+    if kind == "zero-lead":
+        k = rng.randint(1, s + 1)
+        return [rng.randint(-3, 3) for _ in range(s + 1 - k)] + [0] * k
+    if s < 2:
+        return [rng.randint(-3, 3) for _ in range(s + 1)]
+    e = rng.randint(1, s // 2)  # f * h^2 with deg h = e
+    h = [rng.randint(-3, 3) for _ in range(e)] + [rng.choice((-2, -1, 1, 2))]
+    f = [rng.randint(-3, 3) for _ in range(s - 2 * e + 1)]
+    return _poly_mul(_poly_mul(h, h), f)
+
+
+def _poly_mul(a: list, b: list) -> list:
+    return [sum(a[j] * b[k - j] for j in range(len(a)) if 0 <= k - j < len(b)) for k in range(len(a) + len(b) - 1)]
+
+
+def test_squarefree_matches_euclid_on_seeded_polynomials():
+    rng = random.Random("squarefree:euclid")
+    seen = {True: 0, False: 0}
+    count = 0
+    for s in range(13):
+        for kind in ("int", "fraction", "zero-lead", "square"):
+            for _ in range(20):
+                g = _seeded_polynomial(rng, kind, s)
+                expected = squarefree_by_euclid(g)
+                assert is_squarefree_binary(g) == expected, g
+                seen[expected] += 1
+                count += 1
+    assert count >= 1000 and min(seen.values()) >= 200
+
+
+def test_squarefree_sylvester_rank_is_certified_beyond_int64(monkeypatch):
+    # the first level-18 kernel form of the seeded degree-34 form has P of
+    # degree 17 and 371-bit coefficients: its 33 x 33 Sylvester matrix
+    # overflows int64, and its full rank mod p is certified without Bareiss
+    rng = random.Random(34)
+    coeffs = [rng.randint(-9, 9) for _ in range(35)]
+    g = nullspace_exact(catalecticant(coeffs, 18))[0]
+    assert ranks._poly_deg(g) == 17
+    monkeypatch.setattr(linalg, "_bareiss", bareiss_below_certified_size)
+    assert is_squarefree_binary(g) == squarefree_by_euclid(g) is True
+
+
 def test_sylvester_rejects_zero_form():
     with pytest.raises(ValidationError):
         sylvester_symmetric_rank_binary([0, 0, 0])
@@ -569,18 +627,33 @@ def _seeded_binary_form(rng: random.Random, kind: str, d: int) -> list[int]:
 
 def test_sylvester_levels_match_the_ladder_on_seeded_forms():
     # the two Sylvester levels return the level and the form that searching
-    # every level from 1 up finds first; the ladder is kept off degree-7
-    # products, some of which take it 35 s
+    # every level from 1 up finds first; the ladder is kept off products of
+    # degree 7 or more, some of which take it 35 s at degree 7
     rng = random.Random("sylvester:ladder")
     kinds = ("random", "power", "product", "sums")
     cells = [(kind, d) for d in range(1, 8) for kind in kinds if (kind, d) != ("product", 7)]
+    cells += [(kind, d) for d in range(8, 14) for kind in kinds if kind != "product"]
     checked = set()
     for kind, d in cells:
         for _ in range(16):
             coeffs = _seeded_binary_form(rng, kind, d)
             assert ranks.apolar_kernel_form(coeffs) == apolar_kernel_form_ladder(coeffs), coeffs
             checked.add(tuple(coeffs))
-    assert len(checked) >= 400
+    assert len(checked) >= 600
+
+
+def test_middle_catalecticant_rank_is_the_first_level_with_a_kernel():
+    # the ladder of nullspaces that the one rank replaced, products included
+    rng = random.Random("sylvester:middle")
+    checked = set()
+    for d in range(1, 14):
+        for kind in ("random", "power", "product", "sums"):
+            for _ in range(16):
+                coeffs = _seeded_binary_form(rng, kind, d)
+                first = next(s for s in range(1, d + 1) if nullspace_exact(catalecticant(coeffs, s)))
+                assert rank_exact(catalecticant(coeffs, max(1, d // 2))) == first, coeffs
+                checked.add(tuple(coeffs))
+    assert len(checked) >= 700
 
 
 def test_sylvester_searches_at_most_two_levels(monkeypatch):
@@ -600,6 +673,13 @@ def test_sylvester_searches_at_most_two_levels(monkeypatch):
     for d in range(1, 13):  # (x - 2y)^d: g1 is linear
         assert searched([math.comb(d, k) * (-2) ** k for k in range(d + 1)]) == (1,)
     assert searched([1, 0, 0, 1]) == (2,)  # x^3 + y^3: g1 = xy
+
+
+def test_sylvester_level_without_a_kernel_is_a_bug(monkeypatch):
+    # the middle catalecticant's rank is a level with a kernel, by the theorem
+    monkeypatch.setattr(ranks, "nullspace_exact", lambda m: [])
+    with pytest.raises(TensorlabError, match="this is a bug"):
+        ranks.apolar_kernel_form([1, 0, 0, 1])
 
 
 def test_cover_search_finds_a_witness_at_every_r_from_the_rank_up():
