@@ -244,10 +244,11 @@ def kruskal_rank(m: Matrix) -> int:
     # basis has at most cols rows, so the stacks below do not grow with m.rows
     echelon = EchelonModP(m.cols, p)
     echelon.extend(_clear_denominators(m)[0])
+    basis = echelon.basis
 
     def independent(k: int) -> bool:
         subsets = list(itertools.combinations(range(m.cols), k))
-        ranks = ranks_mod_p(echelon.basis[:, subsets].transpose(1, 0, 2), p)
+        ranks = ranks_mod_p(basis[:, subsets].transpose(1, 0, 2), p)
         short = (subsets[i] for i in np.flatnonzero(ranks < k))
         return not any(
             m.ring.kind == "fp"

@@ -8,12 +8,12 @@ rings), `rref` over Q (and so `nullspace_exact` and `solve_exact`), and
 `rank_exact` over Q, which first certifies its answer from a rank mod a
 word-size prime (a lower bound) and an integer kernel checked over Z (an
 upper bound), and eliminates only when the two cannot be certified.
-F_p work has one kernel per shape: `EchelonModP` keeps a reduced echelon
-basis mod p that grows by blocks of rows, and serves the rank and `rref` of
-a single F_p matrix; `ranks_mod_p` ranks a whole stack of small integer
-matrices modulo a prime below 2^31, by elimination without inverses in the
-narrowest numpy int type that is exact for p.  A rank mod p is a lower
-bound on the rational rank.
+F_p work has one kernel per shape: `EchelonModP` grows a reduced echelon
+basis mod p by blocks of rows and keeps only its block off the pivot
+columns, for the rank and `rref` of one F_p matrix; `ranks_mod_p` ranks a
+stack of small matrices mod a prime below 2^31 without inverses, in the
+narrowest numpy int type exact for p.  A rank mod p is a lower bound on the
+rational rank.
 """
 
 from __future__ import annotations
@@ -228,19 +228,14 @@ def _bareiss(rows: list[list[int]], reduce: bool = False) -> tuple[list[int], in
 
 
 def rank_exact(m: Matrix) -> int:
-    """Exact rank over the rationals or F_p.
+    """Exact rank over the rationals or F_p (use rank_numeric for floats).
 
     Over F_p the rows go into one `EchelonModP`.  Over the rationals, a
     matrix with at least CERTIFY_MIN_SIDE rows and columns has its rank
-    certified by two bounds on the rows scaled to integers
-    (`_certified_rank`): the rank mod `WORD_PRIME` from below, and an
-    integer kernel of the matching size checked over Z from above.  Bareiss
-    elimination decides smaller matrices, and the others when the bounds
-    cannot be certified: p divides every maximal minor, or the rank mod p
-    is not full and an entry or the check overflows int64, or the rational
-    kernel is not integral with entries below p/2.  No randomness is
-    involved; every answer is exact.
-    Float matrices are rejected; use rank_numeric for those.
+    certified by `_certified_rank` (the rank mod `WORD_PRIME` from below, an
+    integer kernel checked over Z from above); Bareiss elimination decides
+    smaller matrices, and the others when the bounds cannot be certified.
+    No randomness is involved; every answer is exact.
     """
     if m.ring.kind == "float":
         raise ValidationError("rank_exact rejects float matrices; use rank_numeric")
@@ -258,7 +253,7 @@ _is_prime = functools.lru_cache(maxsize=8)(rings.is_prime)
 
 
 def _check_word_prime(p: int, who: str):
-    if not (1 < p < 2**31 and _is_prime(p)):
+    if not (1 < p < 2**31 and (p == WORD_PRIME or _is_prime(p))):  # 2^31 - 1 is a Mersenne prime
         raise ValidationError(f"{who} needs a prime below 2^31, got {p}")
 
 
@@ -285,8 +280,7 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
     Scaling a row by a nonzero lead keeps the rank.  Residues lie in [0, p),
     so every intermediate value lies within +-(p - 1)^2, and the stack is
     held in the narrowest int type that holds that: int16 for p <= 181,
-    int32 for p <= 46337, int64 up to 2^31.
-    Returns an int64 array of the B ranks.
+    int32 for p <= 46337, int64 up to 2^31.  Returns the B ranks in int64.
     """
     _check_word_prime(p, "ranks_mod_p")
     a = np.asarray(stack, dtype=np.int64) % p
@@ -312,11 +306,9 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
 
 
 def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays, exact in int64.
-
-    a is split into 16-bit limbs, so every partial sum of a limb product is
-    below k * 2^16 * p for inner dimension k; EchelonModP keeps that below 2^63.
-    """
+    """a @ b mod p for residue arrays, exact in int64: a is split into 16-bit
+    limbs, so every partial sum of a limb product is below k * 2^16 * p for
+    inner dimension k, which EchelonModP keeps below 2^63."""
     lo = (a & 0xFFFF) @ b
     lo %= p
     hi = (a >> 16) @ b
@@ -330,24 +322,33 @@ def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class EchelonModP:
     """Reduced row echelon basis over F_p (p prime < 2^31) that grows by blocks.
 
-    `basis` is k x ncols with `basis[:, pivots]` the identity.  `extend`
-    reduces a block of rows against it in one product, x - x[:, pivots] @
-    basis, eliminates what is left on its own, clears the basis at the new
-    pivots in a second product and appends the new rows.  Growing a basis by
-    blocks gives the rank mod p of all the rows stacked.
+    Only the block off the pivot columns is kept (as in FFPACK): `tail` is
+    k x (ncols - k) on the sorted non-pivot columns `free`, and basis row i
+    is 1 at `pivots[i]` and `tail[i]` at `free`.  `extend` reduces a block's
+    free columns, x[:, free] - x[:, pivots] @ tail, eliminates them on their
+    own, and keeps the columns still free, tail - tail[:, cols] @ new.
     """
 
     def __init__(self, ncols: int, p: int):
         _check_word_prime(p, "EchelonModP")
         if ncols * 2**16 * p >= 2**63:
             raise ValidationError(f"{ncols} columns overflow the int64 limb products mod {p}")
-        self.p = p
-        self.basis = np.zeros((0, ncols), dtype=np.int64)
+        self.p, self.ncols = p, ncols
         self.pivots = np.zeros(0, dtype=np.intp)
+        self.free = np.arange(ncols)
+        self.tail = np.zeros((0, ncols), dtype=np.int64)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The k x ncols reduced rows, in the order of `pivots`."""
+        basis = np.zeros((self.rank, self.ncols), dtype=np.int64)
+        basis[np.arange(self.rank), self.pivots] = 1
+        basis[:, self.free] = self.tail
+        return basis
 
     def extend(self, rows: Sequence[Sequence[int]]) -> int:
         """Add integer rows (reduced mod p) to the span; returns the new rank."""
@@ -356,36 +357,40 @@ class EchelonModP:
         p = self.p
         x = _residues(rows, p)
         del rows  # free big-int rows (when the caller holds no other reference) before eliminating
-        if x.shape[1] != self.basis.shape[1]:
-            raise ValidationError(f"rows of width {x.shape[1]} for {self.basis.shape[1]} columns")
+        if x.shape[1] != self.ncols:
+            raise ValidationError(f"rows of width {x.shape[1]} for {self.ncols} columns")
         if self.rank:
-            x -= _matmul_mod_p(x[:, self.pivots], self.basis, p)
+            x = x[:, self.free] - _matmul_mod_p(x[:, self.pivots], self.tail, p)
             x %= p
         heads, cols = [], []
-        for i in range(len(x)):
-            nonzero = np.flatnonzero(x[i])
+        for i, row in enumerate(x):  # row is a view, scaled in place
+            nonzero = row.nonzero()[0]
             if not nonzero.size:
                 continue
             j = nonzero[0]
-            x[i] = x[i] * pow(int(x[i, j]), -1, p) % p
+            row *= pow(int(row[j]), -1, p)
+            row %= p
             # clear column j in every other row, earlier heads too, in one update
-            h = np.flatnonzero(x[:, j])
+            h = x[:, j].nonzero()[0]
             h = h[h != i]
-            x[h] = (x[h] - x[h, j, None] * x[i]) % p
+            x[h] = (x[h] - x[h, j, None] * row) % p
             heads.append(i)
             cols.append(j)
         if cols:
-            new = x[heads]
-            del x  # before the merged basis is allocated
-            if self.rank:
-                self.basis -= _matmul_mod_p(self.basis[:, cols], new, p)
-                self.basis %= p
-            # column-major, so the product's inner loop walks the basis contiguously
-            basis = np.empty((self.rank + len(cols), new.shape[1]), dtype=np.int64, order="F")
-            basis[: self.rank] = self.basis
-            basis[self.rank :] = new
-            self.basis = basis
-            self.pivots = np.concatenate([self.pivots, cols])
+            keep = np.ones(x.shape[1], dtype=bool)
+            keep[cols] = False
+            rest = keep.nonzero()[0]
+            new = x[np.ix_(heads, rest)]
+            del x, row  # row is a view of x: free x before the new tail is allocated
+            # column-major, so the product's inner loop walks the tail contiguously
+            tail = np.empty((self.rank + len(cols), len(rest)), dtype=np.int64, order="F")
+            tail[: self.rank] = self.tail[:, rest]
+            tail[: self.rank] -= _matmul_mod_p(self.tail[:, cols], new, p)
+            tail[: self.rank] %= p
+            tail[self.rank :] = new
+            self.tail = tail
+            self.pivots = np.concatenate([self.pivots, self.free[cols]])
+            self.free = self.free[rest]
         return self.rank
 
 
@@ -398,8 +403,8 @@ def _certified_rank(m: Matrix) -> int | None:
     - Lower bound: `EchelonModP` reduces A mod p = WORD_PRIME, RANK_BLOCK_ENTRIES
       entries at a time, to rank r.  Some r x r minor is nonzero mod p, so it
       is a nonzero integer and rank_Q(A) >= r.  If r = c that is the answer.
-    - Upper bound: with the echelon entries S at the free columns read as
-      integers in (-p/2, p/2), K = (the identity on the free columns, -S on
+    - Upper bound: with the echelon's `tail` S read as integers in
+      (-p/2, p/2), K = (the identity on the free columns, -S on
       the pivot rows) has full column rank c - r by construction.  If
       A @ K = A[:, free] - A[:, pivots] @ S is zero over Z, then
       rank_Q(A) <= r.  The check sums over the nonzeros of S in int64, and
@@ -432,12 +437,7 @@ def _certified_rank(m: Matrix) -> int | None:
     for i in range(0, n, block):
         if echelon.extend(a[i : i + block]) == c:
             return c
-    pivots = echelon.pivots
-    is_free = np.ones(c, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    s = echelon.basis[:, free]
-    del echelon
+    pivots, free, s = echelon.pivots, echelon.free, echelon.tail
     s[s > WORD_PRIME // 2] -= WORD_PRIME
     a_max = max(int(a.max()), -int(a.min()))
     k_max = max(1, int(s.max(initial=0)), -int(s.min(initial=0)))

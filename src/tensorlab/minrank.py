@@ -231,8 +231,10 @@ def gurvits_space(n: int) -> MatrixSubspace:
 
 def gurvits_construction(n: int) -> GurvitsRecord:
     """Arbitrarily large drop between (min-rank)^2 and the tensored min-rank."""
-    if not 1 <= n <= GURVITS_CAP:
-        raise CapExceeded(f"n must be in [1, {GURVITS_CAP}]")
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if n > GURVITS_CAP:
+        raise CapExceeded(f"n = {n} exceeds GURVITS_CAP {GURVITS_CAP}")
     space = gurvits_space(n)
     m_block, identity = space.basis
     # exact min rank: check the sampled pencil points a/b in {0, +-1, +-2, +-3}

@@ -21,6 +21,9 @@ from tensorlab.linalg import (
     Matrix,
     _bareiss,
     _check_same_ring,
+    _check_word_prime,
+    _matmul_mod_p,
+    _residues,
     matrix_from_vectors,
     nullspace_exact,
     solve_exact,
@@ -412,3 +415,68 @@ def gross_check_by_contraction(t: DenseTensor, d: Decomposition) -> GrossReport:
         for i in range(r)
     )
     return GrossReport(independence, True, True, certificates)
+
+
+# The F_p echelon kernel before it kept only the free-column block: the full
+# k x ncols basis, reduced and cleared over every column.  Unchanged but for
+# its name; the reference for the differential tests of linalg.EchelonModP.
+class EchelonModPFullBasis:
+    """Reduced row echelon basis over F_p (p prime < 2^31) that grows by blocks.
+
+    `basis` is k x ncols with `basis[:, pivots]` the identity.  `extend`
+    reduces a block of rows against it in one product, x - x[:, pivots] @
+    basis, eliminates what is left on its own, clears the basis at the new
+    pivots in a second product and appends the new rows.  Growing a basis by
+    blocks gives the rank mod p of all the rows stacked.
+    """
+
+    def __init__(self, ncols: int, p: int):
+        _check_word_prime(p, "EchelonModP")
+        if ncols * 2**16 * p >= 2**63:
+            raise ValidationError(f"{ncols} columns overflow the int64 limb products mod {p}")
+        self.p = p
+        self.basis = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.intp)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def extend(self, rows: Sequence[Sequence[int]]) -> int:
+        """Add integer rows (reduced mod p) to the span; returns the new rank."""
+        if len(rows) == 0:
+            return self.rank
+        p = self.p
+        x = _residues(rows, p)
+        del rows  # free big-int rows (when the caller holds no other reference) before eliminating
+        if x.shape[1] != self.basis.shape[1]:
+            raise ValidationError(f"rows of width {x.shape[1]} for {self.basis.shape[1]} columns")
+        if self.rank:
+            x -= _matmul_mod_p(x[:, self.pivots], self.basis, p)
+            x %= p
+        heads, cols = [], []
+        for i in range(len(x)):
+            nonzero = np.flatnonzero(x[i])
+            if not nonzero.size:
+                continue
+            j = nonzero[0]
+            x[i] = x[i] * pow(int(x[i, j]), -1, p) % p
+            # clear column j in every other row, earlier heads too, in one update
+            h = np.flatnonzero(x[:, j])
+            h = h[h != i]
+            x[h] = (x[h] - x[h, j, None] * x[i]) % p
+            heads.append(i)
+            cols.append(j)
+        if cols:
+            new = x[heads]
+            del x  # before the merged basis is allocated
+            if self.rank:
+                self.basis -= _matmul_mod_p(self.basis[:, cols], new, p)
+                self.basis %= p
+            # column-major, so the product's inner loop walks the basis contiguously
+            basis = np.empty((self.rank + len(cols), new.shape[1]), dtype=np.int64, order="F")
+            basis[: self.rank] = self.basis
+            basis[self.rank :] = new
+            self.basis = basis
+            self.pivots = np.concatenate([self.pivots, cols])
+        return self.rank

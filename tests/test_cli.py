@@ -960,6 +960,17 @@ def test_friedland_above_the_cap_exits_3_before_building(n, monkeypatch, capsys)
     assert f"exceeds FRIEDLAND_CAP {minrank.FRIEDLAND_CAP}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, code, message", [
+    (0, 2, "n must be >= 1"),
+    (-1, 2, "n must be >= 1"),
+    (9, 3, f"exceeds GURVITS_CAP {minrank.GURVITS_CAP}"),
+])
+def test_gurvits_size_below_1_exits_2_and_above_the_cap_exits_3(n, code, message, capsys):
+    # a malformed size is a validation error, as for --friedland; only a size over the cap is a cap
+    assert cli.main(["minrank", "--gurvits", str(n)]) == code
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change", ["seed", "trials", "version"])
 def test_scan_resume_reuses_only_cells_of_the_same_config(change, tmp_path, monkeypatch):
     out = tmp_path / "scan.jsonl"

@@ -323,6 +323,9 @@ def test_gurvits_witnesses_are_the_tuple_kron_minus_and_plus_identity():
 def test_gurvits_cap():
     with pytest.raises(CapExceeded):
         gurvits_construction(9)
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            gurvits_construction(n)
 
 
 # --- entanglement entropy ----------------------------------------------------------------

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from helpers import _fp_eliminate
+from helpers import EchelonModPFullBasis, _fp_eliminate
 from tangent_oracle import exact_tangent_rows
-from tensorlab import secants
+from tensorlab import cli, linalg, rings, secants
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
     WORD_PRIME,
@@ -234,6 +234,129 @@ def test_echelon_rejects_bad_moduli_and_widths():
     assert EchelonModP(5, 7).extend([]) == 0
     with pytest.raises(ValidationError, match="width"):
         EchelonModP(5, 7).extend([[1, 2, 3]])
+
+
+def test_word_prime_is_prime_and_needs_no_trial_division(monkeypatch):
+    assert rings.is_prime(WORD_PRIME)
+
+    def never(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(linalg, "_is_prime", never)
+    assert EchelonModP(3, WORD_PRIME).extend([[1, 2, 3]]) == 1
+    with pytest.raises(AssertionError, match="trial division"):
+        EchelonModP(3, 2**31 - 19)  # any other prime is still checked
+
+
+# --- the free-column block against the full-basis kernel it replaced ---------------------
+
+def assert_same_echelon(echelon, oracle):
+    assert echelon.rank == oracle.rank
+    assert echelon.pivots.tolist() == oracle.pivots.tolist()
+    assert echelon.basis.tolist() == oracle.basis.tolist()
+    # tail is the basis on the sorted non-pivot columns, and nothing more
+    assert sorted(echelon.free.tolist() + echelon.pivots.tolist()) == list(range(echelon.ncols))
+    assert echelon.free.tolist() == sorted(echelon.free.tolist())
+    assert echelon.tail.shape == (echelon.rank, echelon.ncols - echelon.rank)
+    assert echelon.tail.tolist() == oracle.basis[:, echelon.free].tolist()
+    if echelon.rank == echelon.ncols:
+        assert echelon.tail.size == 0
+
+
+def kronecker_sparse_rows(rng, m, dims, p):
+    """Rows that are Kronecker products of vectors with one or two nonzeros,
+    as Segre tangent rows at sparse points are."""
+    rows = []
+    for _ in range(m):
+        row = np.ones(1, dtype=np.int64)
+        for d in dims:
+            v = np.zeros(d, dtype=np.int64)
+            for i in rng.sample(range(d), rng.randint(1, 2)):
+                v[i] = rng.randrange(1, p)
+            row = np.kron(row, v) % p
+        rows.append(row.tolist())
+    return rows
+
+
+def echelon_block_sequences(p):
+    """(ncols, blocks) cases: each block a list of integer rows."""
+    rng = random.Random(f"echelon-oracle:{p}")
+    cases = []
+    for n, sizes in [(9, [3, 4, 2, 5]), (12, [5, 0, 5, 5]), (20, [7, 7, 7, 7])]:
+        rows = random_rows(rng, sum(sizes), n, 0, p - 1)
+        # wide integers too: negative, and beyond int64 in the last block
+        rows[-1] = [x - p * rng.randint(0, 3) for x in rows[-1]]
+        rows[-2] = [x + 2**70 for x in rows[-2]]
+        cases.append((n, split(rows, sizes)))
+        a, b = random_rows(rng, sum(sizes), 3), random_rows(rng, 3, n)
+        low_rank = [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(n)] for i in range(sum(sizes))]
+        cases.append((n, split(low_rank, sizes)))
+    cases.append((6, [[[0] * 6] * 3, random_rows(rng, 2, 6), [[0] * 6] * 2]))  # zero blocks
+    cases.append((1, [[[0]], [[0], [rng.randint(1, p - 1)]], [[3]]]))  # width 1
+    # saturating: past full rank, then more blocks after saturation
+    cases.append((8, split(random_rows(rng, 22, 8, 0, p - 1), [5, 5, 5, 7])))
+    cases.append((64, split(kronecker_sparse_rows(rng, 40, (4, 4, 4), p), [4, 12, 12, 12])))
+    return cases
+
+
+def split(rows, sizes):
+    out, start = [], 0
+    for size in sizes:
+        out.append(rows[start : start + size])
+        start += size
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, WORD_PRIME])
+def test_echelon_equals_the_full_basis_kernel(p):
+    for n, blocks in echelon_block_sequences(p):
+        echelon, oracle = EchelonModP(n, p), EchelonModPFullBasis(n, p)
+        for block in blocks:
+            assert echelon.extend(block) == oracle.extend(block)
+            assert_same_echelon(echelon, oracle)
+    saturated = EchelonModP(3, p)
+    saturated.extend([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    assert saturated.rank == 3 and saturated.tail.size == 0
+    assert saturated.basis.tolist() == np.eye(3, dtype=int).tolist()
+
+
+class _CheckedEchelon(EchelonModP):
+    """EchelonModP that runs every block through the full-basis kernel too."""
+
+    extends = 0
+
+    def __init__(self, ncols, p):
+        super().__init__(ncols, p)
+        self.oracle = EchelonModPFullBasis(ncols, p)
+
+    def extend(self, rows):
+        rows = np.array(rows)  # the same block for both kernels
+        rank = super().extend(rows)
+        assert rank == self.oracle.extend(rows)
+        assert_same_echelon(self, self.oracle)
+        type(self).extends += 1
+        return rank
+
+
+# the terracini workload's cases: t.segre555, t.veronese54, t.sub444, t.symsub, t.segver,
+# t.segre2222scan and t.segre9999r1
+TERRACINI_CASES = [
+    ["--variety", "segre:5,5,5", "--generic-rank"],
+    ["--variety", "veronese:5,4", "--generic-rank"],
+    ["--variety", "sub:4,4,4@2,2,2", "--generic-rank"],
+    ["--variety", "symsub:5@2,3", "--generic-rank"],
+    ["--variety", "segver:3,3@2,2", "--generic-rank"],
+    ["--variety", "segre:2,2,2,2", "--scan"],
+    ["--variety", "segre:9,9,9,9", "--r", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", TERRACINI_CASES, ids=lambda argv: argv[1])
+def test_terracini_extend_sequences_equal_the_full_basis_kernel(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(secants, "EchelonModP", _CheckedEchelon)
+    monkeypatch.setattr(_CheckedEchelon, "extends", 0)
+    assert cli.main(["terracini", *argv, "--output", str(tmp_path / "out.jsonl")]) == 0
+    assert _CheckedEchelon.extends > 0
 
 
 # --- stacked ranks: ranks_mod_p against the exact per-matrix kernels --------------------
