@@ -11,9 +11,9 @@ upper bound), and eliminates only when the two cannot be certified.
 F_p work has one kernel per shape: `EchelonModP` grows a reduced echelon
 basis mod p by blocks of rows and keeps only its block off the pivot
 columns, for the rank and `rref` of one F_p matrix; `ranks_mod_p` ranks a
-stack of small matrices mod a prime below 2^31 without inverses, in the
-narrowest numpy int type exact for p.  A rank mod p is a lower bound on the
-rational rank.
+stack of small matrices mod a prime below 2^31 without inverses, in float64
+(exact, reduced by rounding) for p <= 2^26 and in int64 above.  A rank mod p
+is a lower bound on the rational rank.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ DEFAULT_REL_TOL = 1e-8
 # the largest prime below 2^31: a product of two residues stays below 2^62,
 # so an int64 row update a - f * b cannot overflow
 WORD_PRIME = 2**31 - 1
+# ranks_mod_p works in float64 up to this modulus: 2 (p - 1)^2 < 2^53
+FLOAT_PRIME_CAP = 2**26
 # int64 entries of a block of rows that _certified_rank reduces or checks at once
 RANK_BLOCK_ENTRIES = 2**16
 # below this many rows or columns Bareiss in Python ints is faster than the
@@ -259,7 +261,12 @@ def _check_word_prime(p: int, who: str):
 
 def _residues(rows, p: int) -> np.ndarray:
     """Integers of any size and sign, as an int64 array of residues in [0, p)
-    of the same shape: rows of a matrix, of a tensor, or the entries of a vector."""
+    of the same shape: rows of a matrix, of a tensor, or the entries of a vector.
+    An int64 array whose entries already lie in [0, p) is returned itself, not
+    copied: a caller that writes into the result copies it first."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        if not rows.size or (rows.min() >= 0 and rows.max() < p):
+            return rows
     try:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:
@@ -271,23 +278,43 @@ def _residues(rows, p: int) -> np.ndarray:
     return a
 
 
+def _round_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Subtract from each integer of a float64 array the nearest multiple of
+    p, in place, as a - p * rint(a * (1/p)).  Take |a| < 2^52, or p <= 2^26
+    and |a| <= 2 (p - 1)^2: either way |a| < p 2^51, so the computed quotient
+    is within |a/p| 2^-52 < 1/2 of a/p and its rounding n within 1 of it.
+    Then |a - p n| < p, and |p n| < |a| + p < 2^53 keeps every step exact:
+    the result is congruent to a, and it is 0 exactly when p divides a."""
+    t = a * (1 / p)
+    np.rint(t, out=t)
+    t *= p
+    a -= t
+    return a
+
+
 def ranks_mod_p(stack, p: int) -> np.ndarray:
     """Ranks over F_p of a (B, m, n) stack of integer matrices, p prime < 2^31.
 
     The B eliminations run side by side, without inverses: with `lead` the
     first nonzero entry of a head row (1 where the head row is zero), every
     row below becomes lead * row - row[j] * head in one broadcast update.
-    Scaling a row by a nonzero lead keeps the rank.  Residues lie in [0, p),
-    so every intermediate value lies within +-(p - 1)^2, and the stack is
-    held in the narrowest int type that holds that: int16 for p <= 181,
-    int32 for p <= 46337, int64 up to 2^31.  Returns the B ranks in int64.
+    Scaling a row by a nonzero lead keeps the rank.  For p <= FLOAT_PRIME_CAP
+    = 2^26 the stack is held in float64 and reduced by `_round_mod` after
+    each update: entries start and stay below p in absolute value, so an
+    update is at most 2 (p - 1)^2 < 2^53 in absolute value, exact in float64,
+    and every zero test is exact.  Above 2^26 it is held in int64 and reduced
+    by `%` (products stay below 2^62).  A float64 stack must hold integers
+    below 2^52 in absolute value.  Returns the B ranks in int64.
     """
     _check_word_prime(p, "ranks_mod_p")
-    a = np.asarray(stack, dtype=np.int64) % p
+    in_float = p <= FLOAT_PRIME_CAP
+    if in_float and isinstance(stack, np.ndarray) and stack.dtype == np.float64:
+        a = _round_mod(stack.copy(), p)
+    else:
+        a = _residues(stack, p)
+        a = a.astype(np.float64) if in_float else a
     if a.ndim != 3:
         raise ValidationError(f"ranks_mod_p needs a (B, m, n) stack, got shape {a.shape}")
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if (p - 1) ** 2 <= np.iinfo(t).max)
-    a = a.astype(dtype, copy=False)
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1)  # eliminate along the shorter side
     batch = np.arange(a.shape[0])
@@ -301,7 +328,10 @@ def ranks_mod_p(stack, p: int) -> np.ndarray:
         below = a[batch, :, j]
         a = lead[:, None, None] * a  # a fresh array, updated in place below
         a -= below[:, :, None] * head[:, None, :]
-        a %= p
+        if in_float:
+            _round_mod(a, p)
+        else:
+            a %= p
     return ranks
 
 
@@ -356,12 +386,15 @@ class EchelonModP:
             return self.rank
         p = self.p
         x = _residues(rows, p)
+        shared = x is rows  # a block of residues is not copied; the caller's is never written
         del rows  # free big-int rows (when the caller holds no other reference) before eliminating
         if x.shape[1] != self.ncols:
             raise ValidationError(f"rows of width {x.shape[1]} for {self.ncols} columns")
         if self.rank:
             x = x[:, self.free] - _matmul_mod_p(x[:, self.pivots], self.tail, p)
             x %= p
+        elif shared:
+            x = x.copy()  # the loop below writes the block in place
         heads, cols = [], []
         for i, row in enumerate(x):  # row is a view, scaled in place
             nonzero = row.nonzero()[0]

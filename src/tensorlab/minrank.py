@@ -23,7 +23,8 @@ from .linalg import Matrix, kron, matrix_from_vectors, rank_exact, ranks_mod_p, 
 from .rings import RATIONAL, Ring
 
 FP_ENUMERATION_CAP = 10**6
-# matrix entries ranked per stacked call, which bounds the memory: ~900 6x6 elements
+# matrix entries ranked per stacked call, which bounds the memory: ~900 6x6 elements,
+# 256 KiB as float64
 FP_CHUNK_ENTRIES = 1 << 15
 GURVITS_CAP = 8
 # friedland_check builds a (4n^2) x (4n^2) witness, so memory grows as n^4: at n = 16
@@ -129,9 +130,14 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
     from dim - 1 down, each run in increasing order.  They are split into
     chunks of at most FP_CHUNK_ENTRIES matrix entries; a chunk's codes come
     from one np.arange of positions, its coefficients from codes // p^i mod
-    p, its elements from one product coeffs @ basis mod p, and its ranks
-    from `ranks_mod_p`, which is exact over F_p.  A chunk holding a rank-1
-    element ends the search, since no nonzero element has a smaller rank.
+    p, its elements from one float64 (BLAS) product coeffs @ basis, and its
+    ranks from `ranks_mod_p`, which is exact over F_p.  The product is exact:
+    under FP_ENUMERATION_CAP every sum e is at most dim (p - 1)^2 <= 10^12.
+    It is reduced to [0, p) as e - p floor((e + 1/2) / p), exact because the
+    computed quotient is within (e + 1/2) 2^-52 / p < 1/(2p) of the true one,
+    whose fractional part lies in [1/(2p), 1 - 1/(2p)].  A chunk holding a
+    rank-1 element ends the search, since no nonzero element has a smaller
+    rank.
     """
     if s.ring.kind != "fp":
         raise ValidationError("exact enumeration needs an F_p subspace")
@@ -140,7 +146,7 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
         raise CapExceeded(
             f"p**dim = {p**s.dim} exceeds the enumeration cap {FP_ENUMERATION_CAP}"
         )
-    basis = np.array([[x % p for x in b.entries] for b in s.basis], dtype=np.int64)
+    basis = np.array([[x % p for x in b.entries] for b in s.basis], dtype=np.float64)
     places = p ** np.arange(s.dim - 1, -1, -1, dtype=np.int64)  # p^k: run k's first code and length
     starts = np.cumsum(places) - places  # run k's first position in the enumeration
     total = int(places.sum())
@@ -150,7 +156,9 @@ def min_rank_exact_fp(s: MatrixSubspace) -> int:
         positions = np.arange(start, min(start + size, total))
         run = np.searchsorted(starts, positions, side="right") - 1
         codes = positions - starts[run] + places[run]
-        elements = (codes[:, None] // places % p @ basis % p).reshape(-1, s.rows, s.cols)
+        elements = (codes[:, None] // places % p).astype(np.float64) @ basis
+        elements -= p * np.floor((elements + 0.5) * (1 / p))
+        elements = elements.reshape(-1, s.rows, s.cols)
         best = min(best, int(ranks_mod_p(elements, p).min()))
         if best == 1:
             return 1

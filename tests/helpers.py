@@ -419,7 +419,9 @@ def gross_check_by_contraction(t: DenseTensor, d: Decomposition) -> GrossReport:
 
 # The F_p echelon kernel before it kept only the free-column block: the full
 # k x ncols basis, reduced and cleared over every column.  Unchanged but for
-# its name; the reference for the differential tests of linalg.EchelonModP.
+# its name and an explicit copy of each block, which `_residues` no longer
+# makes of a block of residues; the reference for the differential tests of
+# linalg.EchelonModP.
 class EchelonModPFullBasis:
     """Reduced row echelon basis over F_p (p prime < 2^31) that grows by blocks.
 
@@ -447,7 +449,7 @@ class EchelonModPFullBasis:
         if len(rows) == 0:
             return self.rank
         p = self.p
-        x = _residues(rows, p)
+        x = np.array(_residues(rows, p))  # a copy: _residues returns a block of residues itself
         del rows  # free big-int rows (when the caller holds no other reference) before eliminating
         if x.shape[1] != self.basis.shape[1]:
             raise ValidationError(f"rows of width {x.shape[1]} for {self.basis.shape[1]} columns")
@@ -480,3 +482,41 @@ class EchelonModPFullBasis:
             self.basis = basis
             self.pivots = np.concatenate([self.pivots, cols])
         return self.rank
+
+
+# The stacked F_p rank kernel before it worked in float64: the stack held in
+# the narrowest int type exact for p, reduced by `%` after every update.
+# Unchanged but for its name; the reference for the differential tests of
+# linalg.ranks_mod_p.
+def ranks_mod_p_in_narrow_ints(stack, p: int) -> np.ndarray:
+    """Ranks over F_p of a (B, m, n) stack of integer matrices, p prime < 2^31.
+
+    The B eliminations run side by side, without inverses: with `lead` the
+    first nonzero entry of a head row (1 where the head row is zero), every
+    row below becomes lead * row - row[j] * head in one broadcast update.
+    Scaling a row by a nonzero lead keeps the rank.  Residues lie in [0, p),
+    so every intermediate value lies within +-(p - 1)^2, and the stack is
+    held in the narrowest int type that holds that: int16 for p <= 181,
+    int32 for p <= 46337, int64 up to 2^31.  Returns the B ranks in int64.
+    """
+    _check_word_prime(p, "ranks_mod_p")
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.ndim != 3:
+        raise ValidationError(f"ranks_mod_p needs a (B, m, n) stack, got shape {a.shape}")
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if (p - 1) ** 2 <= np.iinfo(t).max)
+    a = a.astype(dtype, copy=False)
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)  # eliminate along the shorter side
+    batch = np.arange(a.shape[0])
+    ranks = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[1] and a.shape[2]:
+        head, a = a[:, 0], a[:, 1:]
+        j = np.argmax(head != 0, axis=1)  # 0 for a zero head, whose update is zero
+        lead = head[batch, j]
+        ranks += lead != 0
+        lead[lead == 0] = 1
+        below = a[batch, :, j]
+        a = lead[:, None, None] * a  # a fresh array, updated in place below
+        a -= below[:, :, None] * head[:, None, :]
+        a %= p
+    return ranks

@@ -97,6 +97,31 @@ def test_min_rank_matches_oracle_on_small_fields_and_shapes(p, dim, rows, cols):
         assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp)
 
 
+@pytest.mark.parametrize("p,dim", [(2, 5), (7, 3), (31, 2), (103, 2)])
+def test_min_rank_with_every_basis_entry_p_minus_1(p, dim, monkeypatch):
+    # the nonzero basis entries are all p - 1, so each float64 product sum reaches
+    # dim (p - 1)^2 and many sums are multiples of p; every stack is exact residues.
+    # In float64 103 * (1/103) < 1, so a reduction by floor(e / p) alone leaves p
+    # in place of 0 for e = 103
+    stacks = []
+    ranks_mod_p = minrank.ranks_mod_p
+    monkeypatch.setattr(minrank, "ranks_mod_p", lambda a, q: stacks.append(a.copy()) or ranks_mod_p(a, q))
+    rng = random.Random(f"minrank:top:{p}:{dim}")
+    for _ in range(2):
+        while True:
+            masks = [[[rng.random() < 0.8 for _ in range(4)] for _ in range(3)] for _ in range(dim)]
+            basis = [Matrix.from_rows([[(p - 1) * x for x in row] for row in m], fp(p)) for m in masks]
+            try:
+                sp = MatrixSubspace.span(basis)
+                break
+            except ValidationError:
+                continue
+        stacks.clear()
+        assert min_rank_exact_fp(sp) == min_rank_enumeration_oracle(sp)
+        elements = np.concatenate(stacks)
+        assert np.all((0 <= elements) & (elements < p) & (elements == np.rint(elements)))
+
+
 def test_min_rank_across_many_small_chunks(monkeypatch):
     # chunks of 7 to 2 elements: every space below crosses several chunk boundaries
     monkeypatch.setattr(minrank, "FP_CHUNK_ENTRIES", 7 * 9)

@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from helpers import EchelonModPFullBasis, _fp_eliminate
+from helpers import EchelonModPFullBasis, _fp_eliminate, ranks_mod_p_in_narrow_ints
 from tangent_oracle import exact_tangent_rows
 from tensorlab import cli, linalg, rings, secants
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
+    FLOAT_PRIME_CAP,
     WORD_PRIME,
     EchelonModP,
     Matrix,
@@ -320,6 +321,44 @@ def test_echelon_equals_the_full_basis_kernel(p):
     assert saturated.basis.tolist() == np.eye(3, dtype=int).tolist()
 
 
+def test_residues_keep_a_block_of_residues_and_reduce_the_rest():
+    p = 101
+    block = np.array([[0, 5, 100], [7, 0, 1]], dtype=np.int64)
+    assert linalg._residues(block, p) is block
+    view = block[:, ::2]
+    assert linalg._residues(view, p) is view
+    for rows in ([[0, 5, 101]], [[-1, 5, 3]], np.array([[0, 5, 101]]), np.array([[0, 5, 3]], dtype=np.int32)):
+        got = linalg._residues(rows, p)
+        assert got is not rows and got.dtype == np.int64
+        assert got.tolist() == [[x % p for x in row] for row in np.asarray(rows).tolist()]
+
+
+@pytest.mark.parametrize("p", [2, 101, WORD_PRIME])
+def test_extend_never_writes_the_callers_block(p):
+    # _certified_rank passes views of the integer rows it later checks over Z: blocks
+    # of residues are read in place, at rank 0 (copied once for the loop) and after
+    for n, blocks in echelon_block_sequences(p):
+        echelon, oracle = EchelonModP(n, p), EchelonModPFullBasis(n, p)
+        for block in blocks:
+            block = np.array([[x % p for x in row] for row in block], dtype=np.int64).reshape(-1, n)
+            kept = block.copy()
+            block.setflags(write=False)
+            assert echelon.extend(block) == oracle.extend(block)
+            assert_same_echelon(echelon, oracle)
+            assert np.array_equal(block, kept)
+    # one read-only array, reduced in row blocks as _certified_rank reduces it
+    rng = random.Random(f"echelon-readonly:{p}")
+    a = np.array(random_rows(rng, 40, 9, 0, p - 1), dtype=np.int64)
+    a[20:] = a[:20] * 2 % p  # the second half repeats the first, scaled
+    a.setflags(write=False)
+    echelon = EchelonModP(9, p)
+    for i in range(0, 40, 8):
+        echelon.extend(a[i : i + 8])
+    oracle = EchelonModPFullBasis(9, p)
+    oracle.extend(a.tolist())
+    assert_same_echelon(echelon, oracle)
+
+
 class _CheckedEchelon(EchelonModP):
     """EchelonModP that runs every block through the full-basis kernel too."""
 
@@ -443,8 +482,10 @@ def fermat_ranks_mod_p(stack, p):
 
 
 # the largest primes whose (p - 1)^2 fits int16 and int32, the primes just
-# above them, and the word prime: both sides of each boundary of the stack type
-DTYPE_EDGE_PRIMES = [2, 3, 181, 191, 46337, 46349, WORD_PRIME]
+# above them (both sides of each boundary of the integer kernel's stack type),
+# the largest and smallest primes on either side of FLOAT_PRIME_CAP = 2^26,
+# where ranks_mod_p goes from float64 to int64, and the word prime
+DTYPE_EDGE_PRIMES = [2, 3, 181, 191, 46337, 46349, 2**26 - 5, 2**26 + 15, WORD_PRIME]
 
 
 @pytest.mark.parametrize("p", DTYPE_EDGE_PRIMES)
@@ -490,3 +531,88 @@ def test_ranks_mod_p_rejects_bad_moduli_and_shapes():
             ranks_mod_p(np.ones((1, 2, 2), dtype=np.int64), p)
     with pytest.raises(ValidationError, match="stack"):
         ranks_mod_p(np.ones((2, 2), dtype=np.int64), 3)
+
+
+# --- the float64 arm of ranks_mod_p against the integer kernel it replaced ------------
+
+DIFFERENTIAL_PRIMES = [2, 3, 5, 101, 181, 191, 46337, 46349, 65521, 2**26 - 5, 2**26 + 15, WORD_PRIME]
+DIFFERENTIAL_SHAPES = [(6, 6), (7, 3), (3, 7), (1, 5), (5, 1), (2, 9)]
+
+
+def differential_stack(rng, p, shape):
+    """Residue matrices of one shape: every entry p - 1 (the largest first
+    products), entries in [p - 3, p - 1], products of m x k and k x n random
+    factors (rank at most k, for every k), and zero matrices."""
+    m, n = shape
+    stack = [[[p - 1] * n for _ in range(m)] for _ in range(3)]
+    stack += [[[rng.randint(max(0, p - 3), p - 1) for _ in range(n)] for _ in range(m)] for _ in range(16)]
+    for k in range(min(m, n) + 1):
+        for _ in range(6):
+            a = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+            b = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            stack.append([[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)] for i in range(m)])
+    return stack + [[[0] * n for _ in range(m)] for _ in range(2)]
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES, ids=str)
+def test_ranks_mod_p_equals_the_integer_kernel(p, shape):
+    rng = random.Random(f"ranks_mod_p:float:{p}:{shape}")
+    a = np.array(differential_stack(rng, p, shape), dtype=np.int64)
+    expected = ranks_mod_p_in_narrow_ints(a, p).tolist()
+    assert len(set(expected)) == min(shape) + 1  # every rank from 0 to min(m, n) occurs
+    assert ranks_mod_p(a, p).tolist() == expected
+    # a float64 stack, as min_rank_exact_fp passes it
+    assert ranks_mod_p(a.astype(np.float64), p).tolist() == expected
+    # the same matrices shifted by multiples of p, negative entries too
+    shifted = a + p * np.array([rng.randint(-3, 3) for _ in range(a.size)]).reshape(a.shape)
+    assert ranks_mod_p(shifted, p).tolist() == expected
+    assert ranks_mod_p(shifted.astype(np.float64), p).tolist() == expected
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_ranks_mod_p_of_empty_stacks_and_python_ints_of_any_size(p):
+    for shape in [(0, 3, 4), (2, 0, 4), (2, 4, 0), (3, 0, 0), (0, 0, 0)]:
+        for dtype in (np.int64, np.float64):
+            assert ranks_mod_p(np.zeros(shape, dtype=dtype), p).tolist() == [0] * shape[0]
+    rng = random.Random(f"ranks_mod_p:words:{p}")
+    stack = differential_stack(rng, p, (4, 5))
+    # negative and multi-word lifts of the same residues
+    lifted = [[[x + p * rng.randint(-(2**80), 2**80) for x in row] for row in rows] for rows in stack]
+    expected = ranks_mod_p_in_narrow_ints(stack, p).tolist()
+    assert ranks_mod_p(lifted, p).tolist() == expected
+    assert expected == [fp_rank(rows, p) for rows in lifted]
+
+
+def test_ranks_mod_p_works_in_float64_up_to_the_cap_only(monkeypatch):
+    # entries stay below p in absolute value, so an update is at most 2 (p - 1)^2
+    assert 2 * (FLOAT_PRIME_CAP - 1) ** 2 < 2**53 <= 2 * FLOAT_PRIME_CAP**2
+    reductions = []
+    round_mod = linalg._round_mod
+    monkeypatch.setattr(linalg, "_round_mod", lambda a, p: reductions.append(p) or round_mod(a, p))
+    stack = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.int64)
+    for p in (2, 65521, 2**26 - 5, 2**26 + 15, WORD_PRIME):
+        reductions.clear()
+        assert ranks_mod_p(stack, p).tolist() == [2]
+        assert reductions == ([p] * 2 if p <= FLOAT_PRIME_CAP else [])
+
+
+@pytest.mark.parametrize("p", [p for p in DIFFERENTIAL_PRIMES if p <= FLOAT_PRIME_CAP])
+def test_round_mod_is_exact_up_to_the_largest_update(p):
+    # the largest updates, 2 (p - 1)^2, every multiple of p near them and near 2^52
+    # (the largest float64 input), and random integers in between
+    rng = random.Random(f"round_mod:{p}")
+    bound = 2 * (p - 1) ** 2
+    values = [bound, -bound, 0, p, -p, 2**52 - 1, 1 - 2**52]
+    for top in (bound, 2**52 - 1):
+        values += [k * p for k in range(top // p - 200, top // p + 1)]
+        values += [-k * p for k in range(top // p - 200, top // p + 1)]
+        values += [rng.randint(-top, top) for _ in range(500)]
+        values += [p * rng.randint(-top // p, top // p) for _ in range(500)]
+    a = np.array(values, dtype=np.float64)
+    assert [int(x) for x in a] == values  # each value is exact in float64
+    r = linalg._round_mod(a.copy(), p)
+    assert np.all(np.abs(r) < p) and np.all(r == np.rint(r))
+    assert [int(x) % p for x in r] == [v % p for v in values]
+    assert np.array_equal(r == 0, np.array([v % p == 0 for v in values]))
+
