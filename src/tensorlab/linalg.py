@@ -7,7 +7,8 @@ elimination of the rows scaled to integers.  It serves `det_exact` (in both
 rings), `rref` over Q (and so `nullspace_exact` and `solve_exact`), and
 `rank_exact` over Q, which first certifies its answer from a rank mod a
 word-size prime (a lower bound) and an integer kernel checked over Z (an
-upper bound), and eliminates only when the two cannot be certified.
+upper bound), and eliminates only when the two cannot be certified;
+`rank_exact_int64` does the same on an int64 array, with no Matrix.
 F_p work has one kernel per shape: `EchelonModP` grows a reduced echelon
 basis mod p by blocks of rows and keeps only its block off the pivot
 columns, for the rank and `rref` of one F_p matrix; `ranks_mod_p` ranks a
@@ -246,9 +247,7 @@ def rank_exact(m: Matrix) -> int:
     if m.ring.kind == "fp":
         return EchelonModP(m.cols, m.ring.p).extend(m.to_lists())
     rank = _certified_rank(m) if min(m.rows, m.cols) >= CERTIFY_MIN_SIDE else None
-    if rank is None:
-        rank = len(_bareiss(_clear_denominators(m)[0])[0])
-    return rank
+    return len(_bareiss(_clear_denominators(m)[0])[0]) if rank is None else rank
 
 
 _is_prime = functools.lru_cache(maxsize=8)(rings.is_prime)
@@ -428,10 +427,37 @@ class EchelonModP:
 
 
 def _certified_rank(m: Matrix) -> int | None:
-    """Rank over Q of a nonempty rational matrix from two bounds, or None.
+    """Rank over Q of a nonempty rational matrix by `_certify`, or None: its
+    rows scaled to integers (row scaling keeps the rank), in int64 or, for
+    entries beyond int64, as residues mod WORD_PRIME."""
+    kinds = set(map(type, m.entries))
+    if not kinds <= {int, Fraction}:
+        return None
+    # scale rows first: numpy would truncate Fractions to int64 without a word
+    rows = [m.entries] if kinds <= {int} else _clear_denominators(m)[0]
+    try:
+        a, fits = np.array(rows, dtype=np.int64), True
+    except OverflowError:
+        # a full rank mod p certifies itself at any entry size
+        a, fits = _residues(rows, WORD_PRIME), False
+    del rows  # scaled Python-int rows, before eliminating
+    return _certify(a.reshape(m.rows, m.cols), fits)
 
-    A is m with its rows scaled to integers (row scaling keeps the rank),
-    transposed so that its c columns are the shorter side.
+
+def rank_exact_int64(a: np.ndarray) -> int:
+    """Exact rank over Q of a 2-D int64 array, as `rank_exact` ranks the same
+    integers as a Matrix: by `_certify` when both sides are at least
+    CERTIFY_MIN_SIDE, by `_bareiss` below that or when the bounds fail."""
+    if a.ndim != 2 or a.dtype != np.int64:
+        raise ValidationError(f"rank_exact_int64 needs a 2-D int64 array, got {a.ndim}-D {a.dtype}")
+    rank = _certify(a) if min(a.shape) >= CERTIFY_MIN_SIDE else None
+    return len(_bareiss(a.tolist())[0]) if rank is None else rank
+
+
+def _certify(a: np.ndarray, fits: bool = True) -> int | None:
+    """Rank over Q of a nonempty 2-D int64 integer array A from two bounds, or
+    None; with fits False, A holds only the residues mod p of integers beyond
+    int64.  A is transposed so that its c columns are the shorter side.
 
     - Lower bound: `EchelonModP` reduces A mod p = WORD_PRIME, RANK_BLOCK_ENTRIES
       entries at a time, to rank r.  Some r x r minor is nonzero mod p, so it
@@ -445,21 +471,8 @@ def _certified_rank(m: Matrix) -> int | None:
       fails it.
 
     Returns None when c exceeds the width EchelonModP allows, or when r < c
-    and an entry does not fit in int64, the check could overflow, or
-    A @ K != 0.
+    and fits is False, the check could overflow, or A @ K != 0.
     """
-    kinds = set(map(type, m.entries))
-    if not kinds <= {int, Fraction}:
-        return None
-    # scale rows first: numpy would truncate Fractions to int64 without a word
-    rows = [m.entries] if kinds <= {int} else _clear_denominators(m)[0]
-    try:
-        a, fits = np.array(rows, dtype=np.int64), True
-    except OverflowError:
-        # a full rank mod p certifies itself at any entry size
-        a, fits = _residues(rows, WORD_PRIME), False
-    del rows  # scaled Python-int rows, before eliminating
-    a = a.reshape(m.rows, m.cols)
     if a.shape[0] < a.shape[1]:
         a = a.T
     n, c = a.shape

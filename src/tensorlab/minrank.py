@@ -1,6 +1,5 @@
-"""Minimum rank of matrix subspaces, tensor products of subspaces under the
-braiding, the min-rank multiplicativity counterexample family, and
-entanglement entropy of bipartite vectors.
+"""Minimum rank of matrix subspaces, the min-rank multiplicativity
+counterexample family, and entanglement entropy of bipartite vectors.
 
 Exact statements (F_p enumeration, the structured family) are kept separate
 from sampled upper bounds, and every sampled output says so.
@@ -19,7 +18,9 @@ import numpy as np
 
 from . import rings
 from .errors import CapExceeded, ValidationError
-from .linalg import Matrix, kron, matrix_from_vectors, rank_exact, ranks_mod_p, to_float_array
+from .linalg import (
+    WORD_PRIME, Matrix, kron, matrix_from_vectors, rank_exact, rank_exact_int64, ranks_mod_p, to_float_array,
+)
 from .rings import RATIONAL, Ring
 
 FP_ENUMERATION_CAP = 10**6
@@ -192,19 +193,6 @@ def min_rank_sample(s: MatrixSubspace, trials: int = 200, seed: int = 0) -> int:
     return best
 
 
-def tensor_subspace(s1: MatrixSubspace, s2: MatrixSubspace) -> MatrixSubspace:
-    """Tensor product of subspaces, braided so rows pair with rows.
-
-    The basis consists of all Kronecker products of basis pairs; the
-    Kronecker product is exactly the braiding that regroups
-    (rows1 x cols1) x (rows2 x cols2) into (rows1 rows2) x (cols1 cols2).
-    """
-    if s1.ring != s2.ring:
-        raise ValidationError("ring mismatch in tensor_subspace")
-    basis = tuple(kron(b1, b2) for b1 in s1.basis for b2 in s2.basis)
-    return MatrixSubspace(s1.rows * s2.rows, s1.cols * s2.cols, basis, s1.ring)
-
-
 # ---------------------------------------------------------------------------
 # the structured counterexample family
 # ---------------------------------------------------------------------------
@@ -238,23 +226,28 @@ def gurvits_space(n: int) -> MatrixSubspace:
 
 
 def gurvits_construction(n: int) -> GurvitsRecord:
-    """Arbitrarily large drop between (min-rank)^2 and the tensored min-rank."""
+    """Arbitrarily large drop between (min-rank)^2 and the tensored min-rank.
+
+    The min rank is checked at the pencil points a/b in {0, +-1, +-2, +-3} and
+    b = 0, all of rank 2n (det(aM + bI) = (a^2 + b^2)^n), as one int64 stack
+    ranked by `ranks_mod_p` at WORD_PRIME: a full rank mod p is one over Q,
+    and any other sample is ranked by `rank_exact_int64`.  So are the int64
+    witnesses M(x)M -+ I: certified from 16 x 16 up (n >= 2), Bareiss below.
+    """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n > GURVITS_CAP:
         raise CapExceeded(f"n = {n} exceeds GURVITS_CAP {GURVITS_CAP}")
     space = gurvits_space(n)
-    m_block, identity = space.basis
-    # exact min rank: check the sampled pencil points a/b in {0, +-1, +-2, +-3}
-    # plus b = 0; rank 2n everywhere since the rotation block has no real
-    # eigenvalues (det(aM + bI) = (a^2 + b^2)^n)
-    for a, b in [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 0)]:
-        r = rank_exact(space.element((a, b)))
+    m = np.array(space.basis[0].entries, dtype=np.int64).reshape(2 * n, 2 * n)
+    samples = [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 0)]
+    pencil = np.array([a * m + b * np.eye(2 * n, dtype=np.int64) for a, b in samples])
+    for (a, b), r, element in zip(samples, ranks_mod_p(pencil, WORD_PRIME), pencil):
+        if r != 2 * n:
+            r = rank_exact_int64(element)
         if r != 2 * n:
             raise ValidationError(f"pencil sample ({a},{b}) has rank {r}, expected {2*n}")
-    minus, plus = _square_minus_plus_identity(m_block)
-    rank_minus = rank_exact(minus)
-    rank_plus = rank_exact(plus)
+    rank_minus, rank_plus = map(rank_exact_int64, _square_minus_plus_identity(space.basis[0]))
     return GurvitsRecord(
         n=n,
         space=space,
@@ -265,25 +258,19 @@ def gurvits_construction(n: int) -> GurvitsRecord:
     )
 
 
-def _square_minus_plus_identity(m: Matrix) -> tuple[Matrix, Matrix]:
-    """kron(m, m) - I and kron(m, m) + I for an integer matrix m.
-
-    Built with one int64 np.kron; the arrays are freed on return, before
-    the caller ranks the two matrices.
-    """
+def _square_minus_plus_identity(m: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """kron(m, m) - I and kron(m, m) + I for an integer matrix m, as int64
+    arrays from one np.kron, which `rank_exact_int64` ranks as they are."""
     a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
     square = np.kron(a, a)
     eye = np.eye(len(square), dtype=np.int64)
-    return tuple(
-        Matrix(*square.shape, tuple((square + sign * eye).ravel().tolist()), RATIONAL)
-        for sign in (-1, 1)
-    )
+    return square - eye, square + eye
 
 
 def gurvits_witness_vector(n: int) -> BipartiteVector:
     """(M x I_n) tensor (M x I_n) minus the identity, as a bipartite vector."""
     w, _ = _square_minus_plus_identity(kron(rotation_block(), Matrix.identity(n, RATIONAL)))
-    return BipartiteVector((4 * n * n, 4 * n * n), tuple(float(x) for x in w.entries))
+    return BipartiteVector((4 * n * n, 4 * n * n), tuple(w.astype(np.float64).ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,14 @@ from tensorlab.linalg import (
     _check_word_prime,
     _matmul_mod_p,
     _residues,
+    kron,
     matrix_from_vectors,
     nullspace_exact,
+    rank_exact,
     solve_exact,
 )
 from tensorlab.matchgate import BLOCK_ENTRIES, MGI_WIRE_CAP, SignatureVector
+from tensorlab.minrank import GURVITS_CAP, GurvitsRecord, MatrixSubspace, gurvits_space
 from tensorlab.ranks import _poly_deg, _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
 from tensorlab.rings import RATIONAL, Ring
 from tensorlab.tensors import (
@@ -520,3 +523,48 @@ def ranks_mod_p_in_narrow_ints(stack, p: int) -> np.ndarray:
         a -= below[:, :, None] * head[:, None, :]
         a %= p
     return ranks
+
+
+def tensor_subspace(s1: MatrixSubspace, s2: MatrixSubspace) -> MatrixSubspace:
+    """Tensor product of subspaces, braided so rows pair with rows.
+
+    The basis consists of all Kronecker products of basis pairs; the
+    Kronecker product is exactly the braiding that regroups
+    (rows1 x cols1) x (rows2 x cols2) into (rows1 rows2) x (cols1 cols2).
+    """
+    if s1.ring != s2.ring:
+        raise ValidationError("ring mismatch in tensor_subspace")
+    basis = tuple(kron(b1, b2) for b1 in s1.basis for b2 in s2.basis)
+    return MatrixSubspace(s1.rows * s2.rows, s1.cols * s2.cols, basis, s1.ring)
+
+
+def gurvits_construction_by_matrices(n: int) -> GurvitsRecord:
+    """`minrank.gurvits_construction` with every rank taken by `rank_exact` of
+    a `Matrix`: each pencil sample, and both witnesses as tuples of Python
+    ints (the kernel it replaced; the package ranks int64 arrays instead)."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if n > GURVITS_CAP:
+        raise CapExceeded(f"n = {n} exceeds GURVITS_CAP {GURVITS_CAP}")
+    space = gurvits_space(n)
+    m_block, identity = space.basis
+    for a, b in [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 0)]:
+        r = rank_exact(space.element((a, b)))
+        if r != 2 * n:
+            raise ValidationError(f"pencil sample ({a},{b}) has rank {r}, expected {2*n}")
+    a = np.array(m_block.entries, dtype=np.int64).reshape(m_block.rows, m_block.cols)
+    square = np.kron(a, a)
+    eye = np.eye(len(square), dtype=np.int64)
+    minus, plus = (
+        Matrix(*square.shape, tuple((square + sign * eye).ravel().tolist()), RATIONAL) for sign in (-1, 1)
+    )
+    rank_minus = rank_exact(minus)
+    rank_plus = rank_exact(plus)
+    return GurvitsRecord(
+        n=n,
+        space=space,
+        minrank_x=2 * n,
+        witness_rank_minus=rank_minus,
+        witness_rank_plus=rank_plus,
+        decrement=(2 * n) ** 2 - rank_minus,
+    )

@@ -17,6 +17,7 @@ from tensorlab.linalg import (
     kron,
     nullspace_exact,
     rank_exact,
+    rank_exact_int64,
     rank_numeric,
     rref,
     singular_values,
@@ -171,11 +172,26 @@ def test_rank_of_low_rank_products_matches_bareiss_and_gauss(shape, rational):
         m = Matrix.from_rows(rows)
         expected = gauss_rank_oracle(rows)
         assert rank_exact(m) == bareiss_rank(m) == expected
+        if not rational:  # the same integers as an int64 array, in both orientations, read only
+            a = np.array(rows, dtype=np.int64)
+            assert rank_exact_int64(a) == rank_exact_int64(a.T) == expected
+            assert np.array_equal(a, rows)
         # the certificate, at any size: an exact rank or no answer
         rank = linalg._certified_rank(m)
         assert rank in (None, expected)
         certified += rank is not None
     assert certified > 0
+
+
+def test_int64_array_rank_of_empty_and_small_arrays_and_bad_input(bareiss_calls):
+    assert rank_exact_int64(np.zeros((0, 3), dtype=np.int64)) == 0
+    assert rank_exact_int64(np.zeros((3, 0), dtype=np.int64)) == 0
+    assert rank_exact_int64(np.array([[2, 1], [4, 2]], dtype=np.int64)) == 1
+    assert rank_exact_int64(np.eye(linalg.CERTIFY_MIN_SIDE, dtype=np.int64)) == linalg.CERTIFY_MIN_SIDE
+    assert len(bareiss_calls) == 3  # the certificate only at both sides >= CERTIFY_MIN_SIDE
+    for bad in (np.eye(3), np.ones(3, dtype=np.int64), np.ones((2, 2, 2), dtype=np.int64)):
+        with pytest.raises(ValidationError, match="2-D int64 array"):
+            rank_exact_int64(bad)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +211,9 @@ def test_rank_falls_back_to_bareiss_when_a_bound_is_not_certified(rows, rank, ba
     big = padded(rows)
     assert rank_exact(Matrix.from_rows(big)) == rank + linalg.CERTIFY_MIN_SIDE == gauss_rank_oracle(big)
     assert len(bareiss_calls) == 1
+    if all(type(x) is int and abs(x) < 2**63 for row in rows for x in row):  # the int64 array falls back too
+        assert rank_exact_int64(np.array(big, dtype=np.int64)) == rank + linalg.CERTIFY_MIN_SIDE
+        assert len(bareiss_calls) == 2
 
 
 def test_full_rank_mod_p_is_certified_beyond_int64(bareiss_calls):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import gurvits_construction_by_matrices, tensor_subspace
 from tensorlab import minrank
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, kron, rank_exact
@@ -19,7 +20,6 @@ from tensorlab.minrank import (
     min_rank_exact_fp,
     min_rank_sample,
     rotation_block,
-    tensor_subspace,
 )
 from tensorlab.rings import RATIONAL, fp
 from tensorlab.tensors import DenseTensor, braid
@@ -339,10 +339,45 @@ def test_gurvits_witnesses_are_the_tuple_kron_minus_and_plus_identity():
         square = kron(m_block, m_block)
         identity = Matrix.identity(4 * n * n, RATIONAL)
         minus, plus = minrank._square_minus_plus_identity(m_block)
-        assert (minus, plus) == (square - identity, square + identity)
-        assert all(type(x) is int for x in minus.entries + plus.entries)
+        assert minus.dtype == plus.dtype == np.int64
+        assert minus.shape == plus.shape == (4 * n * n, 4 * n * n)
+        entries = tuple(minus.ravel().tolist()), tuple(plus.ravel().tolist())
+        assert entries == ((square - identity).entries, (square + identity).entries)
+        assert all(type(x) is int for x in entries[0] + entries[1])
         if n <= 3:
-            assert gurvits_witness_vector(n).data == tuple(float(x) for x in minus.entries)
+            data = gurvits_witness_vector(n).data
+            assert all(type(x) is float for x in data)
+            assert data == tuple(float(x) for x in entries[0])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gurvits_record_equals_the_matrix_oracle(n):
+    assert gurvits_construction(n) == gurvits_construction_by_matrices(n)
+
+
+def test_gurvits_pencil_takes_the_exact_rank_only_where_mod_p_is_short(monkeypatch):
+    n = 3
+    expected = gurvits_construction(n)
+    true_ranks, exact = minrank.ranks_mod_p, minrank.rank_exact_int64
+    ranked = []
+
+    def short_at_sample_4(stack, p):  # (-2, 1) reported one short mod p
+        ranks = true_ranks(stack, p)
+        ranks[4] -= 1
+        return ranks
+
+    def counted(a):
+        ranked.append(a.shape)
+        return exact(a)
+
+    monkeypatch.setattr(minrank, "ranks_mod_p", short_at_sample_4)
+    monkeypatch.setattr(minrank, "rank_exact_int64", counted)
+    assert gurvits_construction(n) == expected
+    # the one short sample, then the two witnesses
+    assert ranked == [(2 * n, 2 * n), (4 * n * n, 4 * n * n), (4 * n * n, 4 * n * n)]
+    monkeypatch.setattr(minrank, "rank_exact_int64", lambda a: 2 * n - 1 if len(a) == 2 * n else exact(a))
+    with pytest.raises(ValidationError, match=r"pencil sample \(-2,1\) has rank 5, expected 6"):
+        gurvits_construction(n)
 
 
 def test_gurvits_cap():
