@@ -1,17 +1,19 @@
 """Symmetric-group characters and Kronecker coefficients.
 
-Characters come from the Murnaghan-Nakayama border-strip recursion on beta
-sets held as int bitmasks: removing a strip of size k moves a bead from b to
-b - k, and its sign is the parity of the beads in between.  Each character
-row chi_lambda (its values on the classes of S_n, in partitions_of(n) order)
-and each tuple of class sizes is computed once and cached, so a row is only
-built for a partition that is asked about.  Kronecker coefficients are the
-plain class-weighted character sums over three rows, divided exactly by n!,
-which is the simplest exact route at the sizes this package cares about
-(n <= 14).  The cone table contracts all its rows of one size n in a single
-int64 product, exact by a bound stated in `cone_sample`, and returns them as
-one block per size, from which the CLI renders the rows per size; the
-zero-weight Weyl test counts plethysm weights over numpy index arrays.
+The character table of S_n is built once per n, as one read-only int64
+array.  By the Murnaghan-Nakayama rule applied to the largest part k of a
+class, the columns with rho_1 = k are one product per border-strip size k,
+H_k @ T_{n-k}, where H_k holds the signed strip removals found by bead moves
+on beta sets held as int bitmasks: removing a strip of size k moves a bead
+from b to b - k, and its sign is the parity of the beads in between.
+Character values stay below sqrt(n!) <= 2^23 for n <= CHARACTER_CAP = 16.
+Kronecker coefficients are the plain class-weighted character sums over
+three rows of the table, divided exactly by n!; these sums are exact in
+int64 for n <= KRONECKER_CAP = 14 by the bound stated in `cone_sample`.  The
+cone table contracts all its rows of one size n in a single int64 product
+and returns them as one block per size, from which the CLI renders the rows
+per size; the zero-weight Weyl test counts plethysm weights over numpy
+index arrays.
 """
 
 from __future__ import annotations
@@ -119,27 +121,39 @@ def _beta_mask(parts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mn(mask: int, mu: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion: remove a border strip of size mu[0].
+def _rows(n: int) -> dict[int, int]:
+    """Index of each partition of n in partitions_of order, keyed by beta mask."""
+    return {_beta_mask(parts): i for i, parts in enumerate(_partition_tuples(n))}
 
-    The strip moves a bead from j + k to the empty position j; its height is
-    the number of beads strictly between.  Beads left at 0, 1, ... are
-    zero-length parts and are shifted away, so each partition has one mask.
+
+@lru_cache(maxsize=None)
+def _character_table(n: int) -> np.ndarray:
+    """chi_lambda(rho), lambda down the rows and rho across the columns, both
+    in partitions_of(n) order.  The columns with rho_1 = k are (k,) before
+    the partitions of n - k with parts <= k, the last columns of T_{n-k}.  A
+    k-strip moves a bead from j + k to the gap at j, its height is the number
+    of beads strictly between, and beads left at 0, 1, ... are zero-length
+    parts, shifted away so that each partition has one mask.
     """
-    if not mu:
-        return 1
-    k, rest = mu[0], mu[1:]
-    between = (1 << (k - 1)) - 1
-    total = 0
-    moves = (mask >> k) & ~mask  # bit j: a bead at j + k and a gap at j
-    while moves:
-        j = moves.bit_length() - 1
-        moves ^= 1 << j
-        moved = mask ^ (1 << (j + k)) ^ (1 << j)
-        moved >>= ((moved + 1) & ~moved).bit_length() - 1
-        height = ((mask >> (j + 1)) & between).bit_count()
-        total += (-1) ** height * _mn(moved, rest)
-    return total
+    rows = _rows(n)
+    blocks = [np.ones((1, 1), dtype=np.int64)] if n == 0 else []
+    for k in range(n, 0, -1):
+        cols = _rows(n - k)
+        strips = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        between = (1 << (k - 1)) - 1
+        for i, mask in enumerate(rows):
+            moves = (mask >> k) & ~mask  # bit j: a bead at j + k and a gap at j
+            while moves:
+                j = moves.bit_length() - 1
+                moves ^= 1 << j
+                moved = mask ^ (1 << (j + k)) ^ (1 << j)
+                moved >>= ((moved + 1) & ~moved).bit_length() - 1
+                strips[i, cols[moved]] = (-1) ** ((mask >> (j + 1)) & between).bit_count()
+        rest = _character_table(n - k)
+        blocks.append(strips @ rest[:, len(cols) - len(_partition_tuples(n - k, k)):])
+    table = np.hstack(blocks)
+    table.setflags(write=False)
+    return table
 
 
 def character(lam: Partition, mu: Partition) -> int:
@@ -148,29 +162,29 @@ def character(lam: Partition, mu: Partition) -> int:
         raise ValidationError("partition sizes differ")
     if lam.size > CHARACTER_CAP:
         raise CapExceeded(f"character computation capped at n <= {CHARACTER_CAP}")
-    return _mn(_beta_mask(lam.parts), mu.parts)
+    rows = _rows(lam.size)
+    return int(_character_table(lam.size)[rows[_beta_mask(lam.parts)], rows[_beta_mask(mu.parts)]])
+
+
+def _class_size(parts: tuple[int, ...]) -> int:
+    z = 1
+    for part, count in itertools.groupby(parts):
+        m = len(list(count))
+        z *= part**m * math.factorial(m)
+    return math.factorial(sum(parts)) // z
 
 
 def class_size(mu: Partition) -> int:
     """Number of permutations with cycle type mu."""
-    z = 1
-    for part, count in itertools.groupby(mu.parts):
-        m = len(list(count))
-        z *= part**m * math.factorial(m)
-    return math.factorial(mu.size) // z
+    return _class_size(mu.parts)
 
 
 @lru_cache(maxsize=None)
-def _class_sizes(n: int) -> tuple[int, ...]:
-    """Class sizes of S_n in partitions_of(n) order."""
-    return tuple(class_size(rho) for rho in partitions_of(n))
-
-
-@lru_cache(maxsize=None)
-def _character_row(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """chi_lambda on every class of S_|lambda|, in partitions_of order."""
-    mask = _beta_mask(parts)
-    return tuple(_mn(mask, rho) for rho in _partition_tuples(sum(parts)))
+def _class_sizes(n: int) -> np.ndarray:
+    """Class sizes of S_n in partitions_of(n) order, a read-only int64 array."""
+    sizes = np.array([_class_size(parts) for parts in _partition_tuples(n)], dtype=np.int64)
+    sizes.setflags(write=False)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +198,10 @@ def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ValidationError("partition sizes differ")
     if n > KRONECKER_CAP:
         raise CapExceeded(f"Kronecker coefficients capped at n <= {KRONECKER_CAP}")
-    classes = zip(_class_sizes(n), *(_character_row(x.parts) for x in (lam, mu, nu)))
-    return _coefficient(sum(w * a * b * c for w, a, b, c in classes), math.factorial(n))
+    # exact in int64 by the bound in cone_sample's docstring
+    rows, table = _rows(n), _character_table(n)
+    a, b, c = (table[rows[_beta_mask(x.parts)]] for x in (lam, mu, nu))
+    return _coefficient(int(_class_sizes(n) * a * b @ c), math.factorial(n))
 
 
 def _coefficient(total, fact: int):
@@ -214,6 +230,8 @@ def rectangular_kronecker(lam: Partition, d: int, n: int) -> RectangularKronecke
     both so the agreement is visible. exceeds_length_bound flags partitions
     with more than n^2 rows, which cannot appear for an n x n matrix space.
     """
+    if d < 1 or n < 1:
+        raise ValidationError("d and n must be >= 1")
     if lam.size != d * n:
         raise ValidationError("|lambda| must equal d*n")
     value = kronecker_coefficient(lam, rectangle(d, n), rectangle(d, n))
@@ -237,7 +255,7 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple]:
     sqrt(n!/w_rho), so every partial sum is at most p(n)*n!^(3/2) in absolute
     value, which is below 2^63 for n <= KRONECKER_CAP = 14 (and not at 15).
     The cost is bounded by the triples enumerated, sum_n |L_n||M_n||N_n|,
-    which is checked against CONE_TRIPLE_CAP before any row is built.
+    which is checked against CONE_TRIPLE_CAP before any table is built.
     """
     if min(p, q, r, n_max) < 0:
         raise ValidationError("cone bounds must be non-negative")
@@ -260,10 +278,9 @@ def cone_sample(p: int, q: int, r: int, n_max: int) -> list[tuple]:
         lams, mus, nus = ([x for x in parts if len(x) <= b] for b in (p, q, r))
         if not (lams and mus and nus):
             continue
-        chi_lam, chi_mu, chi_nu = (
-            np.array([_character_row(x.parts) for x in xs], dtype=np.int64) for xs in (lams, mus, nus)
-        )
-        w_lam = np.array(_class_sizes(n), dtype=np.int64) * chi_lam
+        lengths = np.array([len(x) for x in parts])
+        chi_lam, chi_mu, chi_nu = (_character_table(n)[lengths <= b] for b in (p, q, r))
+        w_lam = _class_sizes(n) * chi_lam
         sums = (w_lam[:, None, :] * chi_mu[None, :, :]).reshape(-1, chi_nu.shape[1]) @ chi_nu.T
         table = _coefficient(sums.reshape(len(lams), len(mus), len(nus)), math.factorial(n))
         positive = table > 0
@@ -317,7 +334,8 @@ def weyl_zero_weight_invariant_exists(lam: Partition, a: int) -> bool:
     """Whether the zero weight space of the Schur module carries a Weyl
     invariant, decided through the equivalent plethysm condition: the
     module appears in some d-th symmetric power of an n-th symmetric power
-    with d*n = |lambda|.
+    with d*n = |lambda|.  The empty partition's module is the trivial one,
+    S^0 = C: its own zero weight space, fixed by the Weyl group.
     """
     if a < 1:
         raise ValidationError("the dimension must be >= 1")
@@ -330,6 +348,8 @@ def weyl_zero_weight_invariant_exists(lam: Partition, a: int) -> bool:
         )
     if len(lam) > a:
         raise ValidationError("lambda has more rows than the dimension")
+    if size == 0:
+        return True
     for d in range(1, size + 1):
         if size % d != 0:
             continue

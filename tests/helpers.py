@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from tensorlab import rings
 from tensorlab.decomp import Decomposition, GrossReport, _proportionality_scalar
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
+from tensorlab.kronecker import _beta_mask, _partition_tuples
 from tensorlab.linalg import (
     CERTIFY_MIN_SIDE,
     Matrix,
@@ -105,6 +107,37 @@ def cone_rows(blocks) -> list[tuple]:
         for lams, mus, nus, ijk, ks in blocks
         for (i, j, k), value in zip(ijk, ks)
     ]
+
+
+@lru_cache(maxsize=None)
+def _mn(mask: int, mu: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama recursion: remove a border strip of size mu[0].
+
+    The strip moves a bead from j + k to the empty position j; its height is
+    the number of beads strictly between.  Beads left at 0, 1, ... are
+    zero-length parts and are shifted away, so each partition has one mask.
+    """
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    between = (1 << (k - 1)) - 1
+    total = 0
+    moves = (mask >> k) & ~mask  # bit j: a bead at j + k and a gap at j
+    while moves:
+        j = moves.bit_length() - 1
+        moves ^= 1 << j
+        moved = mask ^ (1 << (j + k)) ^ (1 << j)
+        moved >>= ((moved + 1) & ~moved).bit_length() - 1
+        height = ((mask >> (j + 1)) & between).bit_count()
+        total += (-1) ** height * _mn(moved, rest)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _character_row(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """chi_lambda on every class of S_|lambda|, in partitions_of order."""
+    mask = _beta_mask(parts)
+    return tuple(_mn(mask, rho) for rho in _partition_tuples(sum(parts)))
 
 
 def direct_sum(t1: DenseTensor, t2: DenseTensor) -> DenseTensor:

@@ -292,6 +292,28 @@ def test_explicit_zero_is_validated_not_dropped(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,old_message",
+    [
+        # |lambda| = 0 = d*n, then a rectangle of zero-length parts
+        (["kron", "--rectangular", "-", "--d", "0", "--n", "3"], "partition parts must be positive"),
+        # |lambda| = 6 = d*n, then the empty rectangle (-2,) * -3
+        (["kron", "--rectangular", "6", "--d", "-2", "--n", "-3"], "partition sizes differ"),
+    ],
+    ids=["zero", "negative"],
+)
+def test_rectangle_sides_below_one_exit_2_with_a_clear_reason(argv, old_message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d and n must be >= 1" in captured.err and old_message not in captured.err
+
+
+def test_weyl_of_the_empty_partition_is_an_invariant(capsys):
+    assert cli.main(["kron", "--weyl", "-", "--dim", "2"]) == 0
+    assert '"invariant_exists": true' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("key", ["trials", "r_max"])
 def test_malformed_config_integer_exits_2(key, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -746,10 +768,10 @@ def test_negative_cone_bounds_exit_2_before_any_work(bounds, monkeypatch, capsys
 
 
 def test_cone_caps_exit_3_before_any_block_is_built(monkeypatch, capsys):
-    def no_rows(parts):
-        raise AssertionError("a character row was built")
+    def no_tables(n):
+        raise AssertionError("a character table was built")
 
-    monkeypatch.setattr(kronecker, "_character_row", no_rows)
+    monkeypatch.setattr(kronecker, "_character_table", no_tables)
     assert cli.main(["kron", "--cone", "8,8,8,14"]) == 3
     assert capsys.readouterr().err == (
         "cap exceeded: cone sampling would enumerate 2853720 triples, over the limit of 1500000\n"

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import cone_rows
+from helpers import _character_row, _mn, cone_rows
 from tensorlab import kronecker
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
 from tensorlab.kronecker import (
@@ -113,11 +113,11 @@ def scalar_cone(p, q, r, n_max):
     rows = []
     for n in range(1, n_max + 1):
         parts = partitions_of(n)
-        weights = kronecker._class_sizes(n)
+        weights = kronecker._class_sizes(n).tolist()
         for lam in (x for x in parts if len(x) <= p):
             for mu in (x for x in parts if len(x) <= q):
                 for nu in (x for x in parts if len(x) <= r):
-                    rows_ = (kronecker._character_row(x.parts) for x in (lam, mu, nu))
+                    rows_ = (_character_row(x.parts) for x in (lam, mu, nu))
                     total = sum(w * a * b * c for w, a, b, c in zip(weights, *rows_))
                     k, rest = divmod(total, math.factorial(n))
                     assert rest == 0 and k >= 0
@@ -251,11 +251,52 @@ def test_class_sizes_sum_to_group_order():
 def test_bitmask_recursion_matches_beta_lists_on_every_pair_up_to_12():
     for n in range(13):
         parts = partitions_of(n)
-        for lam in parts:
+        table = kronecker._character_table(n)
+        for lam, table_row in zip(parts, table.tolist()):
             mask = kronecker._beta_mask(lam.parts)
-            row = kronecker._character_row(lam.parts)
-            for rho, value in zip(parts, row):
-                assert kronecker._mn(mask, rho.parts) == value == beta_list_character(lam.parts, rho.parts)
+            row = _character_row(lam.parts)
+            for rho, value, from_table in zip(parts, row, table_row):
+                assert _mn(mask, rho.parts) == value == from_table == beta_list_character(lam.parts, rho.parts)
+
+
+def test_character_table_matches_the_recursion_on_every_pair_up_to_14():
+    for n in range(15):
+        rows = [_character_row(parts) for parts in kronecker._partition_tuples(n)]
+        table = kronecker._character_table(n)
+        assert table.dtype == np.int64 and table.shape == (len(rows), len(rows))
+        assert table.tolist() == [list(row) for row in rows]  # table 0 is [[1]]
+
+
+def test_character_matches_the_recursion_on_a_seeded_sample_at_15_and_16():
+    rng = np.random.default_rng(1516)
+    for n in (15, 16):
+        parts = partitions_of(n)
+        for i, j in rng.integers(len(parts), size=(60, 2)).tolist():
+            lam, rho = parts[i], parts[j]
+            value = character(lam, rho)
+            assert type(value) is int
+            assert value == _mn(kronecker._beta_mask(lam.parts), rho.parts)
+    with pytest.raises(CapExceeded):
+        character(P([17]), P([17]))
+
+
+def test_character_table_orthogonality_up_to_14():
+    for n in range(15):
+        table, w = kronecker._character_table(n), kronecker._class_sizes(n)
+        fact = math.factorial(n)
+        # row orthogonality with the class weights, and column orthogonality
+        assert np.array_equal(table * w @ table.T, fact * np.eye(len(w), dtype=np.int64))
+        assert np.array_equal(table.T @ table, np.diag(fact // w))
+
+
+def test_character_table_and_class_sizes_are_read_only():
+    table, w = kronecker._character_table(6), kronecker._class_sizes(6)
+    assert not table.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2
+    with pytest.raises(ValueError):
+        w[0] = 2
+    assert kronecker._character_table(6)[0, 0] == 1
 
 
 def test_character_size_mismatch():
@@ -330,19 +371,37 @@ def test_kronecker_matches_oracle_on_large_triples(lam, mu, nu, expected):
     assert kronecker_coefficient(lam, mu, nu) == kronecker_oracle(lam, mu, nu) == expected
 
 
+@pytest.mark.parametrize("lam,mu,nu,expected", LARGE_TRIPLES)
+def test_kronecker_matches_the_recursion_rows_summed_as_python_ints(lam, mu, nu, expected):
+    n = sum(lam)
+    weights = [class_size(rho) for rho in partitions_of(n)]
+    rows = (_character_row(x) for x in (lam, mu, nu))
+    total = sum(w * a * b * c for w, a, b, c in zip(weights, *rows))
+    assert divmod(total, math.factorial(n)) == (expected, 0)
+    assert kronecker_coefficient(P(lam), P(mu), P(nu)) == expected
+
+
+def _add_one_on_the_identity_class(table):
+    out = table.copy()
+    out[:, -1] += 1
+    return out
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
         # one more on the identity class breaks n!-divisibility
-        (lambda row: row[:-1] + (row[-1] + 1,), "not divisible"),
-        # a negated row gives -g, which is divisible but negative
-        (lambda row: tuple(-x for x in row), "negative"),
+        (_add_one_on_the_identity_class, "not divisible"),
+        # a negated table gives -g, which is divisible but negative
+        (lambda table: -table, "negative"),
     ],
     ids=["divisibility", "sign"],
 )
 def test_coefficient_checks_fire_on_a_corrupted_row(corrupt, message, monkeypatch):
-    good = kronecker._character_row
-    monkeypatch.setattr(kronecker, "_character_row", lambda parts: corrupt(good(parts)))
+    good = kronecker._character_table
+    for n in range(4):
+        good(n)  # cached, so the corrupted tables are not built from corrupted ones
+    monkeypatch.setattr(kronecker, "_character_table", lambda n: corrupt(good(n)))
     with pytest.raises(TensorlabError, match=message):
         kronecker_coefficient(P([3]), P([3]), P([3]))
     with pytest.raises(TensorlabError, match=message):
@@ -373,6 +432,16 @@ def test_rectangular_scan_matches_direct_computation():
         assert rec.value == kronecker_coefficient(lam, rect, rect)
         assert rec.conjugate_value == rec.value  # conjugation covariance
         assert rec.exceeds_length_bound == (len(lam) > 4)
+
+
+@pytest.mark.parametrize("lam,d,n", [((), 0, 3), ((6,), -2, -3), ((), 3, 0), ((4,), 4, -1)])
+def test_rectangular_refuses_d_or_n_below_one_before_any_rectangle(lam, d, n, monkeypatch):
+    def no_rectangle(*args):
+        raise AssertionError("a rectangle was built")
+
+    monkeypatch.setattr(kronecker, "rectangle", no_rectangle)
+    with pytest.raises(ValidationError, match="d and n must be >= 1"):
+        rectangular_kronecker(P(lam), d, n)
 
 
 def test_rectangular_length_flag():
@@ -431,11 +500,11 @@ def test_cone_int64_bound_holds_up_to_the_kronecker_cap():
 
 
 def test_cone_sample_caps(monkeypatch):
-    # a triple count over the work cap is refused before any row is built
-    def no_rows(parts):
-        raise AssertionError("a character row was built")
+    # a triple count over the work cap is refused before any table is built
+    def no_tables(n):
+        raise AssertionError("a character table was built")
 
-    monkeypatch.setattr(kronecker, "_character_row", no_rows)
+    monkeypatch.setattr(kronecker, "_character_table", no_tables)
     with pytest.raises(CapExceeded, match="enumerate 2853720 triples, over the limit of 1500000"):
         cone_sample(8, 8, 8, 14)
     with pytest.raises(CapExceeded, match="enumerate 1608723 triples"):
@@ -489,6 +558,13 @@ def test_weyl_single_row():
 
 def test_weyl_alternating_square_has_no_invariant():
     assert weyl_zero_weight_invariant_exists(P([1, 1]), 2) is False
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_weyl_empty_partition_has_an_invariant(a):
+    # S_() is the trivial module S^0 = C: its own zero weight space, fixed by W.
+    # weyl_oracle only loops over d >= 1, so it cannot check this case.
+    assert weyl_zero_weight_invariant_exists(P([]), a) is True
 
 
 def test_weyl_two_two():
