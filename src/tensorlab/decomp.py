@@ -17,7 +17,7 @@ import numpy as np
 from . import rings
 from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import (
-    WORD_PRIME,
+    FLOAT_PRIME,
     EchelonModP,
     Matrix,
     _clear_denominators,
@@ -226,10 +226,11 @@ def kruskal_rank(m: Matrix) -> int:
     `ranks_mod_p`, on the `EchelonModP` basis of the rows of m, so at most
     1 + ceil(log2 min(rows, cols)) calls are made.  Over F_p that rank is
     exact.  Over Q each row is first scaled to integers, which keeps the
-    same columns independent, and ranked mod `WORD_PRIME`: a full rank mod p
-    certifies independence over Q, and a subset that falls short mod p is
-    confirmed by the exact `rank_exact` (an integer kernel checked over Z,
-    or Bareiss) before its level fails, so the result is exact in both rings.
+    same columns independent, and ranked mod `FLOAT_PRIME` = 2^26 - 5, a
+    prime in `ranks_mod_p`'s float64 lane: any prime certifies a full rank
+    over Q, and a subset that falls short mod p is confirmed by the exact
+    `rank_exact` (an integer kernel checked over Z, or Bareiss) before its
+    level fails, so the result is exact in both rings.
     """
     if m.cols > KRUSKAL_COLUMN_CAP:
         raise CapExceeded(f"{m.cols} columns exceed the Kruskal cap {KRUSKAL_COLUMN_CAP}")
@@ -239,7 +240,7 @@ def kruskal_rank(m: Matrix) -> int:
             return 0
     if m.ring.kind == "float":
         raise ValidationError("kruskal_rank needs an exact ring")
-    p = m.ring.p if m.ring.kind == "fp" else WORD_PRIME
+    p = m.ring.p if m.ring.kind == "fp" else FLOAT_PRIME
     # row operations keep the rank mod p of every column subset, and the
     # basis has at most cols rows, so the stacks below do not grow with m.rows
     echelon = EchelonModP(m.cols, p)

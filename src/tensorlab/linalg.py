@@ -37,6 +37,8 @@ DEFAULT_REL_TOL = 1e-8
 WORD_PRIME = 2**31 - 1
 # ranks_mod_p works in float64 up to this modulus: 2 (p - 1)^2 < 2^53
 FLOAT_PRIME_CAP = 2**26
+# the largest prime below FLOAT_PRIME_CAP: ranks over Q certified mod a prime in the float64 lane
+FLOAT_PRIME = 2**26 - 5
 # int64 entries of a block of rows that _certified_rank reduces or checks at once
 RANK_BLOCK_ENTRIES = 2**16
 # below this many rows or columns Bareiss in Python ints is faster than the
@@ -254,7 +256,7 @@ _is_prime = functools.lru_cache(maxsize=8)(rings.is_prime)
 
 
 def _check_word_prime(p: int, who: str):
-    if not (1 < p < 2**31 and (p == WORD_PRIME or _is_prime(p))):  # 2^31 - 1 is a Mersenne prime
+    if not (1 < p < 2**31 and (p in (WORD_PRIME, FLOAT_PRIME) or _is_prime(p))):  # both are known primes
         raise ValidationError(f"{who} needs a prime below 2^31, got {p}")
 
 

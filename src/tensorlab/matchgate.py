@@ -3,8 +3,10 @@ matchgate identities, and wire basis changes.
 
 A Pfaffian is a signed sum over perfect matchings, and the weighted matching
 count is the same sum with every sign +1, so one memoized first-row
-expansion, `_pfaffian_on`, gives Pfaffians, sub-Pfaffians and matching
-counts.
+expansion, `_pfaffian_on`, gives Pfaffians and matching counts.  A
+sub-Pfaffian vector needs every principal Pfaffian, so `_pfaffian_table`
+runs the same expansion over all index sets at once, as a list indexed by
+bitmask.
 
 Planarity is never checked.  A graph's matchings are counted by one
 Pfaffian exactly when some edge-sign vector makes |Pf| equal the brute-force
@@ -180,26 +182,58 @@ def pfaffian(a: SkewMatrix):
     return _pfaffian_on(tuple(range(a.size)), a, {})
 
 
+def _pfaffian_table(a: SkewMatrix) -> list:
+    """Pfaffian of the principal submatrix on every index set, indexed by
+    the set's bitmask (bit i for index i): 2^size entries.
+
+    Masks are filled in increasing order.  A set S expands along the row of
+    its lowest index as `_pfaffian_on` does, pairing it with the t-th other
+    index j of S at sign (-1)^t; S less those two is a smaller mask, so its
+    entry is already filled.  Terms are added in the same order, zero
+    weights are skipped and each entry is reduced once, so every entry
+    equals `_pfaffian_on` on the same set in value and type; odd sets hold
+    zero and the empty set one.
+    """
+    n, ring = a.size, a.ring
+    zero = rings.zero(ring)
+    # the nonzero weights of row i beyond the diagonal, as (bit of j, a[i, j])
+    rows = [[(1 << j, a.entry(i, j)) for j in range(i + 1, n)] for i in range(n)]
+    rows = [[(bit, w) for bit, w in row if not rings.is_zero(w, ring)] for row in rows]
+    table = [zero] * 2**n
+    table[0] = rings.one(ring)
+    for s in range(3, 2**n):
+        if s.bit_count() & 1:
+            continue
+        low = s & -s
+        rest = s ^ low
+        total = zero
+        for bit, w in rows[low.bit_length() - 1]:
+            if rest & bit:
+                term = w * table[rest ^ bit]
+                total = total - term if (rest & (bit - 1)).bit_count() & 1 else total + term
+        table[s] = rings.reduce(total, ring)
+    return table
+
+
 def sub_pfaffian_vector(a: SkewMatrix, universe: Optional[Sequence[int]] = None) -> SignatureVector:
     """Vector of principal sub-Pfaffians indexed by deleted subsets of the
     universe: entry at J is the Pfaffian with rows and columns J removed.
 
-    The vector has 2^k entries for a k-node universe, and the shared memo
-    holds Pfaffians of up to 2^size index sets, so the size is capped at
-    MATCHING_NODE_CAP, as the matching count is, before any Pfaffian."""
+    Bit i of J deletes node i of the sorted universe, and the entry is read
+    from `_pfaffian_table` at the kept nodes' mask.  That table has 2^size
+    entries whatever the universe, so the size is capped at
+    MATCHING_NODE_CAP, as the matching count is, before it is built."""
     if a.size > MATCHING_NODE_CAP:
         raise CapExceeded(f"sub-Pfaffian vector capped at {MATCHING_NODE_CAP} nodes")
     nodes = tuple(range(a.size)) if universe is None else tuple(sorted(set(universe)))
     if any(not 0 <= u < a.size for u in nodes):
         raise ValidationError("universe nodes out of range")
-    k = len(nodes)
-    memo: dict = {}
-    entries = []
-    for mask in range(2**k):
-        deleted = {nodes[i] for i in range(k) if mask >> i & 1}
-        kept = tuple(i for i in range(a.size) if i not in deleted)
-        entries.append(_pfaffian_on(kept, a, memo))
-    return SignatureVector(k, tuple(entries), a.ring)
+    table = _pfaffian_table(a)
+    full = 2**a.size - 1
+    deleted = [0]  # deleted[J]: the nodes J deletes, as a mask
+    for u in nodes:
+        deleted += [d | 1 << u for d in deleted]
+    return SignatureVector(len(nodes), tuple(table[full ^ d] for d in deleted), a.ring)
 
 
 # ---------------------------------------------------------------------------

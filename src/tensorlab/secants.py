@@ -50,6 +50,8 @@ from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import WORD_PRIME, EchelonModP, _matmul_mod_p, _residues
 
 AMBIENT_CAP = 20000
+# bytes of echelon tails and product temporaries one Terracini run may hold
+MEMORY_CAP = 2**30
 RESAMPLE_LIMIT = 10
 SEGRE_VERONESE_KINDS = ("segre", "veronese", "segre_veronese")
 
@@ -461,8 +463,16 @@ def _cell(spec: VarietySpec, r: int, ambient: int, states: Sequence[_Trial]) -> 
     return SecantReport(str(spec), r, ambient, computed, expected, expected - computed, len(states))
 
 
-def _trials(spec: VarietySpec, trials: int, seed: int) -> tuple[int, list[_Trial]]:
-    """The ambient dimension, checked against the caps, and one fresh state per trial."""
+def _trials(spec: VarietySpec, trials: int, seed: int, r_max: Optional[int] = None) -> tuple[int, list[_Trial]]:
+    """The ambient dimension, checked against the caps, and one fresh state per trial.
+
+    A trial of rank k holds a k x (N - k) int64 tail, and the trial being
+    extended also holds its new tail and the two limb products of
+    `_matmul_mod_p`, each at most that size.  k reaches N, or r_max times
+    the cone dimension for cells up to r_max, and k (N - k) peaks at
+    k = N / 2, so (trials + 3) such blocks bound the memory; it is checked
+    against MEMORY_CAP before any point is drawn.
+    """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     # only one-variable factors reach such degrees: sym_dim(n, d) > d for n >= 2
@@ -472,6 +482,13 @@ def _trials(spec: VarietySpec, trials: int, seed: int) -> tuple[int, list[_Trial
     ambient = ambient_affine_dim(spec)
     if ambient > AMBIENT_CAP:
         raise CapExceeded(f"ambient dimension {ambient} exceeds the cap {AMBIENT_CAP}")
+    k = min(ambient if r_max is None else r_max * cone_dim(spec), ambient // 2)
+    memory = (trials + 3) * k * (ambient - k) * 8
+    if memory > MEMORY_CAP:
+        raise CapExceeded(
+            f"Terracini echelon forms estimated at {memory} bytes ({trials} trials + 3 products "
+            f"of {k} x {ambient - k} int64), over the cap of {MEMORY_CAP} bytes"
+        )
     return ambient, [_Trial(spec, seed, trial) for trial in range(trials)]
 
 
@@ -487,7 +504,7 @@ def secant_dimension(spec: VarietySpec, r: int, trials: int = 3, seed: int = 0) 
     """
     if r < 1:
         raise ValidationError("r must be >= 1")
-    ambient, states = _trials(spec, trials, seed)
+    ambient, states = _trials(spec, trials, seed, r)
     return _cell(spec, r, ambient, states)
 
 
@@ -510,7 +527,7 @@ def scan(
     """
     if r_max is not None and r_max < 1:
         raise ValidationError("r_max must be >= 1")
-    ambient, states = _trials(spec, trials, seed)
+    ambient, states = _trials(spec, trials, seed, r_max)
     known = known or {}
     r = 1
     while r_max is None or r <= r_max:

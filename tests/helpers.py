@@ -32,7 +32,14 @@ from tensorlab.linalg import (
     rank_exact,
     solve_exact,
 )
-from tensorlab.matchgate import BLOCK_ENTRIES, MGI_WIRE_CAP, SignatureVector
+from tensorlab.matchgate import (
+    BLOCK_ENTRIES,
+    MATCHING_NODE_CAP,
+    MGI_WIRE_CAP,
+    SignatureVector,
+    SkewMatrix,
+    _pfaffian_on,
+)
 from tensorlab.minrank import GURVITS_CAP, GurvitsRecord, MatrixSubspace, gurvits_space
 from tensorlab.ranks import _poly_deg, _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
 from tensorlab.rings import RATIONAL, Ring
@@ -277,6 +284,30 @@ def kron_loop(m1: Matrix, m2: Matrix) -> Matrix:
                 row2 = m2.entries[i2 * c2 : (i2 + 1) * c2]
                 ent.extend(rings.reduce(a * b, m1.ring) for b in row2)
     return Matrix(r1 * r2, c1 * c2, tuple(ent), m1.ring)
+
+
+def sub_pfaffian_vector_by_recursion(a: SkewMatrix, universe: Optional[Sequence[int]] = None) -> SignatureVector:
+    """Vector of principal sub-Pfaffians indexed by deleted subsets of the
+    universe: entry at J is the Pfaffian with rows and columns J removed
+    (the per-entry loop the bitmask table of `matchgate.sub_pfaffian_vector`
+    replaced).
+
+    The vector has 2^k entries for a k-node universe, and the shared memo
+    holds Pfaffians of up to 2^size index sets, so the size is capped at
+    MATCHING_NODE_CAP, as the matching count is, before any Pfaffian."""
+    if a.size > MATCHING_NODE_CAP:
+        raise CapExceeded(f"sub-Pfaffian vector capped at {MATCHING_NODE_CAP} nodes")
+    nodes = tuple(range(a.size)) if universe is None else tuple(sorted(set(universe)))
+    if any(not 0 <= u < a.size for u in nodes):
+        raise ValidationError("universe nodes out of range")
+    k = len(nodes)
+    memo: dict = {}
+    entries = []
+    for mask in range(2**k):
+        deleted = {nodes[i] for i in range(k) if mask >> i & 1}
+        kept = tuple(i for i in range(a.size) if i not in deleted)
+        entries.append(_pfaffian_on(kept, a, memo))
+    return SignatureVector(k, tuple(entries), a.ring)
 
 
 def mgi_residuals_by_top_bit(s: SignatureVector) -> np.ndarray:

@@ -265,6 +265,20 @@ def test_terracini_degree_cap_exit_code(capsys):
         assert "degree 3000000 exceeds the cap 20000" in capsys.readouterr().err
 
 
+def test_terracini_memory_cap_exits_3_before_any_point_is_drawn(monkeypatch, capsys):
+    def no_points(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(secants, "sample_params", no_points)
+    # N = 19881 is under AMBIENT_CAP, but 3 trials' tails reach 9940 x 9941 int64 each
+    started = time.perf_counter()
+    assert cli.main(["terracini", "--variety", "segre:141,141", "--generic-rank"]) == 3
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert "estimated at 4743049920 bytes (3 trials + 3 products of 9940 x 9941 int64)" in err
+    assert "over the cap of 1073741824 bytes" in err
+
+
 def test_one_factor_segre_beyond_the_recursion_limit(capsys):
     # exponents() once recursed per variable: 1200 variables raised RecursionError
     assert cli.main(["terracini", "--variety", "segre:1200", "--r", "1", "--trials", "1"]) == 0
@@ -551,10 +565,8 @@ def test_transform_work_cap_refuses_before_any_entry(tmp_path, monkeypatch, caps
 
 def test_subpfaffian_checks_the_node_cap_before_any_pfaffian(tmp_path, monkeypatch, capsys):
     calls = []
-    pfaffian_on = matchgate._pfaffian_on
-    monkeypatch.setattr(
-        matchgate, "_pfaffian_on", lambda *args: calls.append(len(args[0])) or pfaffian_on(*args)
-    )
+    pfaffian_table = matchgate._pfaffian_table
+    monkeypatch.setattr(matchgate, "_pfaffian_table", lambda a: calls.append(a.size) or pfaffian_table(a))
     path = tmp_path / "path17.graph"
     path.write_text(dumps_graph(matchgate.WeightedGraph.build(17, [(i, i + 1, 1) for i in range(16)])))
     assert cli.main(["matchgate", "--graph", str(path), "--subpfaffian"]) == 3
@@ -563,7 +575,7 @@ def test_subpfaffian_checks_the_node_cap_before_any_pfaffian(tmp_path, monkeypat
     k4 = tmp_path / "k4.graph"
     k4.write_text(dumps_graph(complete_graph(4)))
     assert cli.main(["matchgate", "--graph", str(k4), "--subpfaffian"]) == 0
-    assert calls
+    assert calls == [4]
 
 
 def test_matchgate_signature_modes(tmp_path):

@@ -17,7 +17,7 @@ from tensorlab.decomp import (
     sylvester_decompose_binary,
 )
 from tensorlab.errors import CapExceeded, ValidationError
-from tensorlab.linalg import WORD_PRIME, Matrix, matrix_from_vectors, rank_exact
+from tensorlab.linalg import FLOAT_PRIME, Matrix, matrix_from_vectors, rank_exact
 from tensorlab.ranks import exact_rank_bruteforce, w_state, w_state_certificate
 from tensorlab.rings import FLOAT, RATIONAL, fp
 from tensorlab.tensors import rank_one, to_ring, veronese_point, zeros
@@ -382,12 +382,12 @@ def test_kruskal_confirms_subsets_short_mod_p_by_bareiss(monkeypatch):
     # and {1, 2} (P and -P/2) vanish mod P, yet every pair is independent over Q;
     # the top level k = 2 is checked first, so the two short pairs are confirmed
     # and level 1 (column 1 alone) is never ranked
-    m = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, WORD_PRIME, 1]])
+    m = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, FLOAT_PRIME, 1]])
     assert kruskal_rank(m) == kruskal_rank_oracle(m) == 2
     assert len(bareiss) == 2
     # a pair that is dependent over Q as well: Bareiss confirms and k stops at 1
     bareiss.clear()
-    m = Matrix.from_rows([[1, 2, 0], [WORD_PRIME, 2 * WORD_PRIME, 1]])
+    m = Matrix.from_rows([[1, 2, 0], [FLOAT_PRIME, 2 * FLOAT_PRIME, 1]])
     assert kruskal_rank(m) == kruskal_rank_oracle(m) == 1
     assert len(bareiss) == 1
     bareiss.clear()

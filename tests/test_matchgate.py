@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import mgi_residuals_by_top_bit
+from helpers import mgi_residuals_by_top_bit, sub_pfaffian_vector_by_recursion
 from tensorlab import matchgate, rings
 from tensorlab.errors import CapExceeded, ValidationError
 from tensorlab.linalg import Matrix, det_exact
@@ -163,6 +164,57 @@ def test_sub_pfaffian_partial_universe():
     sv = sub_pfaffian_vector(sk, universe=[1, 3])
     assert sv.wires == 2
     assert sv[0] == pfaffian(sk)
+
+
+# each ring's scalar draw; about one entry in five is zero, so zero weights are skipped
+SUB_PFAFFIAN_RINGS = {
+    "q-int": (RATIONAL, lambda rng: rng.randint(-9, 9)),
+    "q-fraction": (RATIONAL, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+    "f2": (fp(2), lambda rng: rng.randrange(2)),
+    "f3": (fp(3), lambda rng: rng.randrange(3)),
+    "f65521": (fp(65521), lambda rng: rng.randrange(65521) if rng.random() > 0.2 else 0),
+    "float": (FLOAT, lambda rng: rng.uniform(-2, 2) if rng.random() > 0.2 else 0.0),
+}
+
+
+def seeded_skew(n, ring, draw, rng):
+    return SkewMatrix.from_upper(
+        n, {(i, j): draw(rng) for i in range(n) for j in range(i + 1, n) if rng.random() > 0.2}, ring
+    )
+
+
+def typed(sv):
+    return sv.wires, sv.ring, [(type(x), x) for x in sv.entries]
+
+
+@pytest.mark.parametrize("name", SUB_PFAFFIAN_RINGS)
+def test_sub_pfaffian_table_matches_the_recursion_in_value_and_type(name):
+    ring, draw = SUB_PFAFFIAN_RINGS[name]
+    rng = random.Random(f"sub-pfaffian:{name}")
+    for n in range(13):
+        sk = seeded_skew(n, ring, draw, rng)
+        assert typed(sub_pfaffian_vector(sk)) == typed(sub_pfaffian_vector_by_recursion(sk))
+        # partial universes: unsorted, with repeated nodes, possibly empty
+        for _ in range(2):
+            universe = [rng.randrange(n) for _ in range(rng.randint(0, n))] if n else []
+            got = sub_pfaffian_vector(sk, universe)
+            assert typed(got) == typed(sub_pfaffian_vector_by_recursion(sk, universe))
+            assert got.wires == len(set(universe))
+
+
+def test_sub_pfaffian_table_matches_the_recursion_at_the_node_cap():
+    rng = random.Random("sub-pfaffian:16")
+    sk = seeded_skew(matchgate.MATCHING_NODE_CAP, RATIONAL, lambda rng: rng.randint(-9, 9), rng)
+    start = time.perf_counter()
+    got = sub_pfaffian_vector(sk)
+    table_s = time.perf_counter() - start
+    start = time.perf_counter()
+    want = sub_pfaffian_vector_by_recursion(sk)
+    recursion_s = time.perf_counter() - start
+    assert typed(got) == typed(want)
+    assert len(got.entries) == 2**16 and got[0] == pfaffian(sk)
+    # about 45 ms against 350 ms on one x86-64 core
+    assert table_s <= recursion_s
 
 
 # --- matchings and orientations ------------------------------------------------------

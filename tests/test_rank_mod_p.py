@@ -11,6 +11,7 @@ from tangent_oracle import exact_tangent_rows
 from tensorlab import cli, linalg, rings, secants
 from tensorlab.errors import ValidationError
 from tensorlab.linalg import (
+    FLOAT_PRIME,
     FLOAT_PRIME_CAP,
     WORD_PRIME,
     EchelonModP,
@@ -239,12 +240,15 @@ def test_echelon_rejects_bad_moduli_and_widths():
 
 def test_word_prime_is_prime_and_needs_no_trial_division(monkeypatch):
     assert rings.is_prime(WORD_PRIME)
+    # the largest prime in ranks_mod_p's float64 lane
+    assert rings.is_prime(FLOAT_PRIME) and not any(map(rings.is_prime, range(FLOAT_PRIME + 1, FLOAT_PRIME_CAP + 1)))
 
     def never(p):
         raise AssertionError(f"trial division of {p}")
 
     monkeypatch.setattr(linalg, "_is_prime", never)
     assert EchelonModP(3, WORD_PRIME).extend([[1, 2, 3]]) == 1
+    assert ranks_mod_p(np.array([[[1, 2], [2, 4]]]), FLOAT_PRIME).tolist() == [1]
     with pytest.raises(AssertionError, match="trial division"):
         EchelonModP(3, 2**31 - 19)  # any other prime is still checked
 

@@ -394,6 +394,30 @@ def test_degree_cap(monkeypatch):
             defect_scan([spec])
 
 
+# the CI smoke varieties that the survey and the benchmark do not hold
+SMOKE_VARIETIES = ["segre:6,6,6,6", "segre:2,2,2", "segre:1200"]
+
+
+def test_memory_cap_admits_every_survey_benchmark_and_smoke_variety(monkeypatch):
+    def no_points(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(secants, "sample_params", no_points)
+    for text in SURVEY + BENCHMARK_VARIETIES + SMOKE_VARIETIES + ["segver:3,3@2,2"]:
+        secants._trials(parse_variety(text), 3, 0)  # as a scan: k runs up to N
+    # cells up to r bound k by r times the cone dimension, 281 for segre:141,141 (N = 19881):
+    # 6 x 1124 x 18757 x 8 bytes fit in 1 GiB at r = 4, 6 x 1405 x 18476 x 8 do not at r = 5
+    spec = parse_variety("segre:141,141")
+    assert len(secants._trials(spec, 3, 0, 4)[1]) == 3
+    for r_max in (5, None):
+        with pytest.raises(CapExceeded, match="over the cap of 1073741824 bytes"):
+            secants._trials(spec, 3, 0, r_max)
+    with pytest.raises(CapExceeded, match="1405 x 18476 int64"):
+        secant_dimension(spec, 5)
+    with pytest.raises(CapExceeded, match="9940 x 9941 int64"):
+        next(secants.scan(spec, 3, 0))
+
+
 def test_power_at_the_largest_admitted_degree():
     # k!/alpha! from factorial tables mod p, not a factorial per coefficient
     spec = veronese(2, 19999)
