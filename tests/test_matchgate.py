@@ -184,7 +184,8 @@ def seeded_skew(n, ring, draw, rng):
 
 
 def typed(sv):
-    return sv.wires, sv.ring, [(type(x), x) for x in sv.entries]
+    # repr tells apart types, and floats bit by bit (-0.0 included)
+    return sv.wires, sv.ring, [(type(x), repr(x)) for x in sv.entries]
 
 
 @pytest.mark.parametrize("name", SUB_PFAFFIAN_RINGS)

@@ -394,7 +394,7 @@ def test_degree_cap(monkeypatch):
             defect_scan([spec])
 
 
-# the CI smoke varieties that the survey and the benchmark do not hold
+# the varieties of CI smoke lines and CLI tests that the survey and the benchmark do not hold
 SMOKE_VARIETIES = ["segre:6,6,6,6", "segre:2,2,2", "segre:1200"]
 
 
@@ -403,7 +403,7 @@ def test_memory_cap_admits_every_survey_benchmark_and_smoke_variety(monkeypatch)
         raise AssertionError("a point was drawn")
 
     monkeypatch.setattr(secants, "sample_params", no_points)
-    for text in SURVEY + BENCHMARK_VARIETIES + SMOKE_VARIETIES + ["segver:3,3@2,2"]:
+    for text in SURVEY + BENCHMARK_VARIETIES + SMOKE_VARIETIES:
         secants._trials(parse_variety(text), 3, 0)  # as a scan: k runs up to N
     # cells up to r bound k by r times the cone dimension, 281 for segre:141,141 (N = 19881):
     # 6 x 1124 x 18757 x 8 bytes fit in 1 GiB at r = 4, 6 x 1405 x 18476 x 8 do not at r = 5
