@@ -41,6 +41,10 @@ FLOAT_PRIME_CAP = 2**26
 FLOAT_PRIME = 2**26 - 5
 # int64 entries of a block of rows that _certified_rank reduces or checks at once
 RANK_BLOCK_ENTRIES = 2**16
+# EchelonModP.extend eliminates a reduced block of at most this many entries
+# by updating every row at each pivot; wider blocks update only the rows that
+# are nonzero in the pivot column
+NARROW_BLOCK_ENTRIES = 2**12
 # below this many rows or columns Bareiss in Python ints is faster than the
 # numpy certificate's fixed cost (about equal at 16 x 16 on one x86-64 core)
 CERTIFY_MIN_SIDE = 16
@@ -357,7 +361,11 @@ class EchelonModP:
     k x (ncols - k) on the sorted non-pivot columns `free`, and basis row i
     is 1 at `pivots[i]` and `tail[i]` at `free`.  `extend` reduces a block's
     free columns, x[:, free] - x[:, pivots] @ tail, eliminates them on their
-    own, and keeps the columns still free, tail - tail[:, cols] @ new.
+    own, and keeps the columns still free, tail - tail[:, cols] @ new.  A
+    reduced block of at most NARROW_BLOCK_ENTRIES entries takes one update
+    of every row per pivot, x - c row with c = x[:, j] inv and c[i] = 1 - inv,
+    exact in int64 as every product is below p^2 < 2^62; a wider one updates
+    only the rows nonzero in column j.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -396,18 +404,27 @@ class EchelonModP:
             x %= p
         elif shared:
             x = x.copy()  # the loop below writes the block in place
+        narrow = x.size <= NARROW_BLOCK_ENTRIES
         heads, cols = [], []
         for i, row in enumerate(x):  # row is a view, scaled in place
             nonzero = row.nonzero()[0]
             if not nonzero.size:
                 continue
             j = nonzero[0]
-            row *= pow(int(row[j]), -1, p)
-            row %= p
-            # clear column j in every other row, earlier heads too, in one update
-            h = x[:, j].nonzero()[0]
-            h = h[h != i]
-            x[h] = (x[h] - x[h, j, None] * row) % p
+            inv = pow(int(row[j]), -1, p)
+            if narrow:
+                # every row at once: row i becomes inv * row, the others lose column j
+                c = x[:, j] * inv % p
+                c[i] = 1 - inv
+                x -= np.multiply.outer(c, row)
+                x %= p
+            else:
+                row *= inv
+                row %= p
+                # clear column j in every other row, earlier heads too, in one update
+                h = x[:, j].nonzero()[0]
+                h = h[h != i]
+                x[h] = (x[h] - x[h, j, None] * row) % p
             heads.append(i)
             cols.append(j)
         if cols:

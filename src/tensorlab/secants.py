@@ -9,7 +9,10 @@ over exponents(n, k), and every row comes from three operations on such
 vectors, the power l_v^k (k!/alpha! v^alpha, from factorials mod p, which
 are invertible because every degree is at most AMBIENT_CAP < p),
 multiplication by a linear form or by one variable, and outer products, with
-the mode products of subspace varieties done by linalg._matmul_mod_p.
+the mode products of subspace varieties done by linalg._matmul_mod_p.  A
+Segre-Veronese row of factor i is placed, not multiplied out: the product of
+the other factors' points is copied to the coordinates of e_j for a degree-1
+factor and times the shifted l_v^(d-1) for a higher degree.
 Reduction mod p is a ring map, so each row is the exact integer tangent row
 reduced mod p, and its rank mod p is the rank the exact rows have mod p.
 
@@ -27,9 +30,12 @@ dimension.
 Each trial's points are seeded on the variety, seed and trial but not on r,
 so the points for r + 1 extend those for r.  `scan` runs the cells r = 1,
 2, ... of a variety and owns the trial states: each keeps one echelon form
-of its trial's tangent rows mod p, and each cell adds one point to it.  A
-cell stops at the first trial that reaches the expected dimension: more
-trials cannot raise the maximum.  defect_scan, generic_rank and the CLI's
+of its trial's tangent rows mod p, and each cell adds one point to it, or
+none once the trial fills the ambient space.  A cell stops at the first
+trial that reaches the expected dimension: more trials cannot raise the
+maximum, and a trial's state is created only when a cell first reaches it.
+MEMORY_CAP bounds the tails and the states before any is created.
+defect_scan, generic_rank and the CLI's
 scans all run through `scan`.  Supported varieties: Segre, Veronese,
 Segre-Veronese, subspace (Tucker) and symmetric subspace varieties.  Segre
 and Veronese varieties are treated as Segre-Veronese varieties: a Segre
@@ -50,8 +56,12 @@ from .errors import CapExceeded, TensorlabError, ValidationError
 from .linalg import WORD_PRIME, EchelonModP, _matmul_mod_p, _residues
 
 AMBIENT_CAP = 20000
-# bytes of echelon tails and product temporaries one Terracini run may hold
+# bytes of echelon tails, product temporaries and trial states one Terracini run may hold
 MEMORY_CAP = 2**30
+# bytes of one trial's rng and empty echelon beyond its 8 N bytes of free-column
+# indices: tracemalloc over 1000 fresh states of segre:2,2, segre:5,5,5 and
+# segre:9,9,9,9 read 3,548 to 3,579 bytes each (Python 3.11, numpy 2.4)
+TRIAL_STATE_BYTES = 3600
 RESAMPLE_LIMIT = 10
 SEGRE_VERONESE_KINDS = ("segre", "veronese", "segre_veronese")
 
@@ -226,7 +236,10 @@ def _multinomials(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power(v: np.ndarray, k: int) -> np.ndarray:
-    """l_v^k: the coefficient of x^alpha is k!/alpha! v^alpha."""
+    """l_v^k: the coefficient of x^alpha is k!/alpha! v^alpha (v itself for
+    k = 1, so v must hold residues)."""
+    if k == 1:
+        return v
     exps, out = _multinomials(len(v), k)
     powers = np.ones((len(v), k + 1), dtype=np.int64)
     for a in range(1, k + 1):
@@ -337,15 +350,38 @@ def affine_tangent_basis(spec: VarietySpec, params) -> np.ndarray:
 
 
 def _segre_veronese_tangent(degrees, vectors) -> np.ndarray:
+    """Row j of factor i is the point with factor i replaced by x_j l_v^(d-1):
+    the product of the other factors' points, placed at the coordinates of e_j
+    for a degree-1 factor, times the direction for a higher degree."""
     vectors = [_residues(v, WORD_PRIME) for v in vectors]
     if not all(v.any() for v in vectors):
         raise ValidationError("degenerate parameters: zero factor vector")
-    points = [_power(v, d)[None, :] for v, d in zip(vectors, degrees)]
-    rows = []
-    for pos, (v, d) in enumerate(zip(vectors, degrees)):
-        directions = _times_variables(_power(v, d - 1), len(v), d - 1)  # x_j l_v^(d-1)
-        rows.append(_kron(points[:pos] + [directions] + points[pos + 1 :]))
-    return np.concatenate(rows)
+    if len(vectors) == 1:  # the directions themselves
+        (v,), (d,) = vectors, degrees
+        return _times_variables(_power(v, d - 1), len(v), d - 1)
+    points = [_power(v, d) for v, d in zip(vectors, degrees)]
+    # before[i] and after[i]: Kronecker products of the first i and of the last i points
+    one = np.ones(1, dtype=np.int64)
+    before, after = [one, points[0]], [one, points[-1]]
+    for left, right in zip(points[1:-1], points[-2:0:-1]):
+        before.append(np.multiply.outer(before[-1], left).ravel() % WORD_PRIME)
+        after.append(np.multiply.outer(right, after[-1]).ravel() % WORD_PRIME)
+    out = np.zeros((sum(map(len, vectors)), math.prod(map(len, points))), dtype=np.int64)
+    start = 0
+    for i, (v, d) in enumerate(zip(vectors, degrees)):
+        n, left, right = len(v), before[i], after[len(points) - 1 - i]
+        block = out[start : start + n].reshape(n, len(left), len(points[i]), len(right))
+        start += n
+        if 0 < i < len(points) - 1:
+            others = np.multiply.outer(left, right) % WORD_PRIME
+        else:
+            others = (left if i else right).reshape(len(left), len(right))
+        if d == 1:  # the directions are the unit vectors e_j
+            block[np.arange(n), :, np.arange(n)] = others
+        else:  # x_j l_v^(d-1) holds the coefficients of l_v^(d-1), shifted by e_j
+            scaled = np.multiply.outer(_power(v, d - 1), others) % WORD_PRIME
+            block[np.arange(n)[:, None], :, _shift(n, d - 1)] = scaled
+    return out
 
 
 def _subspace_tangent(spec: VarietySpec, core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
@@ -436,22 +472,36 @@ class _Trial:
         self.rng = _trial_rng(spec, seed, trial)
         self.ambient = ambient_affine_dim(spec)
         self.echelon = EchelonModP(self.ambient, WORD_PRIME)
-        self.ranks = [0]  # ranks[r]: the rank after the first r points
+        self.ranks = [0]  # ranks[r]: the rank after the first r points, up to saturation
 
     def rank(self, r: int) -> int:
-        while len(self.ranks) <= r:
-            if self.ranks[-1] < self.ambient:  # once saturated, more points change nothing
-                self.echelon.extend(affine_tangent_basis(self.spec, sample_params(self.spec, self.rng)))
+        # once saturated, more points change nothing: later r read the last rank
+        while len(self.ranks) <= r and self.ranks[-1] < self.ambient:
+            self.echelon.extend(affine_tangent_basis(self.spec, sample_params(self.spec, self.rng)))
             self.ranks.append(self.echelon.rank)
-        return self.ranks[r]
+        return self.ranks[min(r, len(self.ranks) - 1)]
 
 
-def _cell(spec: VarietySpec, r: int, ambient: int, states: Sequence[_Trial]) -> SecantReport:
+class _Trials:
+    """The trials of one variety; trial t's state is created the first time a
+    cell reaches it, so a cell that trial 0 certifies creates one state."""
+
+    def __init__(self, spec: VarietySpec, count: int, seed: int):
+        self.spec, self.count, self.seed = spec, count, seed
+        self.states: list[_Trial] = []
+
+    def rank(self, trial: int, r: int) -> int:
+        if trial == len(self.states):  # cells reach the trials in order
+            self.states.append(_Trial(self.spec, self.seed, trial))
+        return self.states[trial].rank(r)
+
+
+def _cell(spec: VarietySpec, r: int, ambient: int, trials: _Trials) -> SecantReport:
     """The report of cell r from the ranks of the trials at their first r points."""
     expected = min(r * cone_dim(spec), ambient)
     computed = 0
-    for state in states:
-        rank = state.rank(r)
+    for trial in range(trials.count):
+        rank = trials.rank(trial, r)
         if rank > expected:
             raise TensorlabError(
                 f"Terracini rank {rank} exceeds the expected dimension {expected};"
@@ -460,18 +510,19 @@ def _cell(spec: VarietySpec, r: int, ambient: int, states: Sequence[_Trial]) -> 
         computed = max(computed, rank)
         if computed == expected:
             break
-    return SecantReport(str(spec), r, ambient, computed, expected, expected - computed, len(states))
+    return SecantReport(str(spec), r, ambient, computed, expected, expected - computed, trials.count)
 
 
-def _trials(spec: VarietySpec, trials: int, seed: int, r_max: Optional[int] = None) -> tuple[int, list[_Trial]]:
-    """The ambient dimension, checked against the caps, and one fresh state per trial.
+def _trials(spec: VarietySpec, trials: int, seed: int, r_max: Optional[int] = None) -> tuple[int, _Trials]:
+    """The ambient dimension, checked against the caps, and the trials, with no state yet.
 
     A trial of rank k holds a k x (N - k) int64 tail, and the trial being
     extended also holds its new tail and the two limb products of
     `_matmul_mod_p`, each at most that size.  k reaches N, or r_max times
     the cone dimension for cells up to r_max, and k (N - k) peaks at
-    k = N / 2, so (trials + 3) such blocks bound the memory; it is checked
-    against MEMORY_CAP before any point is drawn.
+    k = N / 2, so (trials + 3) such blocks, with the trials' states of
+    TRIAL_STATE_BYTES + 8 N bytes each, bound the memory; it is checked
+    against MEMORY_CAP before any state is created or point drawn.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -483,13 +534,15 @@ def _trials(spec: VarietySpec, trials: int, seed: int, r_max: Optional[int] = No
     if ambient > AMBIENT_CAP:
         raise CapExceeded(f"ambient dimension {ambient} exceeds the cap {AMBIENT_CAP}")
     k = min(ambient if r_max is None else r_max * cone_dim(spec), ambient // 2)
-    memory = (trials + 3) * k * (ambient - k) * 8
+    state = TRIAL_STATE_BYTES + 8 * ambient
+    memory = (trials + 3) * k * (ambient - k) * 8 + trials * state
     if memory > MEMORY_CAP:
         raise CapExceeded(
             f"Terracini echelon forms estimated at {memory} bytes ({trials} trials + 3 products "
-            f"of {k} x {ambient - k} int64), over the cap of {MEMORY_CAP} bytes"
+            f"of {k} x {ambient - k} int64, and {trials} trial states of {state} bytes), "
+            f"over the cap of {MEMORY_CAP} bytes"
         )
-    return ambient, [_Trial(spec, seed, trial) for trial in range(trials)]
+    return ambient, _Trials(spec, trials, seed)
 
 
 def secant_dimension(spec: VarietySpec, r: int, trials: int = 3, seed: int = 0) -> SecantReport:
@@ -518,8 +571,8 @@ def scan(
     """Yield the report of each cell r = 1, 2, ... as soon as it is computed,
     through the first cell that fills the ambient space, or through r_max.
 
-    The scan owns one state per trial, so each cell adds one point to every
-    trial it runs instead of starting over; the reports are those of
+    The scan owns one state per trial it reaches, so each cell adds one point
+    to every trial it runs instead of starting over; the reports are those of
     secant_dimension.  `known` maps r to the computed dimension of a cell
     already on record, such as a cell read back from an output file: that
     cell is neither computed nor yielded, but its dimension still decides

@@ -20,6 +20,7 @@ from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
 from tensorlab.kronecker import _beta_mask, _partition_tuples
 from tensorlab.linalg import (
     CERTIFY_MIN_SIDE,
+    WORD_PRIME,
     Matrix,
     _bareiss,
     _check_same_ring,
@@ -43,6 +44,7 @@ from tensorlab.matchgate import (
 from tensorlab.minrank import GURVITS_CAP, GurvitsRecord, MatrixSubspace, gurvits_space
 from tensorlab.ranks import _poly_deg, _squarefree_kernel_vector, catalecticant, normalized_form_coefficients
 from tensorlab.rings import RATIONAL, Ring
+from tensorlab.secants import _kron, _power, _times_variables
 from tensorlab.tensors import (
     Bipartition,
     DenseTensor,
@@ -632,3 +634,20 @@ def gurvits_construction_by_matrices(n: int) -> GurvitsRecord:
         witness_rank_plus=rank_plus,
         decrement=(2 * n) ** 2 - rank_minus,
     )
+
+
+# The Segre-Veronese tangent builder before it placed its rows: each factor's
+# block is the Kronecker product of the other points (1-row matrices) with
+# that factor's directions, the identity for a degree-1 factor, and the
+# blocks are concatenated.  Unchanged but for its name; the reference for the
+# differential tests of secants._segre_veronese_tangent.
+def segre_veronese_tangent_by_kron(degrees, vectors) -> np.ndarray:
+    vectors = [_residues(v, WORD_PRIME) for v in vectors]
+    if not all(v.any() for v in vectors):
+        raise ValidationError("degenerate parameters: zero factor vector")
+    points = [_power(v, d)[None, :] for v, d in zip(vectors, degrees)]
+    rows = []
+    for pos, (v, d) in enumerate(zip(vectors, degrees)):
+        directions = _times_variables(_power(v, d - 1), len(v), d - 1)  # x_j l_v^(d-1)
+        rows.append(_kron(points[:pos] + [directions] + points[pos + 1 :]))
+    return np.concatenate(rows)

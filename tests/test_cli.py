@@ -275,8 +275,22 @@ def test_terracini_memory_cap_exits_3_before_any_point_is_drawn(monkeypatch, cap
     assert cli.main(["terracini", "--variety", "segre:141,141", "--generic-rank"]) == 3
     assert time.perf_counter() - started < 1
     err = capsys.readouterr().err
-    assert "estimated at 4743049920 bytes (3 trials + 3 products of 9940 x 9941 int64)" in err
-    assert "over the cap of 1073741824 bytes" in err
+    assert "estimated at 4743537864 bytes (3 trials + 3 products of 9940 x 9941 int64" in err
+    assert "3 trial states of 162648 bytes), over the cap of 1073741824 bytes" in err
+
+
+def test_terracini_trial_states_count_against_the_memory_cap(monkeypatch, capsys):
+    def no_state(*args):
+        raise AssertionError("a trial state was created")
+
+    monkeypatch.setattr(secants, "_Trial", no_state)
+    # 10^6 states of about 3.6 KB each: their tails alone were estimated at 32 MB
+    started = time.perf_counter()
+    assert cli.main(["terracini", "--variety", "segre:2,2", "--r", "1", "--trials", "1000000"]) == 3
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert "estimated at 3664000096 bytes (1000000 trials + 3 products of 2 x 2 int64" in err
+    assert "1000000 trial states of 3632 bytes), over the cap of 1073741824 bytes" in err
 
 
 def test_one_factor_segre_beyond_the_recursion_limit(capsys):

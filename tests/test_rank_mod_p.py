@@ -170,9 +170,9 @@ def test_stopped_cell_is_the_maximum_over_full_trials(variety, r, monkeypatch):
     full = [_Trial(spec, 0, t).rank(r) for t in range(3)]
     assert report.computed_affine_dim == max(full)
     assert report.trials == 3
-    # trials after the first one that certifies the cell are never run
+    # trials after the first one that certifies the cell are never created, let alone run
     first = next((t for t in range(3) if full[t] == report.expected_affine_dim), 2)
-    assert [len(state.ranks) > 1 for state in states] == [t <= first for t in range(3)]
+    assert [len(state.ranks) > 1 for state in states] == [True] * (first + 1)
 
 
 def test_veronese_2_30_beyond_int64():
@@ -301,6 +301,11 @@ def echelon_block_sequences(p):
     # saturating: past full rank, then more blocks after saturation
     cases.append((8, split(random_rows(rng, 22, 8, 0, p - 1), [5, 5, 5, 7])))
     cases.append((64, split(kronecker_sparse_rows(rng, 40, (4, 4, 4), p), [4, 12, 12, 12])))
+    # blocks wider than the default NARROW_BLOCK_ENTRIES: 16 x 300 and 24 x (300 - rank)
+    cases.append((300, split(kronecker_sparse_rows(rng, 40, (5, 6, 10), p), [16, 24])))
+    a, b = random_rows(rng, 40, 10), random_rows(rng, 10, 300)
+    low_rank = [[sum(a[i][t] * b[t][j] for t in range(10)) for j in range(300)] for i in range(40)]
+    cases.append((300, split(low_rank, [16, 24])))
     return cases
 
 
@@ -312,17 +317,24 @@ def split(rows, sizes):
     return out
 
 
+# each block eliminated by the wide path (0), by the default split and by the
+# narrow path; each test runs all three, so it keeps one id per prime
+NARROW_SETTINGS = [0, linalg.NARROW_BLOCK_ENTRIES, 2**62]
+
+
 @pytest.mark.parametrize("p", [2, 3, 101, WORD_PRIME])
-def test_echelon_equals_the_full_basis_kernel(p):
-    for n, blocks in echelon_block_sequences(p):
-        echelon, oracle = EchelonModP(n, p), EchelonModPFullBasis(n, p)
-        for block in blocks:
-            assert echelon.extend(block) == oracle.extend(block)
-            assert_same_echelon(echelon, oracle)
-    saturated = EchelonModP(3, p)
-    saturated.extend([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    assert saturated.rank == 3 and saturated.tail.size == 0
-    assert saturated.basis.tolist() == np.eye(3, dtype=int).tolist()
+def test_echelon_equals_the_full_basis_kernel(p, monkeypatch):
+    for narrow in NARROW_SETTINGS:
+        monkeypatch.setattr(linalg, "NARROW_BLOCK_ENTRIES", narrow)
+        for n, blocks in echelon_block_sequences(p):
+            echelon, oracle = EchelonModP(n, p), EchelonModPFullBasis(n, p)
+            for block in blocks:
+                assert echelon.extend(block) == oracle.extend(block)
+                assert_same_echelon(echelon, oracle)
+        saturated = EchelonModP(3, p)
+        saturated.extend([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        assert saturated.rank == 3 and saturated.tail.size == 0
+        assert saturated.basis.tolist() == np.eye(3, dtype=int).tolist()
 
 
 def test_residues_keep_a_block_of_residues_and_reduce_the_rest():
@@ -337,30 +349,32 @@ def test_residues_keep_a_block_of_residues_and_reduce_the_rest():
         assert got.tolist() == [[x % p for x in row] for row in np.asarray(rows).tolist()]
 
 
-@pytest.mark.parametrize("p", [2, 101, WORD_PRIME])
-def test_extend_never_writes_the_callers_block(p):
+@pytest.mark.parametrize("p", [2, 3, 101, WORD_PRIME])
+def test_extend_never_writes_the_callers_block(p, monkeypatch):
     # _certified_rank passes views of the integer rows it later checks over Z: blocks
     # of residues are read in place, at rank 0 (copied once for the loop) and after
-    for n, blocks in echelon_block_sequences(p):
-        echelon, oracle = EchelonModP(n, p), EchelonModPFullBasis(n, p)
-        for block in blocks:
-            block = np.array([[x % p for x in row] for row in block], dtype=np.int64).reshape(-1, n)
-            kept = block.copy()
-            block.setflags(write=False)
-            assert echelon.extend(block) == oracle.extend(block)
-            assert_same_echelon(echelon, oracle)
-            assert np.array_equal(block, kept)
-    # one read-only array, reduced in row blocks as _certified_rank reduces it
-    rng = random.Random(f"echelon-readonly:{p}")
-    a = np.array(random_rows(rng, 40, 9, 0, p - 1), dtype=np.int64)
-    a[20:] = a[:20] * 2 % p  # the second half repeats the first, scaled
-    a.setflags(write=False)
-    echelon = EchelonModP(9, p)
-    for i in range(0, 40, 8):
-        echelon.extend(a[i : i + 8])
-    oracle = EchelonModPFullBasis(9, p)
-    oracle.extend(a.tolist())
-    assert_same_echelon(echelon, oracle)
+    for narrow in NARROW_SETTINGS:
+        monkeypatch.setattr(linalg, "NARROW_BLOCK_ENTRIES", narrow)
+        for n, blocks in echelon_block_sequences(p):
+            echelon, oracle = EchelonModP(n, p), EchelonModPFullBasis(n, p)
+            for block in blocks:
+                block = np.array([[x % p for x in row] for row in block], dtype=np.int64).reshape(-1, n)
+                kept = block.copy()
+                block.setflags(write=False)
+                assert echelon.extend(block) == oracle.extend(block)
+                assert_same_echelon(echelon, oracle)
+                assert np.array_equal(block, kept)
+        # one read-only array, reduced in row blocks as _certified_rank reduces it
+        rng = random.Random(f"echelon-readonly:{p}")
+        a = np.array(random_rows(rng, 40, 9, 0, p - 1), dtype=np.int64)
+        a[20:] = a[:20] * 2 % p  # the second half repeats the first, scaled
+        a.setflags(write=False)
+        echelon = EchelonModP(9, p)
+        for i in range(0, 40, 8):
+            echelon.extend(a[i : i + 8])
+        oracle = EchelonModPFullBasis(9, p)
+        oracle.extend(a.tolist())
+        assert_same_echelon(echelon, oracle)
 
 
 class _CheckedEchelon(EchelonModP):

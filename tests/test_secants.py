@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import _fp_eliminate
+from helpers import _fp_eliminate, segre_veronese_tangent_by_kron
 from tangent_oracle import exact_tangent_rows, power_coeff_vector
 from tensorlab import secants
 from tensorlab.errors import CapExceeded, TensorlabError, ValidationError
@@ -134,23 +135,39 @@ def old_segre_veronese_rows(spec, vectors):
     return rows
 
 
+def moved_coordinates(vectors, rng):
+    """The vectors with some coordinates zeroed, some moved below 0 and some
+    to p or beyond by multiples of p, each vector still nonzero mod p."""
+    moved = []
+    for v in vectors:
+        w = [rng.choice([0, x, x - WORD_PRIME * rng.randint(1, 3), x + WORD_PRIME * rng.randint(1, 2**40)]) for x in v]
+        moved.append(tuple(w) if any(x % WORD_PRIME for x in w) else v)
+    return moved
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "segre:2,2", "segre:3,1,4", "segre:1,2", "segre:2,2,2,2", "segre:4",
+        "segre:5,5,5", "segre:9,9,9,9", "segre:1,1", "segre:2",
         "veronese:2,5", "veronese:3,4", "veronese:3,1", "veronese:1,3",
-        "segver:2,3@2,1", "segver:3,2@1,3", "segver:1,3@2,2",
+        "segver:2,3@2,1", "segver:3,2@1,3", "segver:1,3@2,2", "segver:3,3@2,2",
     ],
 )
 def test_segre_veronese_tangent_matches_rank_one_oracle(text):
+    # the rows are placed, not multiplied by identity blocks: the old Kronecker
+    # builder and the rank_one rows are both references
     spec = parse_variety(text)
-    for seed in range(5):
-        vectors = sample_params(spec, random.Random(seed))
-        basis = affine_tangent_basis(spec, vectors)
-        oracle = old_segre_veronese_rows(spec, vectors)
-        assert basis.dtype == np.int64
-        assert basis.tolist() == residues(oracle)
-        assert len(basis) == sum(spec.dims)
+    degrees = spec.degrees or (1,) * len(spec.dims)
+    rng = random.Random(f"moved:{text}")
+    for seed in range(1 if text == "segre:9,9,9,9" else 5):
+        sampled = sample_params(spec, random.Random(seed))
+        for vectors in (sampled, moved_coordinates(sampled, rng)):
+            basis = affine_tangent_basis(spec, vectors)
+            assert basis.dtype == np.int64
+            assert len(basis) == sum(spec.dims)
+            assert np.array_equal(basis, segre_veronese_tangent_by_kron(degrees, vectors))
+            assert basis.tolist() == residues(old_segre_veronese_rows(spec, vectors))
 
 
 def test_subspace_core_rows_match_rank_one_of_factor_columns():
@@ -408,7 +425,8 @@ def test_memory_cap_admits_every_survey_benchmark_and_smoke_variety(monkeypatch)
     # cells up to r bound k by r times the cone dimension, 281 for segre:141,141 (N = 19881):
     # 6 x 1124 x 18757 x 8 bytes fit in 1 GiB at r = 4, 6 x 1405 x 18476 x 8 do not at r = 5
     spec = parse_variety("segre:141,141")
-    assert len(secants._trials(spec, 3, 0, 4)[1]) == 3
+    trials = secants._trials(spec, 3, 0, 4)[1]
+    assert trials.count == 3 and trials.states == []
     for r_max in (5, None):
         with pytest.raises(CapExceeded, match="over the cap of 1073741824 bytes"):
             secants._trials(spec, 3, 0, r_max)
@@ -416,6 +434,36 @@ def test_memory_cap_admits_every_survey_benchmark_and_smoke_variety(monkeypatch)
         secant_dimension(spec, 5)
     with pytest.raises(CapExceeded, match="9940 x 9941 int64"):
         next(secants.scan(spec, 3, 0))
+
+
+def test_a_saturated_trial_answers_any_later_r_at_once():
+    # ranks are kept up to saturation only: r = 10^9 once appended 10^9 ranks
+    spec = segre((2, 2))
+    state = secants._Trial(spec, 0, 0)
+    assert state.rank(10**6) == 4 and state.rank(1) == 3 and state.rank(2) == 4
+    assert state.ranks == [0, 3, 4]  # checked first: a list of 10^9 ranks would take 8 GB
+    started = time.perf_counter()
+    report = secant_dimension(spec, 10**9)
+    assert time.perf_counter() - started < 1
+    assert (report.computed_affine_dim, report.defect, report.r) == (4, 0, 10**9)
+
+
+def test_trial_states_are_created_when_a_cell_first_reaches_them(monkeypatch):
+    created = []
+
+    class Recorded(secants._Trial):
+        def __init__(self, *args):
+            super().__init__(*args)
+            created.append(args)
+
+    monkeypatch.setattr(secants, "_Trial", Recorded)
+    report = secant_dimension(segre((2, 2)), 1, trials=10**5)
+    assert (report.computed_affine_dim, report.trials) == (3, 10**5)
+    assert created == [(segre((2, 2)), 0, 0)]  # trial 0 certifies the cell
+    # segre:2,2,2,2 is defective at r = 3 only: trials 1 and 2 are created there, once each
+    created.clear()
+    assert [c.computed_affine_dim for c in secants.scan(segre((2, 2, 2, 2)), 3, 0, 4)] == [5, 10, 14, 16]
+    assert created == [(segre((2, 2, 2, 2)), 0, t) for t in range(3)]
 
 
 def test_power_at_the_largest_admitted_degree():
